@@ -8,6 +8,7 @@ and parse errors. Report documents carry a generated_at timestamp unless
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import sys
@@ -23,6 +24,7 @@ from .evaluation import (
     NoAlignedItems,
     confusion,
     disagreement_report,
+    index_by_item,
     pairwise_agreement,
     score,
 )
@@ -173,32 +175,40 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _question_targets(
-    dialogues: Sequence[Dialogue], question_spans: Optional[dict]
+def _resolve_questions(
+    dialogues: Sequence[Dialogue], keys: Sequence[tuple], language: Optional[str] = None
 ) -> list[tuple[Utterance, tuple[int, int], Optional[Utterance]]]:
-    """Pick the (utterance, span, previous) triples to classify."""
+    """The (utterance, span, previous turn) of each (dialogue, turn, span) key, in key order.
+
+    A key naming no utterance, or a span running past the utterance text, is
+    an input error. With ``language`` set, keys in dialogues of another
+    language are skipped and the number skipped is logged.
+    """
+    by_id = {d.dialogue_id: d for d in dialogues}
     targets = []
-    for dialogue in dialogues:
-        for i, utt in enumerate(dialogue.utterances):
-            previous = dialogue.utterances[i - 1] if i > 0 else None
-            if question_spans is not None:
-                for span in question_spans.get((utt.dialogue_id, utt.turn_index), ()):
-                    if span[1] > len(utt.text):
-                        raise ValueError(
-                            f"question span {span} exceeds utterance "
-                            f"{utt.dialogue_id}:{utt.turn_index} (length {len(utt.text)})"
-                        )
-                    targets.append((utt, span, previous))
-            elif utt.text.rstrip().endswith("?"):
-                targets.append((utt, (0, len(utt.text)), previous))
+    skipped = 0
+    for dialogue_id, turn_index, span in keys:
+        dialogue = by_id.get(dialogue_id)
+        if dialogue is not None and language and dialogue.language != language:
+            skipped += 1
+            continue
+        ref = f"{dialogue_id}:{turn_index}:{span[0]}-{span[1]}"
+        utterances = dialogue.utterances if dialogue is not None else ()
+        i = turn_index - utterances[0].turn_index if utterances else -1
+        if not 0 <= i < len(utterances):
+            raise ValueError(f"question {ref} has no matching utterance")
+        utt = utterances[i]
+        if span[1] > len(utt.text):
+            raise ValueError(f"question {ref}: span exceeds utterance length {len(utt.text)}")
+        targets.append((utt, span, utterances[i - 1] if i > 0 else None))
+    if skipped:
+        log.info("skipped %d questions in dialogues not in language %s", skipped, language)
     return targets
 
 
 def cmd_classify(args) -> int:
     ext_cfg, rule_cfg, wh_map = _extraction_setup(args)
     dialogues = _load_corpus([args.input])
-    if args.language:
-        dialogues = [d for d in dialogues if d.language == args.language]
 
     model = None
     if args.mode == "tree":
@@ -207,17 +217,20 @@ def cmd_classify(args) -> int:
         with open(args.model, encoding="utf-8") as f:
             model = load_model(f)
 
-    question_spans = None
     if args.questions:
-        question_spans = {}
-        for rec in _read_annotation_files([args.questions]):
-            if isinstance(rec, QuestionAnnotation):
-                question_spans.setdefault((rec.dialogue_id, rec.turn_index), set()).add(rec.span)
-        question_spans = {key: sorted(spans) for key, spans in question_spans.items()}
+        given = _read_annotation_files([args.questions])
+        keys = sorted({r.key for r in given if isinstance(r, QuestionAnnotation)})
+    else:
+        keys = [
+            (u.dialogue_id, u.turn_index, (0, len(u.text)))
+            for d in dialogues
+            for u in d.utterances
+            if u.text.rstrip().endswith("?")
+        ]
 
     annotator = args.annotator_id or args.mode
     records = []
-    for utt, span, previous in _question_targets(dialogues, question_spans):
+    for utt, span, previous in _resolve_questions(dialogues, keys, args.language):
         fv = extract_features(utt, span, previous, ext_cfg)
         if model is not None:
             q_type = predict(model, fv)
@@ -232,41 +245,31 @@ def cmd_classify(args) -> int:
 
     with _open_out(args.output) as out:
         write_annotations(records, out)
-    log.info("classified %d questions in %d dialogues", len(records), len(dialogues))
+    log.info("classified %d questions", len(records))
     return 0
 
 
 def cmd_train(args) -> int:
     ext_cfg, _, _ = _extraction_setup(args)
     dialogues = _load_corpus(args.input)
-    records = _read_annotation_files(args.annotations)
-    questions = [r for r in records if isinstance(r, QuestionAnnotation)]
+    questions = sorted(
+        (r for r in _read_annotation_files(args.annotations) if isinstance(r, QuestionAnnotation)),
+        key=lambda q: q.key,
+    )
+    targets = zip(questions, _resolve_questions(dialogues, [q.key for q in questions]))
 
     if args.limit_utterances is not None:
         total = sum(len(d.utterances) for d in dialogues)
         if args.limit_utterances > total:
             raise ValueError(f"--limit-utterances {args.limit_utterances} exceeds corpus size {total}")
-        allowed: set[tuple[str, int]] = set()
-        budget = args.limit_utterances
-        for dialogue in dialogues:
-            for utt in dialogue.utterances:
-                if budget == 0:
-                    break
-                allowed.add((utt.dialogue_id, utt.turn_index))
-                budget -= 1
-        questions = [q for q in questions if (q.dialogue_id, q.turn_index) in allowed]
+        first = itertools.islice((u for d in dialogues for u in d.utterances), args.limit_utterances)
+        allowed = {(u.dialogue_id, u.turn_index) for u in first}
+        targets = [(q, t) for q, t in targets if (q.dialogue_id, q.turn_index) in allowed]
 
-    index = {(u.dialogue_id, u.turn_index): u for d in dialogues for u in d.utterances}
-    instances = []
-    for q in sorted(questions, key=lambda q: (q.dialogue_id, q.turn_index, q.span)):
-        utt = index.get((q.dialogue_id, q.turn_index))
-        if utt is None:
-            raise ValueError(f"annotation {q.ref} has no matching utterance")
-        if q.span[1] > len(utt.text):
-            raise ValueError(f"annotation {q.ref}: span exceeds utterance length {len(utt.text)}")
-        previous = index.get((q.dialogue_id, q.turn_index - 1))
-        fv = extract_features(utt, q.span, previous, ext_cfg)
-        instances.append(LabeledInstance(fv, q.q_type))
+    instances = [
+        LabeledInstance(extract_features(utt, span, previous, ext_cfg), q.q_type)
+        for q, (utt, span, previous) in targets
+    ]
 
     if args.baseline:
         model = majority_baseline(inst.label for inst in instances)
@@ -294,22 +297,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _question_labels(path: str) -> dict[tuple, str]:
-    labels: dict[tuple, str] = {}
-    for rec in _read_annotation_files([path]):
-        if isinstance(rec, QuestionAnnotation):
-            labels.setdefault((rec.dialogue_id, rec.turn_index, rec.span), rec.q_type.value)
-    return labels
-
-
 def cmd_evaluate(args) -> int:
-    gold = _question_labels(args.gold)
-    pred = _question_labels(args.pred)
-    keys = sorted(set(gold) & set(pred))
+    gold, _ = index_by_item(_read_annotation_files([args.gold]))
+    pred, _ = index_by_item(_read_annotation_files([args.pred]))
+    keys = sorted(gold.keys() & pred.keys())
     if not keys:
         raise NoAlignedItems("gold and prediction files share no question annotations")
     order = [q.value for q in QUESTION_TYPE_ORDER]
-    matrix = confusion([gold[k] for k in keys], [pred[k] for k in keys], labels=order)
+    matrix = confusion(
+        [gold[k].q_type.value for k in keys], [pred[k].q_type.value for k in keys], labels=order
+    )
     report = score(matrix)
 
     doc = report.to_json_dict()

@@ -212,49 +212,39 @@ class AgreementReport:
         }
 
 
-def _questions_of(records: Iterable[AnnotationRecord]) -> dict[tuple, QuestionAnnotation]:
-    out: dict[tuple, QuestionAnnotation] = {}
+def index_by_item(
+    records: Iterable[AnnotationRecord],
+) -> tuple[dict[tuple, QuestionAnnotation], dict[str, AnswerAnnotation]]:
+    """Index one annotator's records by item; the first record for an item wins.
+
+    Questions are keyed by position (dialogue, turn, span), answers by the
+    reference of the question they answer.
+    """
+    questions: dict[tuple, QuestionAnnotation] = {}
+    answers: dict[str, AnswerAnnotation] = {}
     for rec in records:
         if isinstance(rec, QuestionAnnotation):
-            out.setdefault((rec.dialogue_id, rec.turn_index, rec.span), rec)
-    return out
+            questions.setdefault(rec.key, rec)
+        else:
+            answers.setdefault(rec.question_ref, rec)
+    return questions, answers
 
 
-def _answers_of(records: Iterable[AnnotationRecord]) -> dict[str, AnswerAnnotation]:
-    out: dict[str, AnswerAnnotation] = {}
-    for rec in records:
-        if isinstance(rec, AnswerAnnotation):
-            out.setdefault(rec.question_ref, rec)
-    return out
+def _feature_tag(ann: QuestionAnnotation) -> str:
+    return ann.feature.value if ann.feature is not None else "-"
 
 
-def _aligned_labels(
-    recs_a: Sequence[AnnotationRecord],
-    recs_b: Sequence[AnnotationRecord],
-    layer: str,
-) -> tuple[list[str], list[str]]:
+def _layer_labels(records: Sequence[AnnotationRecord], layer: str) -> dict:
+    questions, answers = index_by_item(records)
     if layer == "answers":
-        map_a = {ref: ann.a_type.value for ref, ann in _answers_of(recs_a).items()}
-        map_b = {ref: ann.a_type.value for ref, ann in _answers_of(recs_b).items()}
-        keys = sorted(set(map_a) & set(map_b))
-        return [map_a[k] for k in keys], [map_b[k] for k in keys]
-
-    q_a = _questions_of(recs_a)
-    q_b = _questions_of(recs_b)
-    keys = sorted(set(q_a) & set(q_b))
+        return {ref: ann.a_type.value for ref, ann in answers.items()}
     if layer == "questions":
-        return [q_a[k].q_type.value for k in keys], [q_b[k].q_type.value for k in keys]
-    if layer == "features":
-        # feature tags are undefined outside feature-bearing types, so the
-        # comparison covers only items both annotators typed as such
-        keys = [
-            k
-            for k in keys
-            if feature_applicable(q_a[k].q_type) and feature_applicable(q_b[k].q_type)
-        ]
-        render = lambda ann: ann.feature.value if ann.feature is not None else "-"
-        return [render(q_a[k]) for k in keys], [render(q_b[k]) for k in keys]
-    raise ValueError(f"unknown layer {layer!r}; expected one of {LAYERS}")
+        return {key: ann.q_type.value for key, ann in questions.items()}
+    # feature tags are undefined outside feature-bearing types, so the
+    # comparison covers only items both annotators typed as such
+    return {
+        key: _feature_tag(ann) for key, ann in questions.items() if feature_applicable(ann.q_type)
+    }
 
 
 def pairwise_agreement(
@@ -275,11 +265,15 @@ def pairwise_agreement(
     if len(ids) < 2:
         raise NoAlignedItems("agreement needs at least two annotators")
 
+    labels = {annotator: _layer_labels(by_annotator[annotator], layer) for annotator in ids}
     reports: list[AgreementReport] = []
     for id_a, id_b in itertools.combinations(ids, 2):
-        labels_a, labels_b = _aligned_labels(by_annotator[id_a], by_annotator[id_b], layer)
-        if not labels_a:
+        map_a, map_b = labels[id_a], labels[id_b]
+        keys = sorted(map_a.keys() & map_b.keys())
+        if not keys:
             continue
+        labels_a = [map_a[k] for k in keys]
+        labels_b = [map_b[k] for k in keys]
         reports.append(
             AgreementReport(
                 layer,
@@ -305,10 +299,7 @@ def pairwise_agreement(
 
 
 class DisagreementCategory(str, Enum):
-    MISTAKE = "mistake"
     CASCADE = "cascade"
-    GUIDELINE_GAP = "guideline-gap"
-    AMBIGUOUS = "ambiguous"
     UNCATEGORIZED = "uncategorized"
 
     def __str__(self) -> str:
@@ -346,8 +337,10 @@ def disagreement_report(
     co-annotated questions, so type-driven feature loss is visible.
     """
     ids = sorted(by_annotator)
-    q_maps = {annotator: _questions_of(by_annotator[annotator]) for annotator in ids}
-    a_maps = {annotator: _answers_of(by_annotator[annotator]) for annotator in ids}
+    q_maps: dict[str, dict] = {}
+    a_maps: dict[str, dict] = {}
+    for annotator in ids:
+        q_maps[annotator], a_maps[annotator] = index_by_item(by_annotator[annotator])
 
     records: list[DisagreementRecord] = []
 
@@ -363,10 +356,7 @@ def disagreement_report(
             records.append(
                 DisagreementRecord("questions", ref, q_tags, DisagreementCategory.UNCATEGORIZED)
             )
-        f_tags = {
-            annotator: (ann.feature.value if ann.feature is not None else "-")
-            for annotator, ann in present.items()
-        }
+        f_tags = {annotator: _feature_tag(ann) for annotator, ann in present.items()}
         if len(set(f_tags.values())) > 1:
             category = (
                 DisagreementCategory.CASCADE if q_disagree else DisagreementCategory.UNCATEGORIZED

@@ -212,8 +212,9 @@ def parse_eaf(
 ) -> list[Dialogue]:
     """Parse a minimal ELAN .eaf export into one dialogue.
 
-    Alignable annotations from all tiers are merged and ordered by their
-    start time slot (document order of TIME_ORDER breaks missing times).
+    Alignable annotations from all tiers are merged and ordered by the
+    TIME_VALUE of their start time slot. A slot without a value keeps its
+    document position in TIME_ORDER, right after the slot listed before it.
     The tier's PARTICIPANT attribute, falling back to TIER_ID, names the
     speaker. Turn indices are assigned 0..n-1 in temporal order.
     """
@@ -224,29 +225,35 @@ def parse_eaf(
     except ET.ParseError as exc:
         raise IngestError(f"invalid .eaf XML: {exc}") from exc
 
-    slot_order: dict[str, int] = {}
-    slot_time: dict[str, Optional[int]] = {}
+    slot_key: dict[str, tuple[float, int]] = {}  # slot id -> (time, document position)
+    time = float("-inf")
     for i, slot in enumerate(root.iter("TIME_SLOT")):
         slot_id = slot.get("TIME_SLOT_ID")
         if slot_id is None:
             continue
-        slot_order[slot_id] = i
         value = slot.get("TIME_VALUE")
-        slot_time[slot_id] = int(value) if value is not None else None
+        if value is not None:
+            try:
+                time = int(value)
+            except ValueError:
+                raise IngestError(
+                    f"time slot {slot_id!r} has a non-integer TIME_VALUE {value!r}"
+                ) from None
+        slot_key[slot_id] = (time, i)
 
     entries = []  # (sort key, tier position, speaker, text)
     for tier_pos, tier in enumerate(root.iter("TIER")):
         speaker = tier.get("PARTICIPANT") or tier.get("TIER_ID") or "unknown"
         for ann in tier.iter("ALIGNABLE_ANNOTATION"):
             ref1 = ann.get("TIME_SLOT_REF1")
-            if ref1 is None or ref1 not in slot_order:
+            if ref1 is None or ref1 not in slot_key:
                 raise IngestError(f"annotation without a resolvable TIME_SLOT_REF1 in tier {speaker!r}")
             value = ann.find("ANNOTATION_VALUE")
             text = (value.text or "") if value is not None else ""
             text = text.strip()
             if not text:
                 continue
-            entries.append((slot_order[ref1], tier_pos, speaker, text))
+            entries.append((slot_key[ref1], tier_pos, speaker, text))
 
     if not entries:
         raise EmptyTranscript("eaf source has no non-empty alignable annotations")

@@ -131,6 +131,11 @@ class QuestionAnnotation:
             raise ValueError(f"bad span {self.span}: need 0 <= start <= end")
 
     @property
+    def key(self) -> tuple[str, int, tuple[int, int]]:
+        """Position of this question: (dialogue, turn, span)."""
+        return (self.dialogue_id, self.turn_index, self.span)
+
+    @property
     def ref(self) -> str:
         """Reference string answers use to point at this question."""
         start, end = self.span

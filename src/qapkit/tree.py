@@ -57,7 +57,6 @@ class LabeledInstance:
 class TrainConfig:
     max_depth: Optional[int] = None
     min_samples_leaf: int = 1
-    random_seed: Optional[int] = None  # reserved; training is deterministic
 
     def __post_init__(self) -> None:
         if self.max_depth is not None and self.max_depth < 1:

@@ -206,6 +206,40 @@ class TestClassify:
         recs = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["dialogue_id"] for r in recs] == ["fr1"]
 
+    def test_question_span_for_unknown_utterance(self, run_cli, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "Where did you go?")])
+        spans = write_jsonl(
+            tmp_path / "spans.jsonl",
+            [q_obj(0, "Where", "WH", span=(0, 5)), q_obj(9, "abc", "YN", dialogue="zzz")],
+        )
+        out = tmp_path / "pred.jsonl"
+        code, _, err = run_cli("classify", "--input", corpus, "--questions", spans, "--output", out)
+        assert code == 2
+        assert "zzz:9:0-3" in err
+
+    def test_language_filter_skips_spans_of_other_languages(self, run_cli, tmp_path, caplog):
+        corpus = write_jsonl(
+            tmp_path / "c.jsonl",
+            [
+                utt_obj(0, "really?", dialogue="en1", language="en"),
+                utt_obj(0, "vraiment?", dialogue="fr1", language="fr"),
+            ],
+        )
+        spans = write_jsonl(
+            tmp_path / "spans.jsonl",
+            [q_obj(0, "really?", "PQ", dialogue="en1"), q_obj(0, "vraiment?", "PQ", dialogue="fr1")],
+        )
+        out = tmp_path / "pred.jsonl"
+        with caplog.at_level(logging.INFO, logger="qapkit"):
+            code, _, _ = run_cli(
+                "classify", "--input", corpus, "--language", "fr", "--questions", spans,
+                "--output", out,
+            )
+        assert code == 0
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["dialogue_id"] for r in recs] == ["fr1"]
+        assert any("skipped 1 questions" in r.getMessage() for r in caplog.records)
+
     def test_tree_mode_requires_model(self, run_cli, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "really?")])
         code, _, err = run_cli("classify", "--input", corpus, "--mode", "tree")
@@ -331,6 +365,17 @@ class TestTrain:
         )
         assert code == 2
         assert "exceeds corpus size" in err
+
+    def test_limit_utterances_still_checks_every_annotation(self, run_cli, tmp_path, train_corpus):
+        corpus, gold = train_corpus
+        with open(gold, "a", encoding="utf-8") as f:
+            f.write(json.dumps(q_obj(9, "abc", "YN", dialogue="zzz")) + "\n")
+        code, _, err = run_cli(
+            "train", "--input", corpus, "--annotations", gold,
+            "--output", tmp_path / "m.json", "--limit-utterances", "2",
+        )
+        assert code == 2
+        assert "zzz:9:0-3" in err
 
     def test_annotation_without_utterance(self, run_cli, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "hi?")])
@@ -520,3 +565,34 @@ class TestTopLevel:
         code, _, err = run_cli("validate", "--input", bad)
         assert code == 2
         assert "broken.jsonl" in err
+
+
+class TestAnnotationIndex:
+    def test_first_record_for_an_item_wins(self, run_cli, tmp_path):
+        ref = "d1:0:0-17"
+        first = [
+            q_obj(0, "Where did you go?", "WH", feature="LOC", annotator="A1"),
+            a_obj(1, "FA", ref, annotator="A1"),
+        ]
+        repeats = [
+            q_obj(0, "Where did you go?", "YN", annotator="A1"),
+            a_obj(1, "UA", ref, annotator="A1"),
+        ]
+        f1 = write_jsonl(tmp_path / "a1.jsonl", first + repeats)
+        f2 = write_jsonl(
+            tmp_path / "a2.jsonl", [{**rec, "annotator_id": "A2"} for rec in first]
+        )
+
+        for gold, pred in ((f1, f2), (f2, f1)):
+            code, out, _ = run_cli("evaluate", "--gold", gold, "--pred", pred, "--deterministic")
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["n_items"], doc["accuracy"]) == (1, 1.0)
+
+        code, out, _ = run_cli("agree", "--input", f1, f2, "--deterministic")
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc["layers"]) == {"questions", "features", "answers"}
+        for reports in doc["layers"].values():
+            assert [(r["n_items"], r["observed"]) for r in reports] == [(1, 1.0), (1, 1.0)]
+        assert doc["disagreements"] == []

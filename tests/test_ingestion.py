@@ -286,6 +286,36 @@ class TestEaf:
         with pytest.raises(IngestError, match="TIME_SLOT_REF1"):
             parse_eaf(path)
 
+    def test_ordered_by_time_value_not_slot_listing(self, tmp_path):
+        doc = """<ANNOTATION_DOCUMENT>
+  <TIME_ORDER>
+    <TIME_SLOT TIME_SLOT_ID="late" TIME_VALUE="3000"/>
+    <TIME_SLOT TIME_SLOT_ID="untimed"/>
+    <TIME_SLOT TIME_SLOT_ID="early" TIME_VALUE="0"/>
+  </TIME_ORDER>
+  <TIER TIER_ID="A">
+    <ANNOTATION><ALIGNABLE_ANNOTATION TIME_SLOT_REF1="late">
+      <ANNOTATION_VALUE>later</ANNOTATION_VALUE></ALIGNABLE_ANNOTATION></ANNOTATION>
+    <ANNOTATION><ALIGNABLE_ANNOTATION TIME_SLOT_REF1="untimed">
+      <ANNOTATION_VALUE>after later</ANNOTATION_VALUE></ALIGNABLE_ANNOTATION></ANNOTATION>
+    <ANNOTATION><ALIGNABLE_ANNOTATION TIME_SLOT_REF1="early">
+      <ANNOTATION_VALUE>earlier</ANNOTATION_VALUE></ALIGNABLE_ANNOTATION></ANNOTATION>
+  </TIER>
+</ANNOTATION_DOCUMENT>
+"""
+        path = tmp_path / "order.eaf"
+        path.write_text(doc, encoding="utf-8")
+        (d,) = parse_eaf(path)
+        # a slot without a value stays right after the slot listed before it
+        assert [u.text for u in d.utterances] == ["earlier", "later", "after later"]
+
+    def test_non_integer_time_value_names_the_slot(self, tmp_path):
+        doc = EAF_DOC.replace('TIME_VALUE="1200"', 'TIME_VALUE="1.2s"')
+        path = tmp_path / "bad.eaf"
+        path.write_text(doc, encoding="utf-8")
+        with pytest.raises(IngestError, match="'ts2'.*'1.2s'"):
+            parse_eaf(path)
+
 
 Q_LINE = {
     "kind": "q",
