@@ -90,11 +90,29 @@ def _open_out(path: Optional[str]):
         yield sys.stdout
 
 
+@contextmanager
+def _open_in(path: str | Path):
+    """Open a UTF-8 input file; invalid UTF-8 read from it raises ValueError naming path:line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            for line_no, line in enumerate(raw, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(
+                        f"{path}:{line_no}: invalid UTF-8 at byte {exc.start + 1} of the line ({exc.reason})"
+                    ) from None
+        raise
+
+
 def _load_corpus(paths: Sequence[str]) -> list[Dialogue]:
     dialogues: list[Dialogue] = []
     seen: set[str] = set()
     for path in paths:
-        with open(path, encoding="utf-8") as f:
+        with _open_in(path) as f:
             for dialogue in parse_dialogue_jsonl(f):
                 if dialogue.dialogue_id in seen:
                     raise ValueError(f"dialogue {dialogue.dialogue_id!r} appears in more than one input")
@@ -107,9 +125,11 @@ def _load_corpus(paths: Sequence[str]) -> list[Dialogue]:
 def _read_annotation_files(paths: Sequence[str]) -> list:
     records = []
     for path in paths:
-        with open(path, encoding="utf-8") as f:
+        with _open_in(path) as f:
             try:
                 records.extend(read_annotations(f))
+            except UnicodeDecodeError:
+                raise  # _open_in names the line
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
     return records
@@ -158,7 +178,7 @@ def cmd_ingest(args) -> int:
             interruption_marker=args.interruption_marker,
         )
     else:
-        with open(path, encoding="utf-8") as f:
+        with _open_in(path) as f:
             if args.format == "tsv":
                 dialogues = parse_tsv_transcript(
                     f,

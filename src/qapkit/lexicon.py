@@ -9,6 +9,7 @@ line, blank lines and ``#`` comments ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -34,17 +35,19 @@ class Lexicon:
         entries = frozenset(t for t in (tuple(tokenize(p)) for p in phrases) if t)
         return cls(name, entries)
 
-    def _lengths(self) -> set[int]:
-        return {len(e) for e in self.entries}
+    @cached_property
+    def _lengths(self) -> tuple[int, ...]:
+        """Distinct entry lengths, ascending; computed once per lexicon."""
+        return tuple(sorted({len(e) for e in self.entries}))
 
     def contains_token(self, token: str) -> bool:
         return (token.lower(),) in self.entries
 
     def contains(self, tokens: Sequence[str]) -> bool:
         """True if any entry occurs as a contiguous run inside ``tokens``."""
-        for n in self._lengths():
+        for n in self._lengths:
             if n > len(tokens):
-                continue
+                break
             for i in range(len(tokens) - n + 1):
                 if tuple(tokens[i : i + n]) in self.entries:
                     return True
@@ -52,7 +55,7 @@ class Lexicon:
 
     def matches_end(self, tokens: Sequence[str]) -> bool:
         """True if some entry equals the final tokens of the sequence."""
-        for n in self._lengths():
+        for n in self._lengths:
             if 0 < n <= len(tokens) and tuple(tokens[-n:]) in self.entries:
                 return True
         return False

@@ -4,9 +4,10 @@ Splits are binary. A boolean predictor routes False left, True right; the
 numeric ``length`` predictor routes ``<= threshold`` left with thresholds at
 midpoints between adjacent distinct observed values. Each node takes the
 split with maximal information gain; ties prefer the predictor earliest in
-the canonical field order, then the smallest threshold. Instances are
-sorted into a canonical order before growing, so the learned tree does not
-depend on how the training file was shuffled.
+the canonical field order, then the smallest threshold. Training first groups
+the instances into label counts per distinct feature vector, in a canonical
+order: nodes sum counts, so the cost scales with distinct vectors, not with
+instances, and the learned tree does not depend on the training file's order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Mapping, Optional, Sequence
 
 from .features import FEATURE_NAMES, FeatureVector
 from .model import QuestionType
@@ -37,14 +38,15 @@ MODEL_FORMAT_VERSION = 1
 
 #: Order that breaks leaf-label ties after training frequency.
 LABEL_TIE_ORDER: tuple[QuestionType, ...] = (
-    QuestionType.YN,
-    QuestionType.WH,
-    QuestionType.DQ,
-    QuestionType.CS,
-    QuestionType.PQ,
+    QuestionType.YN, QuestionType.WH, QuestionType.DQ, QuestionType.CS, QuestionType.PQ,
 )
 
 _BOOLEAN_FEATURES = tuple(n for n in FEATURE_NAMES if n != "length")
+_BOOLEAN_INDEXES = tuple(FEATURE_NAMES.index(n) for n in _BOOLEAN_FEATURES)
+_LENGTH_INDEX = FEATURE_NAMES.index("length")
+
+#: A distinct feature vector (``as_tuple`` order) with its label counts.
+_Group = tuple[tuple, Counter]
 
 
 @dataclass(frozen=True)
@@ -87,42 +89,41 @@ class TreeModel:
 
     def depth(self) -> int:
         def walk(node: Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
+            return 0 if node.is_leaf else 1 + max(walk(node.left), walk(node.right))
 
         return walk(self.root)
 
 
-def entropy(labels: Iterable[QuestionType]) -> float:
-    """Shannon entropy in bits of the empirical label distribution."""
-    counts = Counter(labels)
+def _entropy(counts: Mapping) -> float:
     total = sum(counts.values())
-    if total == 0:
-        return 0.0
     h = 0.0
     # fixed summation order keeps float results permutation-independent
     for key in sorted(counts, key=str):
-        p = counts[key] / total
-        h -= p * math.log2(p)
+        if counts[key]:
+            p = counts[key] / total
+            h -= p * math.log2(p)
     return h if h > 0.0 else 0.0
 
 
-def _goes_right(fv: FeatureVector, feature: str, threshold: Optional[float]) -> bool:
-    value = getattr(fv, feature)
-    if threshold is None:
-        return bool(value)
-    return value > threshold
+def entropy(labels: Iterable[QuestionType]) -> float:
+    """Shannon entropy in bits of the empirical label distribution."""
+    return _entropy(Counter(labels))
 
 
-def _partition(
-    instances: Sequence[LabeledInstance], feature: str, threshold: Optional[float]
-) -> tuple[list[LabeledInstance], list[LabeledInstance]]:
-    left: list[LabeledInstance] = []
-    right: list[LabeledInstance] = []
-    for inst in instances:
-        (right if _goes_right(inst.fv, feature, threshold) else left).append(inst)
-    return left, right
+def _gain(counts: Mapping, parent_h: float, left: Mapping, min_leaf: int = 1) -> float:
+    """Entropy reduction of sending ``left`` of ``counts`` left; 0 if a side has < min_leaf."""
+    n = sum(counts.values())
+    nl = sum(left.values())
+    nr = n - nl
+    if nl < min_leaf or nr < min_leaf:
+        return 0.0
+    right = {key: count - left.get(key, 0) for key, count in counts.items()}
+    gain = parent_h - nl / n * _entropy(left) - nr / n * _entropy(right)
+    return gain if gain > 0.0 else 0.0
+
+
+def _goes_right(value: object, threshold: Optional[float]) -> bool:
+    return bool(value) if threshold is None else value > threshold
 
 
 def candidate_splits(instances: Sequence[LabeledInstance]) -> list[tuple[str, Optional[float]]]:
@@ -138,23 +139,20 @@ def information_gain(
     instances: Sequence[LabeledInstance], feature: str, threshold: Optional[float] = None
 ) -> float:
     """Entropy reduction of one binary split; 0 when a side is empty."""
-    left, right = _partition(instances, feature, threshold)
-    if not left or not right:
-        return 0.0
-    n = len(instances)
-    gain = (
-        entropy(i.label for i in instances)
-        - len(left) / n * entropy(i.label for i in left)
-        - len(right) / n * entropy(i.label for i in right)
-    )
-    return gain if gain > 0.0 else 0.0
+    counts = Counter(i.label for i in instances)
+    left = Counter(i.label for i in instances if not _goes_right(getattr(i.fv, feature), threshold))
+    return _gain(counts, _entropy(counts), left)
+
+
+def _add_counts(total: Counter, groups: Iterable[_Group]) -> Counter:
+    for _, counts in groups:
+        for label, count in counts.items():
+            total[label] += count
+    return total
 
 
 def _leaf(counts: Counter, global_counts: Counter) -> Node:
-    label = max(
-        counts,
-        key=lambda lbl: (counts[lbl], global_counts[lbl], -LABEL_TIE_ORDER.index(lbl)),
-    )
+    label = max(counts, key=lambda lbl: (counts[lbl], global_counts[lbl], -LABEL_TIE_ORDER.index(lbl)))
     return Node(label=label, distribution=dict(counts))
 
 
@@ -166,45 +164,52 @@ def train_tree(data: Iterable[LabeledInstance], cfg: TrainConfig = TrainConfig()
     achieves positive gain. Leaf label ties break by count at the leaf,
     then count in the whole training set, then a fixed label order.
     """
-    instances = sorted(data, key=lambda inst: (inst.fv.as_tuple(), inst.label.value))
-    if not instances:
+    pairs = Counter((inst.fv.as_tuple(), inst.label.value) for inst in data)
+    if not pairs:
         raise EmptyTrainingSet("no training instances")
-    global_counts = Counter(inst.label for inst in instances)
+    by_vector: dict[tuple, Counter] = {}
+    for (vec, value), count in sorted(pairs.items()):  # canonical order
+        by_vector.setdefault(vec, Counter())[QuestionType(value)] = count
+    global_counts = _add_counts(Counter(), by_vector.items())
 
-    def grow(subset: Sequence[LabeledInstance], depth: int) -> Node:
-        counts = Counter(inst.label for inst in subset)
+    def grow(groups: list[_Group], depth: int) -> Node:
+        counts = _add_counts(Counter(), groups)
         if len(counts) == 1 or (cfg.max_depth is not None and depth >= cfg.max_depth):
             return _leaf(counts, global_counts)
-
-        best: Optional[tuple[str, Optional[float]]] = None
+        parent_h = _entropy(counts)
+        best: Optional[tuple[int, Optional[float]]] = None
         best_gain = 0.0
-        for feature, threshold in candidate_splits(subset):
-            left, right = _partition(subset, feature, threshold)
-            if len(left) < cfg.min_samples_leaf or len(right) < cfg.min_samples_leaf:
-                continue
-            gain = information_gain(subset, feature, threshold)
+        for index in _BOOLEAN_INDEXES:
+            left = _add_counts(Counter(), (g for g in groups if not g[0][index]))
+            gain = _gain(counts, parent_h, left, cfg.min_samples_leaf)
             if gain > best_gain:  # strict: first candidate keeps ties
-                best, best_gain = (feature, threshold), gain
+                best, best_gain = (index, None), gain
+        by_length: dict[int, list[_Group]] = {}
+        for group in groups:
+            by_length.setdefault(group[0][_LENGTH_INDEX], []).append(group)
+        lengths = sorted(by_length)
+        left = Counter()
+        for low, high in zip(lengths, lengths[1:]):  # running counts of length <= low
+            gain = _gain(counts, parent_h, _add_counts(left, by_length[low]), cfg.min_samples_leaf)
+            if gain > best_gain:
+                best, best_gain = (_LENGTH_INDEX, (low + high) / 2), gain
         if best is None:
             return _leaf(counts, global_counts)
-
-        feature, threshold = best
-        left, right = _partition(subset, feature, threshold)
+        index, threshold = best
         return Node(
-            feature=feature,
-            threshold=threshold,
-            left=grow(left, depth + 1),
-            right=grow(right, depth + 1),
+            feature=FEATURE_NAMES[index], threshold=threshold,
+            left=grow([g for g in groups if not _goes_right(g[0][index], threshold)], depth + 1),
+            right=grow([g for g in groups if _goes_right(g[0][index], threshold)], depth + 1),
         )
 
-    return TreeModel(root=grow(instances, 0))
+    return TreeModel(root=grow(list(by_vector.items()), 0))
 
 
 def predict(model: TreeModel, fv: FeatureVector) -> QuestionType:
     """Route a feature vector to its leaf label. Total and pure."""
     node = model.root
     while not node.is_leaf:
-        node = node.right if _goes_right(fv, node.feature, node.threshold) else node.left
+        node = node.right if _goes_right(getattr(fv, node.feature), node.threshold) else node.left
     return node.label
 
 
@@ -224,12 +229,8 @@ def _node_to_obj(node: Node) -> dict:
     if node.is_leaf:
         distribution = {str(label): count for label, count in node.distribution.items()}
         return {"label": node.label.value, "distribution": distribution}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_obj(node.left),
-        "right": _node_to_obj(node.right),
-    }
+    return {"feature": node.feature, "threshold": node.threshold,
+            "left": _node_to_obj(node.left), "right": _node_to_obj(node.right)}
 
 
 def save_model(model: TreeModel, stream: IO[str]) -> None:
@@ -273,12 +274,8 @@ def _node_from_obj(obj: object) -> Node:
         raise MalformedModel(f"boolean split {feature!r} cannot carry a threshold")
     if "left" not in obj or "right" not in obj:
         raise MalformedModel(f"split on {feature!r} is missing a child")
-    return Node(
-        feature=feature,
-        threshold=threshold,
-        left=_node_from_obj(obj["left"]),
-        right=_node_from_obj(obj["right"]),
-    )
+    left, right = _node_from_obj(obj["left"]), _node_from_obj(obj["right"])
+    return Node(feature=feature, threshold=threshold, left=left, right=right)
 
 
 def load_model(stream: IO[str]) -> TreeModel:
@@ -287,15 +284,18 @@ def load_model(stream: IO[str]) -> TreeModel:
         doc = json.load(stream)
     except json.JSONDecodeError as exc:
         raise MalformedModel(f"invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise MalformedModel("model nesting too deep") from None
     if not isinstance(doc, dict):
         raise MalformedModel("model document must be a JSON object")
     version = doc.get("version")
     if isinstance(version, bool) or not isinstance(version, int) or version < 1:
         raise MalformedModel(f"missing or invalid version field: {version!r}")
     if version > MODEL_FORMAT_VERSION:
-        raise UnsupportedVersion(
-            f"model format version {version} is newer than supported {MODEL_FORMAT_VERSION}"
-        )
+        raise UnsupportedVersion(f"model format version {version} is newer than supported {MODEL_FORMAT_VERSION}")
     if "root" not in doc:
         raise MalformedModel("model document has no root node")
-    return TreeModel(root=_node_from_obj(doc["root"]))
+    try:
+        return TreeModel(root=_node_from_obj(doc["root"]))
+    except RecursionError:
+        raise MalformedModel("model nesting too deep") from None

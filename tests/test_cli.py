@@ -145,6 +145,15 @@ class TestIngest:
         assert code == 2
         assert "error:" in err
 
+    def test_invalid_utf8_names_file_and_line(self, run_cli, tmp_path):
+        src = tmp_path / "bad.jsonl"
+        write_jsonl(src, [utt_obj(0, "hello?"), utt_obj(1, "cafe")])
+        src.write_bytes(src.read_bytes().replace(b"cafe", b"caf\xff"))
+        code, _, err = run_cli("ingest", "--input", src)
+        assert code == 2
+        assert f"{src}:2: invalid UTF-8" in err
+        assert "Traceback" not in err
+
 
 class TestClassify:
     def test_rule_mode_writes_annotations(self, run_cli, tmp_path):
@@ -239,6 +248,19 @@ class TestClassify:
         recs = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["dialogue_id"] for r in recs] == ["fr1"]
         assert any("skipped 1 questions" in r.getMessage() for r in caplog.records)
+
+    def test_too_deeply_nested_model_exits_two(self, run_cli, tmp_path):
+        leaf = json.dumps({"label": "YN", "distribution": {"YN": 1}})
+        node = leaf
+        for _ in range(3000):
+            node = f'{{"feature": "has_wh", "threshold": null, "left": {node}, "right": {leaf}}}'
+        model = tmp_path / "deep.json"
+        model.write_text(f'{{"version": 1, "root": {node}}}', encoding="utf-8")
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "Where to?")])
+        code, _, err = run_cli("classify", "--input", corpus, "--mode", "tree", "--model", model)
+        assert code == 2
+        assert "model nesting too deep" in err
+        assert "Traceback" not in err
 
     def test_tree_mode_requires_model(self, run_cli, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "really?")])
@@ -409,6 +431,15 @@ class TestPipeline:
 
 
 class TestEvaluate:
+    def test_invalid_utf8_in_gold_names_file_and_line(self, run_cli, tmp_path):
+        gold = write_jsonl(tmp_path / "g.jsonl", [q_obj(0, "a?", "YN"), q_obj(1, "b?", "YN")])
+        gold.write_bytes(gold.read_bytes().replace(b'"gold"', b'"g\xffld"'))
+        pred = write_jsonl(tmp_path / "p.jsonl", [q_obj(0, "a?", "YN", annotator="rule")])
+        code, _, err = run_cli("evaluate", "--gold", gold, "--pred", pred)
+        assert code == 2
+        assert f"{gold}:1: invalid UTF-8" in err
+        assert "Traceback" not in err
+
     def test_report_document(self, run_cli, tmp_path):
         gold = write_jsonl(
             tmp_path / "g.jsonl",

@@ -91,6 +91,25 @@ class TestLexicon:
         assert lex.matches_end(["right"])
         assert not lex.matches_end(["right", "now"])
 
+    def test_entries_longer_than_the_tokens(self):
+        lex = Lexicon.from_phrases("x", ["do you know what", "huh"])
+        assert not lex.contains(["do", "you"])
+        assert not lex.matches_end(["you", "know", "what"])
+        assert lex.contains(["do", "you", "know", "what", "now"])
+        assert lex.matches_end(["so", "do", "you", "know", "what"])
+
+    @given(
+        st.sets(st.lists(st.sampled_from("abc"), min_size=1, max_size=4).map(tuple), min_size=1),
+        st.lists(st.sampled_from("abcd"), max_size=6),
+    )
+    def test_matching_agrees_with_a_brute_force_scan(self, entries, tokens):
+        lex = Lexicon("x", frozenset(entries))
+        windows = {tuple(tokens[i:j]) for i in range(len(tokens)) for j in range(i + 1, len(tokens) + 1)}
+        assert lex.contains(tokens) == any(e in windows for e in entries)
+        assert lex.matches_end(tokens) == any(
+            len(e) <= len(tokens) and tuple(tokens[len(tokens) - len(e):]) == e for e in entries
+        )
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyLexicon):
             Lexicon.from_phrases("x", [])

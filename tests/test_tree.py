@@ -25,7 +25,8 @@ from qapkit import (
     save_model,
     train_tree,
 )
-from qapkit.tree import candidate_splits
+from qapkit.features import FEATURE_NAMES
+from qapkit.tree import LABEL_TIE_ORDER, candidate_splits
 
 from helpers import make_fv
 
@@ -228,6 +229,86 @@ class TestTraining:
             TrainConfig(max_depth=0)
         with pytest.raises(ValueError):
             TrainConfig(min_samples_leaf=0)
+
+
+def reference_train_tree(data, cfg):
+    """Instance-level learner: re-partitions every instance for every candidate split."""
+
+    def goes_right(fv, feature, threshold):
+        value = getattr(fv, feature)
+        return bool(value) if threshold is None else value > threshold
+
+    def h(subset):
+        counts = Counter(i.label for i in subset)
+        out = 0.0
+        for key in sorted(counts, key=str):
+            p = counts[key] / len(subset)
+            out -= p * math.log2(p)
+        return out if out > 0.0 else 0.0
+
+    instances = sorted(data, key=lambda i: (i.fv.as_tuple(), i.label.value))
+    global_counts = Counter(i.label for i in instances)
+
+    def leaf(counts):
+        label = max(counts, key=lambda l: (counts[l], global_counts[l], -LABEL_TIE_ORDER.index(l)))
+        return Node(label=label, distribution=dict(counts))
+
+    def grow(subset, depth):
+        counts = Counter(i.label for i in subset)
+        if len(counts) == 1 or (cfg.max_depth is not None and depth >= cfg.max_depth):
+            return leaf(counts)
+        lengths = sorted({i.fv.length for i in subset})
+        splits = [(name, None) for name in FEATURE_NAMES if name != "length"]
+        splits += [("length", (lo + hi) / 2) for lo, hi in zip(lengths, lengths[1:])]
+        best, best_gain = None, 0.0
+        for feature, threshold in splits:
+            left = [i for i in subset if not goes_right(i.fv, feature, threshold)]
+            right = [i for i in subset if goes_right(i.fv, feature, threshold)]
+            if len(left) < cfg.min_samples_leaf or len(right) < cfg.min_samples_leaf:
+                continue
+            n = len(subset)
+            gain = h(subset) - len(left) / n * h(left) - len(right) / n * h(right)
+            if gain > best_gain:
+                best, best_gain = (feature, threshold, left, right), gain
+        if best is None:
+            return leaf(counts)
+        feature, threshold, left, right = best
+        return Node(feature=feature, threshold=threshold, left=grow(left, depth + 1), right=grow(right, depth + 1))
+
+    return TreeModel(root=grow(instances, 0))
+
+
+class TestCountBasedLearner:
+    """train_tree grows from label counts per distinct vector; the model must not change."""
+
+    @staticmethod
+    def dataset(rng):
+        pool = [(i.fv, i.label) for i in random_instances(rng, rng.randint(1, 12))]
+        data = []
+        for _ in range(rng.randint(1, 80)):
+            fv, label = rng.choice(pool)
+            if rng.random() < 0.3:
+                label = rng.choice(list(QuestionType))
+            data.append(LabeledInstance(fv, label))
+        return data
+
+    @staticmethod
+    def saved(model):
+        buf = io.StringIO()
+        save_model(model, buf)
+        return buf.getvalue()
+
+    def test_same_model_bytes_as_the_instance_level_learner(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            data = self.dataset(rng)
+            for max_depth in (None, 1, 3):
+                for min_samples_leaf in (1, 2, 5):
+                    cfg = TrainConfig(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+                    expected = reference_train_tree(data, cfg)
+                    got = train_tree(data, cfg)
+                    assert got == expected
+                    assert self.saved(got) == self.saved(expected)
 
 
 class TestPredict:
