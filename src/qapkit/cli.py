@@ -31,6 +31,7 @@ from .evaluation import (
 from .features import ExtractorConfig, extract_features, load_extractor_config
 from .ingestion import (
     Dialogue,
+    open_input,
     parse_dialogue_jsonl,
     parse_eaf,
     parse_tsv_transcript,
@@ -90,29 +91,11 @@ def _open_out(path: Optional[str]):
         yield sys.stdout
 
 
-@contextmanager
-def _open_in(path: str | Path):
-    """Open a UTF-8 input file; invalid UTF-8 read from it raises ValueError naming path:line."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            yield f
-    except UnicodeDecodeError:
-        with open(path, "rb") as raw:
-            for line_no, line in enumerate(raw, 1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ValueError(
-                        f"{path}:{line_no}: invalid UTF-8 at byte {exc.start + 1} of the line ({exc.reason})"
-                    ) from None
-        raise
-
-
 def _load_corpus(paths: Sequence[str]) -> list[Dialogue]:
     dialogues: list[Dialogue] = []
     seen: set[str] = set()
     for path in paths:
-        with _open_in(path) as f:
+        with open_input(path) as f:
             for dialogue in parse_dialogue_jsonl(f):
                 if dialogue.dialogue_id in seen:
                     raise ValueError(f"dialogue {dialogue.dialogue_id!r} appears in more than one input")
@@ -125,13 +108,8 @@ def _load_corpus(paths: Sequence[str]) -> list[Dialogue]:
 def _read_annotation_files(paths: Sequence[str]) -> list:
     records = []
     for path in paths:
-        with _open_in(path) as f:
-            try:
-                records.extend(read_annotations(f))
-            except UnicodeDecodeError:
-                raise  # _open_in names the line
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        with open_input(path) as f:
+            records.extend(read_annotations(f))
     return records
 
 
@@ -178,7 +156,7 @@ def cmd_ingest(args) -> int:
             interruption_marker=args.interruption_marker,
         )
     else:
-        with _open_in(path) as f:
+        with open_input(path) as f:
             if args.format == "tsv":
                 dialogues = parse_tsv_transcript(
                     f,
@@ -234,7 +212,7 @@ def cmd_classify(args) -> int:
     if args.mode == "tree":
         if not args.model:
             raise MissingModel("tree mode requires --model")
-        with open(args.model, encoding="utf-8") as f:
+        with open_input(args.model) as f:
             model = load_model(f)
 
     if args.questions:
@@ -270,6 +248,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if not args.output:
+        raise ValueError("train requires --output for the model file")
     ext_cfg, _, _ = _extraction_setup(args)
     dialogues = _load_corpus(args.input)
     questions = sorted(
@@ -280,6 +260,8 @@ def cmd_train(args) -> int:
 
     if args.limit_utterances is not None:
         total = sum(len(d.utterances) for d in dialogues)
+        if args.limit_utterances < 0:
+            raise ValueError(f"--limit-utterances must be non-negative, got {args.limit_utterances}")
         if args.limit_utterances > total:
             raise ValueError(f"--limit-utterances {args.limit_utterances} exceeds corpus size {total}")
         first = itertools.islice((u for d in dialogues for u in d.utterances), args.limit_utterances)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from .ingestion import MalformedLine, open_input
 from .lexicon import DEFAULT_AUX, DEFAULT_CLICHE, DEFAULT_TAG, DEFAULT_WH, Lexicon, load_lexicon
 from .model import Utterance
 from .text import overlap_ratio, tokenize
@@ -125,41 +126,43 @@ def load_extractor_config(path: Union[str, Path]) -> tuple[ExtractorConfig, Opti
     parameterizes the rule classifier, not extraction.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as f:
+    with open_input(path) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+            raise MalformedLine(exc.lineno, f"invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise ValueError("JSON nesting too deep") from None
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
 
-    known = set(_LEXICON_FIELDS) | {"similarity_threshold", "cliche_length_cap"}
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"{path}: unknown extractor config field {key!r}")
+        known = set(_LEXICON_FIELDS) | {"similarity_threshold", "cliche_length_cap"}
+        for key in doc:
+            if key not in known:
+                raise ValueError(f"unknown extractor config field {key!r}")
 
-    kwargs = {}
-    for field_name in _LEXICON_FIELDS:
-        if field_name not in doc:
-            continue
-        value = doc[field_name]
-        name = field_name.removesuffix("_lexicon")
-        if isinstance(value, str):
-            kwargs[field_name] = load_lexicon(path.parent / value, name=name)
-        elif isinstance(value, list) and all(isinstance(p, str) for p in value):
-            kwargs[field_name] = Lexicon.from_phrases(name, value)
-        else:
-            raise ValueError(f"{path}: {field_name} must be a list of phrases or a file path")
-    if "similarity_threshold" in doc:
-        threshold = doc["similarity_threshold"]
-        if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-            raise ValueError(f"{path}: similarity_threshold must be a number")
-        kwargs["similarity_threshold"] = float(threshold)
+        kwargs = {}
+        for field_name in _LEXICON_FIELDS:
+            if field_name not in doc:
+                continue
+            value = doc[field_name]
+            name = field_name.removesuffix("_lexicon")
+            if isinstance(value, str):
+                kwargs[field_name] = load_lexicon(path.parent / value, name=name)
+            elif isinstance(value, list) and all(isinstance(p, str) for p in value):
+                kwargs[field_name] = Lexicon.from_phrases(name, value)
+            else:
+                raise ValueError(f"{field_name} must be a list of phrases or a file path")
+        if "similarity_threshold" in doc:
+            threshold = doc["similarity_threshold"]
+            if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
+                raise ValueError("similarity_threshold must be a number")
+            kwargs["similarity_threshold"] = float(threshold)
 
-    cap = doc.get("cliche_length_cap")
-    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
-        raise ValueError(f"{path}: cliche_length_cap must be a non-negative integer")
-    return ExtractorConfig(**kwargs), cap
+        cap = doc.get("cliche_length_cap")
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
+            raise ValueError("cliche_length_cap must be a non-negative integer")
+        return ExtractorConfig(**kwargs), cap
 
 
 # keep the dataclass and the canonical name list in sync

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
     AnswerAnnotation,
@@ -48,8 +49,11 @@ class NonDenseTurns(IngestError):
     """Turn indices of a dialogue do not form a consecutive run."""
 
     def __init__(self, dialogue_id: str, indices: Sequence[int]):
-        got = ", ".join(str(i) for i in indices)
-        super().__init__(f"dialogue {dialogue_id!r}: turn indices not consecutive (got {got})")
+        before, after = next((a, b) for a, b in zip(indices, indices[1:]) if b != a + 1)
+        missing = f"turn {before + 1}" if after == before + 2 else f"turns {before + 1}-{after - 1}"
+        super().__init__(
+            f"dialogue {dialogue_id!r}: turn indices not consecutive ({missing} missing between {before} and {after})"
+        )
         self.dialogue_id = dialogue_id
         self.indices = tuple(indices)
 
@@ -66,6 +70,52 @@ class UnknownTag(IngestError):
         super().__init__(f"{where}unknown tag {value!r}")
         self.value = value
         self.line_no = line_no
+
+
+@contextmanager
+def _naming(path: Union[str, Path]) -> Iterator[None]:
+    """Put ``PATH: `` in front of a ValueError raised inside, keeping its type.
+
+    Invalid UTF-8 becomes a ValueError naming ``PATH:LINE`` and the byte.
+    """
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as raw:  # the decoder's error gives no line; find it in the bytes
+            for line_no, line in enumerate(raw, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    raise ValueError(
+                        f"{path}:{line_no}: invalid UTF-8 at byte {bad.start + 1} of the line ({bad.reason})"
+                    ) from None
+        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+@contextmanager
+def open_input(path: Union[str, Path]) -> Iterator[IO[str]]:
+    """Open a UTF-8 text input file; every ValueError raised while it is open names it."""
+    with _naming(path), open(path, encoding="utf-8") as f:
+        yield f
+
+
+def _json_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """(1-based line number, object) for each non-blank JSONL line; raises MalformedLine."""
+    for line_no, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(line_no, f"invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise MalformedLine(line_no, "JSON nesting too deep") from None
+        if not isinstance(obj, dict):
+            raise MalformedLine(line_no, "expected a JSON object")
+        yield line_no, obj
 
 
 @dataclass(frozen=True)
@@ -87,26 +137,21 @@ class Dialogue:
             raise ValueError("utterances must be sorted by distinct turn_index")
 
 
-def _dense_or_raise(dialogue_id: str, indices: Sequence[int]) -> None:
+def _dialogue(dialogue_id: str, language: str, turns: dict[int, Utterance]) -> Dialogue:
+    """The dialogue of ``turns`` (turn index -> utterance); raises NonDenseTurns on a gap."""
+    indices = sorted(turns)
     # consecutive, not necessarily 0-based: t, t+1, ..., t+n-1
-    if list(indices) != list(range(indices[0], indices[0] + len(indices))):
+    if indices != list(range(indices[0], indices[0] + len(indices))):
         raise NonDenseTurns(dialogue_id, indices)
+    return Dialogue(dialogue_id, language, tuple(turns[i] for i in indices))
 
 
 def _utterance_from_obj(obj: dict, line_no: int) -> tuple[Utterance, str]:
-    for key in ("dialogue_id", "turn_index", "speaker", "text"):
-        if key not in obj:
-            raise MalformedLine(line_no, f"missing field {key!r}")
-    dialogue_id = obj["dialogue_id"]
-    if not isinstance(dialogue_id, str) or not dialogue_id:
-        raise MalformedLine(line_no, "dialogue_id must be a non-empty string")
-    turn_index = obj["turn_index"]
-    if isinstance(turn_index, bool) or not isinstance(turn_index, int) or turn_index < 0:
-        raise MalformedLine(line_no, "turn_index must be a non-negative integer")
-    speaker = obj["speaker"]
+    dialogue_id, turn_index = _id_fields(obj, line_no)
+    speaker = _require(obj, "speaker", line_no)
     if not isinstance(speaker, str):
         raise MalformedLine(line_no, "speaker must be a string")
-    text = obj["text"]
+    text = _require(obj, "text", line_no)
     if not isinstance(text, str) or not text.strip():
         raise MalformedLine(line_no, "text must be a non-empty string")
     interrupted = obj.get("interrupted", False)
@@ -126,15 +171,7 @@ def parse_dialogue_jsonl(lines: Iterable[str]) -> list[Dialogue]:
     """
     by_dialogue: dict[str, dict[int, Utterance]] = {}
     languages: dict[str, str] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(line_no, f"invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise MalformedLine(line_no, "expected a JSON object")
+    for line_no, obj in _json_lines(lines):
         utt, language = _utterance_from_obj(obj, line_no)
         turns = by_dialogue.setdefault(utt.dialogue_id, {})
         if utt.turn_index in turns:
@@ -146,15 +183,7 @@ def parse_dialogue_jsonl(lines: Iterable[str]) -> list[Dialogue]:
                 line_no, f"conflicting language {language!r} for dialogue {utt.dialogue_id!r} (was {known!r})"
             )
 
-    dialogues = []
-    for dialogue_id in sorted(by_dialogue):
-        turns = by_dialogue[dialogue_id]
-        indices = sorted(turns)
-        _dense_or_raise(dialogue_id, indices)
-        dialogues.append(
-            Dialogue(dialogue_id, languages[dialogue_id], tuple(turns[i] for i in indices))
-        )
-    return dialogues
+    return [_dialogue(d, languages[d], by_dialogue[d]) for d in sorted(by_dialogue)]
 
 
 def _strip_interruption(text: str, marker: str) -> tuple[str, bool]:
@@ -199,9 +228,7 @@ def parse_tsv_transcript(
 
     if not turns:
         raise EmptyTranscript("transcript has no utterances")
-    indices = sorted(turns)
-    _dense_or_raise(dialogue_id, indices)
-    return [Dialogue(dialogue_id, language, tuple(turns[i] for i in indices))]
+    return [_dialogue(dialogue_id, language, turns)]
 
 
 def parse_eaf(
@@ -216,57 +243,59 @@ def parse_eaf(
     TIME_VALUE of their start time slot. A slot without a value keeps its
     document position in TIME_ORDER, right after the slot listed before it.
     The tier's PARTICIPANT attribute, falling back to TIER_ID, names the
-    speaker. Turn indices are assigned 0..n-1 in temporal order.
+    speaker. Turn indices are assigned 0..n-1 in temporal order. The XML
+    declaration's encoding is honoured; given a path, errors name it.
     """
     if dialogue_id is None:
         dialogue_id = Path(source).stem if isinstance(source, (str, Path)) else "eaf"
-    try:
-        root = ET.parse(source).getroot()
-    except ET.ParseError as exc:
-        raise IngestError(f"invalid .eaf XML: {exc}") from exc
+    with _naming(source) if isinstance(source, (str, Path)) else nullcontext():
+        try:
+            root = ET.parse(source).getroot()
+        except ET.ParseError as exc:
+            raise IngestError(f"invalid .eaf XML: {exc}") from exc
 
-    slot_key: dict[str, tuple[float, int]] = {}  # slot id -> (time, document position)
-    time = float("-inf")
-    for i, slot in enumerate(root.iter("TIME_SLOT")):
-        slot_id = slot.get("TIME_SLOT_ID")
-        if slot_id is None:
-            continue
-        value = slot.get("TIME_VALUE")
-        if value is not None:
-            try:
-                time = int(value)
-            except ValueError:
-                raise IngestError(
-                    f"time slot {slot_id!r} has a non-integer TIME_VALUE {value!r}"
-                ) from None
-        slot_key[slot_id] = (time, i)
+        slot_key: dict[str, tuple[float, int]] = {}  # slot id -> (time, document position)
+        time = float("-inf")
+        for i, slot in enumerate(root.iter("TIME_SLOT")):
+            slot_id = slot.get("TIME_SLOT_ID")
+            if slot_id is None:
+                continue
+            value = slot.get("TIME_VALUE")
+            if value is not None:
+                try:
+                    time = int(value)
+                except ValueError:
+                    raise IngestError(
+                        f"time slot {slot_id!r} has a non-integer TIME_VALUE {value!r}"
+                    ) from None
+            slot_key[slot_id] = (time, i)
 
-    entries = []  # (sort key, tier position, speaker, text)
-    for tier_pos, tier in enumerate(root.iter("TIER")):
-        speaker = tier.get("PARTICIPANT") or tier.get("TIER_ID") or "unknown"
-        for ann in tier.iter("ALIGNABLE_ANNOTATION"):
-            ref1 = ann.get("TIME_SLOT_REF1")
-            if ref1 is None or ref1 not in slot_key:
-                raise IngestError(f"annotation without a resolvable TIME_SLOT_REF1 in tier {speaker!r}")
-            value = ann.find("ANNOTATION_VALUE")
-            text = (value.text or "") if value is not None else ""
-            text = text.strip()
+        entries = []  # (sort key, tier position, speaker, text)
+        for tier_pos, tier in enumerate(root.iter("TIER")):
+            speaker = tier.get("PARTICIPANT") or tier.get("TIER_ID") or "unknown"
+            for ann in tier.iter("ALIGNABLE_ANNOTATION"):
+                ref1 = ann.get("TIME_SLOT_REF1")
+                if ref1 is None or ref1 not in slot_key:
+                    raise IngestError(f"annotation without a resolvable TIME_SLOT_REF1 in tier {speaker!r}")
+                value = ann.find("ANNOTATION_VALUE")
+                text = (value.text or "") if value is not None else ""
+                text = text.strip()
+                if not text:
+                    continue
+                entries.append((slot_key[ref1], tier_pos, speaker, text))
+
+        if not entries:
+            raise EmptyTranscript("eaf source has no non-empty alignable annotations")
+        entries.sort(key=lambda e: (e[0], e[1]))
+        utterances = []
+        for turn_index, (_, _, speaker, text) in enumerate(entries):
+            text, interrupted = _strip_interruption(text, interruption_marker)
             if not text:
                 continue
-            entries.append((slot_key[ref1], tier_pos, speaker, text))
-
-    if not entries:
-        raise EmptyTranscript("eaf source has no non-empty alignable annotations")
-    entries.sort(key=lambda e: (e[0], e[1]))
-    utterances = []
-    for turn_index, (_, _, speaker, text) in enumerate(entries):
-        text, interrupted = _strip_interruption(text, interruption_marker)
-        if not text:
-            continue
-        utterances.append(Utterance(dialogue_id, turn_index, speaker, text, interrupted))
-    if not utterances:
-        raise EmptyTranscript("eaf source has no usable annotations")
-    return [Dialogue(dialogue_id, language, tuple(utterances))]
+            utterances.append(Utterance(dialogue_id, turn_index, speaker, text, interrupted))
+        if not utterances:
+            raise EmptyTranscript("eaf source has no usable annotations")
+        return [Dialogue(dialogue_id, language, tuple(utterances))]
 
 
 def write_dialogues(dialogues: Iterable[Dialogue], stream: IO[str]) -> None:
@@ -306,15 +335,7 @@ def read_annotations(lines: Iterable[str]) -> list[Union[QuestionAnnotation, Ans
     tag values raise UnknownTag; structural problems raise MalformedLine.
     """
     records: list[Union[QuestionAnnotation, AnswerAnnotation]] = []
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(line_no, f"invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise MalformedLine(line_no, "expected a JSON object")
+    for line_no, obj in _json_lines(lines):
         kind = _require(obj, "kind", line_no)
 
         if kind == "q":

@@ -13,6 +13,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
+from .ingestion import open_input
 from .text import tokenize
 
 
@@ -67,22 +68,15 @@ def load_lexicon(source: Union[str, Path, Iterable[str]], name: str | None = Non
     Raises EmptyLexicon when nothing but blanks and comments is left.
     """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-        if name is None:
-            name = path.stem
-    else:
-        lines = list(source)
-        if name is None:
-            name = "lexicon"
+        with open_input(source) as f:
+            return load_lexicon(f, Path(source).stem if name is None else name)
     phrases = []
-    for line in lines:
+    for line in source:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         phrases.append(line)
-    return Lexicon.from_phrases(name, phrases)
+    return Lexicon.from_phrases("lexicon" if name is None else name, phrases)
 
 
 DEFAULT_WH = Lexicon.from_phrases(

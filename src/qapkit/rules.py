@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .features import FeatureVector
-from .ingestion import UnknownTag
+from .ingestion import UnknownTag, open_input
 from .model import Feature, QuestionType
 
 
@@ -99,13 +99,11 @@ def load_wh_feature_map(source: Union[str, Path, Iterable[str]]) -> dict[str, Fe
     outside the feature set and ValueError for structural problems.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as f:
-            lines = f.readlines()
-    else:
-        lines = list(source)
+        with open_input(source) as f:
+            return load_wh_feature_map(f)
 
     mapping: dict[str, Feature] = {}
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -283,7 +283,7 @@ def load_model(stream: IO[str]) -> TreeModel:
     try:
         doc = json.load(stream)
     except json.JSONDecodeError as exc:
-        raise MalformedModel(f"invalid JSON: {exc.msg}") from exc
+        raise MalformedModel(f"line {exc.lineno}: invalid JSON: {exc.msg}") from exc
     except RecursionError:
         raise MalformedModel("model nesting too deep") from None
     if not isinstance(doc, dict):

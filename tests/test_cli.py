@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qapkit import load_model, predict
+from qapkit.cli import main
+from qapkit.features import FEATURE_NAMES
 from helpers import make_fv
 
 
@@ -627,3 +633,262 @@ class TestAnnotationIndex:
         for reports in doc["layers"].values():
             assert [(r["n_items"], r["observed"]) for r in reports] == [(1, 1.0), (1, 1.0)]
         assert doc["disagreements"] == []
+
+
+CORPUS_LINE = json.dumps(utt_obj(0, "Where did you go?")) + "\n"
+GOLD_LINE = json.dumps(q_obj(0, "Where did you go?", "WH")) + "\n"
+BAD_UTF8_LINE2 = b"who\nwh\xffat\n"
+
+
+def _file(path, content):
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    path.write_bytes(content)
+    return path
+
+
+def _corpus_input(d):
+    good = _file(d / "a.jsonl", CORPUS_LINE)
+    bad = _file(d / "b.jsonl", json.dumps(utt_obj(0, "hi", dialogue="d2")) + "\n{oops\n")
+    gold = _file(d / "gold.jsonl", GOLD_LINE)
+    argv = ("train", "--input", good, bad, "--annotations", gold, "--output", d / "m.json")
+    return argv, bad, "line 2: invalid JSON"
+
+
+def _tsv(d):
+    bad = _file(d / "t.tsv", "0\tA\thello\nx\tB\tworld\n")
+    return ("ingest", "--input", bad, "--format", "tsv"), bad, "line 2: first column"
+
+
+def _eaf(d):
+    bad = _file(d / "s.eaf", '<?xml version="1.0"?>\n<ANNOTATION_DOCUMENT>\n<TIER></ANNOTATION_DOCUMENT>\n')
+    return ("ingest", "--input", bad, "--format", "eaf"), bad, "line 3"
+
+
+def _wh_map(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    bad = _file(d / "map.txt", "where LOC\nwho\n")
+    return ("classify", "--input", corpus, "--wh-map", bad), bad, "line 2: expected two columns"
+
+
+def _lexicon(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    bad = _file(d / "wh.txt", BAD_UTF8_LINE2)
+    return ("classify", "--input", corpus, "--lexicon", f"wh={bad}"), bad, f"{bad}:2: invalid UTF-8"
+
+
+def _config_lexicon(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    lexicon = _file(d / "wh.txt", BAD_UTF8_LINE2)
+    config = _file(d / "ext.json", json.dumps({"wh_lexicon": "wh.txt"}))
+    # the config names the lexicon, so the message names both, outer first
+    argv = ("classify", "--input", corpus, "--extractor-config", config)
+    return argv, config, f"{lexicon}:2: invalid UTF-8"
+
+
+def _extractor_config(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    bad = _file(d / "ext.json", '{\n  "similarity_threshold": 0.5,\n  oops\n}\n')
+    return ("classify", "--input", corpus, "--extractor-config", bad), bad, "line 3: invalid JSON"
+
+
+def _model(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    bad = _file(d / "m.json", '{"version": 1,\n "root": }\n')
+    return ("classify", "--input", corpus, "--mode", "tree", "--model", bad), bad, "line 2: invalid JSON"
+
+
+def _annotations(d):
+    pred = _file(d / "pred.jsonl", GOLD_LINE)
+    bad = _file(d / "gold.jsonl", GOLD_LINE + json.dumps(q_obj(0, "Where", "XX")) + "\n")
+    return ("evaluate", "--gold", bad, "--pred", pred), bad, "line 2: unknown tag 'XX'"
+
+
+class TestInputErrorsNameTheFile:
+    @pytest.mark.parametrize(
+        "make",
+        [_corpus_input, _tsv, _eaf, _wh_map, _lexicon, _config_lexicon, _extractor_config, _model, _annotations],
+    )
+    def test_every_input_kind(self, run_cli, tmp_path, make):
+        argv, bad, where = make(tmp_path)
+        code, _, err = run_cli(*argv)
+        assert code == 2
+        assert err.startswith(f"error: {bad}")
+        assert where in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["ingest", "classify", "evaluate", "validate"])
+    def test_deep_json_nesting_exits_two(self, run_cli, tmp_path, command):
+        first = CORPUS_LINE if command in ("ingest", "classify") else GOLD_LINE
+        deep = _file(tmp_path / "deep.jsonl", first + "[" * 100_000 + "\n")
+        argv = {
+            "ingest": ("ingest", "--input", deep),
+            "classify": ("classify", "--input", deep),
+            "evaluate": ("evaluate", "--gold", deep, "--pred", _file(tmp_path / "p.jsonl", GOLD_LINE)),
+            "validate": ("validate", "--input", deep),
+        }[command]
+        code, _, err = run_cli(*argv)
+        assert code == 2
+        assert err.startswith(f"error: {deep}: line 2: JSON nesting too deep")
+
+    def test_deep_extractor_config_exits_two(self, run_cli, tmp_path):
+        corpus = _file(tmp_path / "c.jsonl", CORPUS_LINE)
+        config = _file(tmp_path / "ext.json", '{"wh_lexicon": ' + "[" * 100_000)
+        code, _, err = run_cli("classify", "--input", corpus, "--extractor-config", config)
+        assert code == 2
+        assert err.startswith(f"error: {config}: JSON nesting too deep")
+
+    def test_gap_in_a_long_transcript_names_the_missing_turn(self, run_cli, tmp_path):
+        lines = [f"{i}\tA\tline {i}\n" for i in range(5000) if i != 2500]
+        src = _file(tmp_path / "long.tsv", "".join(lines))
+        code, _, err = run_cli("ingest", "--input", src, "--format", "tsv")
+        assert code == 2
+        assert "turn 2500 missing between 2499 and 2501" in err
+        assert len(err) < 300
+
+    def test_gap_of_several_turns_names_the_range(self, run_cli, tmp_path):
+        src = _file(tmp_path / "gap.tsv", "0\tA\ta\n1\tB\tb\n5\tA\tc\n")
+        code, _, err = run_cli("ingest", "--input", src, "--format", "tsv")
+        assert code == 2
+        assert err == f"error: {src}: dialogue 'gap': turn indices not consecutive (turns 2-4 missing between 1 and 5)\n"
+
+    def test_negative_limit_utterances(self, run_cli, tmp_path, train_corpus):
+        corpus, gold = train_corpus
+        code, _, err = run_cli(
+            "train", "--input", corpus, "--annotations", gold,
+            "--output", tmp_path / "m.json", "--limit-utterances", "-1",
+        )
+        assert code == 2
+        assert err == "error: --limit-utterances must be non-negative, got -1\n"
+
+    def test_train_without_output(self, run_cli, train_corpus):
+        corpus, gold = train_corpus
+        code, _, err = run_cli("train", "--input", corpus, "--annotations", gold)
+        assert code == 2
+        assert "--output" in err
+
+    def test_latin1_eaf_honours_its_xml_declaration(self, run_cli, tmp_path):
+        src = _file(
+            tmp_path / "fr.eaf",
+            '''<?xml version="1.0" encoding="ISO-8859-1"?>
+<ANNOTATION_DOCUMENT>
+  <TIME_ORDER><TIME_SLOT TIME_SLOT_ID="ts1" TIME_VALUE="0"/></TIME_ORDER>
+  <TIER TIER_ID="spkA"><ANNOTATION>
+    <ALIGNABLE_ANNOTATION ANNOTATION_ID="a1" TIME_SLOT_REF1="ts1">
+      <ANNOTATION_VALUE>Tu es allé où ?</ANNOTATION_VALUE>
+    </ALIGNABLE_ANNOTATION>
+  </ANNOTATION></TIER>
+</ANNOTATION_DOCUMENT>
+'''.encode("latin-1"),
+        )
+        out = tmp_path / "fr.jsonl"
+        code, _, _ = run_cli("ingest", "--input", src, "--format", "eaf", "--output", out)
+        assert code == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["text"] == "Tu es allé où ?"
+
+
+# Arbitrary input files for every file-reading command: broken JSON, wrong
+# types, bad tags, invalid UTF-8, huge or negative numbers and deep nesting.
+TAGS = st.sampled_from(["q", "a", "WH", "YN", "DQ", "CS", "PQ", "LOC", "AG", "TH", "PA", "FA", "UA", "XX", ""])
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([10**30, -(10**30), -1, 2**63]),
+    st.floats(), st.text(max_size=12), TAGS,
+)
+REFS = st.one_of(st.sampled_from(["d1:0:0-17", "d1:1:0-6", "d1:0:0-999"]), st.text(max_size=12))
+UTTERANCE = st.fixed_dictionaries(
+    {"dialogue_id": st.sampled_from(["d1", "d2", ""]), "turn_index": st.integers(-2, 3),
+     "speaker": st.sampled_from(["A", "B"]), "text": st.sampled_from(["Where did you go?", "really?", "or", " "])},
+    optional={"interrupted": SCALARS, "language": st.sampled_from(["en", "nl", ""])},
+)
+Q_TYPES = st.one_of(st.sampled_from(["WH", "YN", "DQ", "CS", "PQ"]), TAGS)
+ANNOTATION = st.one_of(
+    st.builds(  # the question the other files annotate, so items align
+        lambda q_type, annotator: q_obj(0, "Where did you go?", q_type, annotator=annotator),
+        Q_TYPES, st.sampled_from(["g", "p"]),
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("q"), "dialogue_id": st.sampled_from(["d1", "d2"]), "turn_index": st.integers(-1, 3),
+         "span_start": st.sampled_from([0, 7, -1, 20]), "span_end": st.sampled_from([17, 7, 0, 99, -1]),
+         "q_type": Q_TYPES,
+         "annotator_id": st.sampled_from(["g", "p"])},
+        optional={"feature": st.one_of(st.none(), TAGS)},
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("a"), "dialogue_id": st.just("d1"), "turn_index": st.integers(-1, 3),
+         "a_type": st.one_of(st.sampled_from(["PA", "NA", "FA", "PHA", "UA", "UT", "DA"]), TAGS),
+         "question_ref": REFS, "annotator_id": st.sampled_from(["g", "p"])}
+    ),
+)
+OTHER = st.dictionaries(
+    st.sampled_from(["kind", "turn_index", "text", "wh_lexicon", "similarity_threshold", "cliche_length_cap", "version"]),
+    st.one_of(SCALARS, st.lists(st.text(max_size=8), max_size=3)),
+)
+NODE = st.recursive(
+    st.fixed_dictionaries({"label": TAGS, "distribution": st.dictionaries(TAGS, SCALARS, max_size=3)}),
+    lambda child: st.fixed_dictionaries(
+        {"feature": st.sampled_from([*FEATURE_NAMES, "zz"]), "threshold": SCALARS, "left": child, "right": child}
+    ),
+    max_leaves=6,
+)
+MODEL = st.fixed_dictionaries({"version": st.one_of(st.just(1), SCALARS), "root": NODE})
+LINE = st.one_of(
+    st.one_of(UTTERANCE, ANNOTATION, OTHER, MODEL).map(lambda obj: json.dumps(obj).encode()),
+    st.text(max_size=30).map(str.encode),
+    st.binary(max_size=30),
+    st.integers(1, 100_000).map(lambda n: b"[" * n + b"{" * (n % 3)),
+    st.tuples(st.integers(), st.sampled_from(["A", "B"]), st.text(max_size=20)).map(
+        lambda row: "\t".join(map(str, row)).encode()
+    ),
+    st.tuples(st.sampled_from(["where", "who", "what"]), TAGS).map(lambda row: " ".join(row).encode()),
+    st.sampled_from([
+        b'<?xml version="1.0" encoding="UTF-8"?>', b"<ANNOTATION_DOCUMENT>", b"</ANNOTATION_DOCUMENT>",
+        b'<TIME_ORDER><TIME_SLOT TIME_SLOT_ID="ts1" TIME_VALUE="x"/></TIME_ORDER>',
+        b'<TIER TIER_ID="A"><ANNOTATION><ALIGNABLE_ANNOTATION TIME_SLOT_REF1="ts1">'
+        b"<ANNOTATION_VALUE>hi?</ANNOTATION_VALUE></ALIGNABLE_ANNOTATION></ANNOTATION></TIER>",
+    ]),
+)
+# Sequences of records alone reach past the first line more often than mixed ones.
+CONTENT = st.one_of(
+    st.lists(LINE, max_size=12),
+    *(st.lists(records.map(lambda obj: json.dumps(obj).encode()), max_size=12) for records in (UTTERANCE, ANNOTATION)),
+).map(b"\n".join)
+
+FILE_KINDS = {
+    "ingest-jsonl": ("ingest", "--input", "{f}"),
+    "ingest-tsv": ("ingest", "--input", "{f}", "--format", "tsv"),
+    "ingest-eaf": ("ingest", "--input", "{f}", "--format", "eaf"),
+    "classify-input": ("classify", "--input", "{f}"),
+    "classify-questions": ("classify", "--input", "{corpus}", "--questions", "{f}"),
+    "classify-model": ("classify", "--input", "{corpus}", "--mode", "tree", "--model", "{f}"),
+    "classify-lexicon": ("classify", "--input", "{corpus}", "--lexicon", "cliche={f}"),
+    "classify-wh-map": ("classify", "--input", "{corpus}", "--wh-map", "{f}"),
+    "classify-extractor-config": ("classify", "--input", "{corpus}", "--extractor-config", "{f}"),
+    "train-input": ("train", "--input", "{f}", "--annotations", "{gold}", "--output", "{out}"),
+    "train-annotations": ("train", "--input", "{corpus}", "--annotations", "{f}", "--output", "{out}"),
+    "evaluate": ("evaluate", "--gold", "{f}", "--pred", "{gold}"),
+    "agree": ("agree", "--input", "{f}", "{gold}"),
+    "validate": ("validate", "--input", "{f}"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    _file(d / "corpus.jsonl", CORPUS_LINE + json.dumps(utt_obj(1, "really?")) + "\n")
+    _file(d / "gold.jsonl", GOLD_LINE + json.dumps(a_obj(1, "FA", "d1:0:0-17")) + "\n")
+    return d
+
+
+class TestAnyInputExitCode:
+    @pytest.mark.parametrize("kind", sorted(FILE_KINDS))
+    @settings(deadline=None)
+    @given(content=CONTENT)
+    def test_exits_0_1_or_2_without_a_traceback(self, fuzz_dir, kind, content):
+        fuzzed = _file(fuzz_dir / "fuzzed", content)
+        paths = {"f": fuzzed, "corpus": fuzz_dir / "corpus.jsonl", "gold": fuzz_dir / "gold.jsonl", "out": fuzz_dir / "m.json"}
+        argv = [arg.format(**paths) for arg in FILE_KINDS[kind]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # an exception escaping main would end the process with a traceback
+        assert code in ((0, 1, 2) if kind == "validate" else (0, 2))
+        assert "Traceback" not in err.getvalue()
