@@ -46,6 +46,7 @@ from .model import (
     QuestionAnnotation,
     QuestionType,
     Utterance,
+    question_ref,
     validate_corpus,
 )
 from .rules import RuleConfig, load_wh_feature_map, map_wh_feature, rule_classify
@@ -67,19 +68,19 @@ class MissingModel(ValueError):
     """Tree mode invoked without a model file."""
 
 
+class UnresolvedQuestion(ValueError):
+    """A question span naming no utterance of the corpus, or running past its text."""
+
+    def __init__(self, key: tuple, problem: str):
+        super().__init__(f"question {question_ref(*key)}{problem}")
+        self.key = key
+
+
 LEXICON_NAMES = ("wh", "aux", "tag", "cliche")
 
 
 def _utc_stamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _write_json(doc: dict, path: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 @contextmanager
@@ -89,6 +90,11 @@ def _open_out(path: Optional[str]):
             yield f
     else:
         yield sys.stdout
+
+
+def _write_json(doc: dict, path: Optional[str]) -> None:
+    with _open_out(path) as out:
+        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_corpus(paths: Sequence[str]) -> list[Dialogue]:
@@ -169,7 +175,10 @@ def cmd_ingest(args) -> int:
     with _open_out(args.output) as out:
         write_dialogues(dialogues, out)
     for dialogue in dialogues:
-        log.info("dialogue %s: %d utterances", dialogue.dialogue_id, len(dialogue.utterances))
+        log.debug("dialogue %s: %d utterances", dialogue.dialogue_id, len(dialogue.utterances))
+    log.info(
+        "ingested %d utterances in %d dialogues", sum(len(d.utterances) for d in dialogues), len(dialogues)
+    )
     return 0
 
 
@@ -178,30 +187,55 @@ def _resolve_questions(
 ) -> list[tuple[Utterance, tuple[int, int], Optional[Utterance]]]:
     """The (utterance, span, previous turn) of each (dialogue, turn, span) key, in key order.
 
-    A key naming no utterance, or a span running past the utterance text, is
-    an input error. With ``language`` set, keys in dialogues of another
-    language are skipped and the number skipped is logged.
+    A key naming no utterance, or a span running past the utterance text,
+    raises UnresolvedQuestion. With ``language`` set, keys in dialogues of
+    another language are skipped and the number skipped is logged.
     """
     by_id = {d.dialogue_id: d for d in dialogues}
     targets = []
     skipped = 0
-    for dialogue_id, turn_index, span in keys:
+    for key in keys:
+        dialogue_id, turn_index, span = key
         dialogue = by_id.get(dialogue_id)
         if dialogue is not None and language and dialogue.language != language:
             skipped += 1
             continue
-        ref = f"{dialogue_id}:{turn_index}:{span[0]}-{span[1]}"
         utterances = dialogue.utterances if dialogue is not None else ()
         i = turn_index - utterances[0].turn_index if utterances else -1
         if not 0 <= i < len(utterances):
-            raise ValueError(f"question {ref} has no matching utterance")
+            raise UnresolvedQuestion(key, " has no matching utterance")
         utt = utterances[i]
         if span[1] > len(utt.text):
-            raise ValueError(f"question {ref}: span exceeds utterance length {len(utt.text)}")
+            raise UnresolvedQuestion(key, f": span exceeds utterance length {len(utt.text)}")
         targets.append((utt, span, utterances[i - 1] if i > 0 else None))
     if skipped:
         log.info("skipped %d questions in dialogues not in language %s", skipped, language)
     return targets
+
+
+def _first_question_line(paths: Sequence[str], key: tuple) -> Optional[str]:
+    """``PATH: line N`` of the first question record with this key in the annotation files."""
+    for path in paths:
+        with open_input(path) as f:
+            for line_no, line in enumerate(f, 1):
+                if any(isinstance(r, QuestionAnnotation) and r.key == key for r in read_annotations([line])):
+                    return f"{path}: line {line_no}"
+    return None
+
+
+@contextmanager
+def _locating_questions(paths: Sequence[str]):
+    """Put the file and line naming an unresolved question span in front of its error.
+
+    The files are read again only once the error is raised.
+    """
+    try:
+        yield
+    except UnresolvedQuestion as exc:
+        where = _first_question_line(paths, exc.key)
+        if where is not None:
+            exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def cmd_classify(args) -> int:
@@ -226,9 +260,11 @@ def cmd_classify(args) -> int:
             if u.text.rstrip().endswith("?")
         ]
 
+    with _locating_questions([args.questions] if args.questions else []):
+        targets = _resolve_questions(dialogues, keys, args.language)
     annotator = args.annotator_id or args.mode
     records = []
-    for utt, span, previous in _resolve_questions(dialogues, keys, args.language):
+    for utt, span, previous in targets:
         fv = extract_features(utt, span, previous, ext_cfg)
         if model is not None:
             q_type = predict(model, fv)
@@ -256,7 +292,8 @@ def cmd_train(args) -> int:
         (r for r in _read_annotation_files(args.annotations) if isinstance(r, QuestionAnnotation)),
         key=lambda q: q.key,
     )
-    targets = zip(questions, _resolve_questions(dialogues, [q.key for q in questions]))
+    with _locating_questions(args.annotations):
+        targets = zip(questions, _resolve_questions(dialogues, [q.key for q in questions]))
 
     if args.limit_utterances is not None:
         total = sum(len(d.utterances) for d in dialogues)
@@ -279,7 +316,7 @@ def cmd_train(args) -> int:
         model = train_tree(
             instances, TrainConfig(max_depth=args.max_depth, min_samples_leaf=args.min_samples_leaf)
         )
-    with open(args.output, "w", encoding="utf-8") as f:
+    with _open_out(args.output) as f:
         save_model(model, f)
 
     correct = sum(1 for inst in instances if predict(model, inst.fv) == inst.label)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 class QuestionType(str, Enum):
@@ -110,6 +110,11 @@ class Utterance:
             raise ValueError("text must be non-empty")
 
 
+def question_ref(dialogue_id: str, turn_index: int, span: tuple[int, int]) -> str:
+    """The ``dialogue:turn:start-end`` string naming a question span."""
+    return f"{dialogue_id}:{turn_index}:{span[0]}-{span[1]}"
+
+
 @dataclass(frozen=True)
 class QuestionAnnotation:
     """A question occurrence with its type and optional semantic-role feature.
@@ -138,8 +143,7 @@ class QuestionAnnotation:
     @property
     def ref(self) -> str:
         """Reference string answers use to point at this question."""
-        start, end = self.span
-        return f"{self.dialogue_id}:{self.turn_index}:{start}-{end}"
+        return question_ref(self.dialogue_id, self.turn_index, self.span)
 
 
 @dataclass(frozen=True)
@@ -151,14 +155,6 @@ class AnswerAnnotation:
     a_type: AnswerType
     question_ref: str
     annotator_id: str = ""
-
-
-@dataclass(frozen=True)
-class QAPair:
-    """A question and the answer annotated for it, if any."""
-
-    question: QuestionAnnotation
-    answer: Optional[AnswerAnnotation] = None
 
 
 class ViolationKind(str, Enum):
@@ -179,100 +175,54 @@ class Violation:
     message: str
 
 
-def validate_annotations(pairs: Iterable[QAPair]) -> list[Violation]:
-    """Check every pair against the compatibility constraints.
-
-    Violations are returned as data, never raised, and their multiset does
-    not depend on pair order. Checks per pair: the question's feature tag is
-    only legal on feature-bearing types, the answer (when present) must
-    reference its paired question, and the answer type must be admissible
-    for the question type.
-    """
-    out: list[Violation] = []
-    for pair in pairs:
-        q = pair.question
-        if q.feature is not None and not feature_applicable(q.q_type):
-            out.append(
-                Violation(
-                    ViolationKind.FEATURE_NOT_APPLICABLE,
-                    q.ref,
-                    f"{q.q_type} questions do not take a feature (got {q.feature})",
-                )
-            )
-        a = pair.answer
-        if a is None:
-            continue
-        if a.question_ref != q.ref:
-            out.append(
-                Violation(
-                    ViolationKind.DANGLING_REFERENCE,
-                    q.ref,
-                    f"paired answer references {a.question_ref!r} instead",
-                )
-            )
-        if a.a_type not in allowed_answer_types(q.q_type):
-            out.append(
-                Violation(
-                    ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION,
-                    q.ref,
-                    f"{a.a_type} answers are not allowed for {q.q_type} questions",
-                )
-            )
-    return out
-
-
-def pair_annotations(
-    questions: Sequence[QuestionAnnotation],
-    answers: Sequence[AnswerAnnotation],
-) -> tuple[list[QAPair], list[AnswerAnnotation]]:
-    """Link answers to questions by reference, scoped per annotator.
-
-    Returns pairs in question order (a question with several answers yields
-    several pairs, one with none yields a pair with ``answer=None``) plus
-    the answers whose reference matches no question by the same annotator.
-    """
-    matched: dict[tuple[str, str], list[AnswerAnnotation]] = {}
-    keys = {(q.annotator_id, q.ref) for q in questions}
-    dangling: list[AnswerAnnotation] = []
-    for a in answers:
-        key = (a.annotator_id, a.question_ref)
-        if key in keys:
-            matched.setdefault(key, []).append(a)
-        else:
-            dangling.append(a)
-
-    pairs: list[QAPair] = []
-    seen: set[tuple[str, str]] = set()
-    for q in questions:
-        key = (q.annotator_id, q.ref)
-        if key in seen:
-            continue  # duplicate record for the same occurrence
-        seen.add(key)
-        answered = matched.get(key)
-        if answered:
-            pairs.extend(QAPair(q, a) for a in answered)
-        else:
-            pairs.append(QAPair(q))
-    return pairs, dangling
-
-
 def validate_corpus(
     questions: Sequence[QuestionAnnotation],
     answers: Sequence[AnswerAnnotation],
 ) -> list[Violation]:
-    """Pair up two annotation streams and validate everything.
+    """Check question and answer records against the compatibility constraints.
 
-    Unmatched answers come out as dangling-reference violations after the
-    pair-level ones.
+    Only the first question record per (annotator, span) counts, as in
+    evaluation. Each kept question, in input order, yields one violation if
+    it carries a feature its type does not take, then one for each answer of
+    its annotator that names it with a type it does not admit, in input
+    order. Answers naming no question of their annotator come last, as
+    dangling references. Violations are returned as data, never raised.
     """
-    pairs, dangling = pair_annotations(questions, answers)
-    violations = validate_annotations(pairs)
-    for a in dangling:
-        violations.append(
-            Violation(
-                ViolationKind.DANGLING_REFERENCE,
-                f"{a.dialogue_id}:{a.turn_index}",
-                f"answer references unknown question {a.question_ref!r}",
+    kept: dict[tuple[str, str], tuple[QuestionAnnotation, list[AnswerAnnotation]]] = {}
+    for q in questions:
+        kept.setdefault((q.annotator_id, q.ref), (q, []))
+    dangling: list[Violation] = []
+    for a in answers:
+        question = kept.get((a.annotator_id, a.question_ref))
+        if question is not None:
+            question[1].append(a)
+        else:
+            dangling.append(
+                Violation(
+                    ViolationKind.DANGLING_REFERENCE,
+                    f"{a.dialogue_id}:{a.turn_index}",
+                    f"answer references unknown question {a.question_ref!r}",
+                )
             )
+
+    out: list[Violation] = []
+    for (_, ref), (q, answered) in kept.items():
+        if q.feature is not None and not feature_applicable(q.q_type):
+            out.append(
+                Violation(
+                    ViolationKind.FEATURE_NOT_APPLICABLE,
+                    ref,
+                    f"{q.q_type} questions do not take a feature (got {q.feature})",
+                )
+            )
+        allowed = allowed_answer_types(q.q_type)
+        out.extend(
+            Violation(
+                ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION,
+                ref,
+                f"{a.a_type} answers are not allowed for {q.q_type} questions",
+            )
+            for a in answered
+            if a.a_type not in allowed
         )
-    return violations
+    return out + dangling

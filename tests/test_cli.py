@@ -151,6 +151,18 @@ class TestIngest:
         assert code == 2
         assert "error:" in err
 
+    def test_one_info_line_per_ingest(self, run_cli, tmp_path, caplog):
+        src = write_jsonl(
+            tmp_path / "in.jsonl",
+            [utt_obj(0, "a?", dialogue="x"), utt_obj(0, "b?", dialogue="y"), utt_obj(1, "c.", dialogue="y"),
+             utt_obj(0, "d.", dialogue="z")],
+        )
+        with caplog.at_level(logging.INFO, logger="qapkit"):
+            code, _, _ = run_cli("ingest", "--input", src, "--output", tmp_path / "out.jsonl")
+        assert code == 0
+        info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert info == ["ingested 4 utterances in 3 dialogues"]
+
     def test_invalid_utf8_names_file_and_line(self, run_cli, tmp_path):
         src = tmp_path / "bad.jsonl"
         write_jsonl(src, [utt_obj(0, "hello?"), utt_obj(1, "cafe")])
@@ -579,6 +591,18 @@ class TestValidate:
         assert code == 0
         assert json.loads(out) == {"count": 0, "violations": []}
 
+    def test_misplaced_feature_counts_once(self, run_cli, tmp_path):
+        ref = "d1:0:0-16"
+        ann = write_jsonl(
+            tmp_path / "ann.jsonl",
+            [q_obj(0, "Did you see him?", "YN", feature="LOC"), a_obj(1, "PA", ref), a_obj(2, "UA", ref)],
+        )
+        code, out, _ = run_cli("validate", "--input", ann, "--deterministic")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["count"] == 1
+        assert doc["violations"][0]["kind"] == "feature-not-applicable"
+
     def test_dangling_answer(self, run_cli, tmp_path):
         ann = write_jsonl(tmp_path / "ann.jsonl", [a_obj(1, "PA", "d1:0:0-4")])
         code, out, _ = run_cli("validate", "--input", ann, "--deterministic")
@@ -704,10 +728,30 @@ def _annotations(d):
     return ("evaluate", "--gold", bad, "--pred", pred), bad, "line 2: unknown tag 'XX'"
 
 
+def _question_spans(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    bad = _file(d / "spans.jsonl", GOLD_LINE + json.dumps(q_obj(9, "abc", "YN", dialogue="zzz")) + "\n")
+    argv = ("classify", "--input", corpus, "--questions", bad)
+    return argv, bad, "line 2: question zzz:9:0-3 has no matching utterance"
+
+
+def _training_annotations(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    gold = _file(d / "gold.jsonl", GOLD_LINE)
+    # line 1 repeats gold's question; line 3 is the first record of the over-long span
+    long_span = json.dumps(q_obj(0, "Where did you go?", "YN", span=(0, 40))) + "\n"
+    bad = _file(d / "more.jsonl", GOLD_LINE + "\n" + long_span + long_span)
+    argv = ("train", "--input", corpus, "--annotations", gold, bad, "--output", d / "m.json")
+    return argv, bad, "line 3: question d1:0:0-40: span exceeds utterance length 17"
+
+
 class TestInputErrorsNameTheFile:
     @pytest.mark.parametrize(
         "make",
-        [_corpus_input, _tsv, _eaf, _wh_map, _lexicon, _config_lexicon, _extractor_config, _model, _annotations],
+        [
+            _corpus_input, _tsv, _eaf, _wh_map, _lexicon, _config_lexicon, _extractor_config, _model, _annotations,
+            _question_spans, _training_annotations,
+        ],
     )
     def test_every_input_kind(self, run_cli, tmp_path, make):
         argv, bad, where = make(tmp_path)

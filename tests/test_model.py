@@ -9,15 +9,13 @@ from qapkit import (
     AnswerAnnotation,
     AnswerType,
     Feature,
-    QAPair,
     QuestionAnnotation,
     QuestionType,
     Utterance,
+    Violation,
     ViolationKind,
     allowed_answer_types,
     feature_applicable,
-    pair_annotations,
-    validate_annotations,
     validate_corpus,
 )
 
@@ -101,44 +99,50 @@ class TestRecords:
 
 class TestValidateAnnotations:
     def test_legal_pair_is_clean(self):
-        pair = QAPair(q(q_type=QuestionType.YN), a(a_type=AnswerType.PA))
-        assert validate_annotations([pair]) == []
+        assert validate_corpus([q(q_type=QuestionType.YN)], [a(a_type=AnswerType.PA)]) == []
 
     def test_feature_answer_to_polar_question(self):
-        pair = QAPair(q(q_type=QuestionType.YN), a(a_type=AnswerType.FA))
-        (violation,) = validate_annotations([pair])
+        (violation,) = validate_corpus([q(q_type=QuestionType.YN)], [a(a_type=AnswerType.FA)])
         assert violation.kind is ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION
         assert violation.item == "d:0:0-5"
 
     def test_feature_on_non_bearing_type(self):
-        pair = QAPair(q(q_type=QuestionType.PQ, feature=Feature.LOC))
-        (violation,) = validate_annotations([pair])
+        (violation,) = validate_corpus([q(q_type=QuestionType.PQ, feature=Feature.LOC)], [])
         assert violation.kind is ViolationKind.FEATURE_NOT_APPLICABLE
 
     def test_feature_on_wh_is_fine(self):
-        pair = QAPair(q(q_type=QuestionType.WH, feature=Feature.LOC))
-        assert validate_annotations([pair]) == []
-
-    def test_mismatched_pair_reference(self):
-        pair = QAPair(q(), a(ref="d:9:0-5"))
-        kinds = {v.kind for v in validate_annotations([pair])}
-        assert ViolationKind.DANGLING_REFERENCE in kinds
+        assert validate_corpus([q(q_type=QuestionType.WH, feature=Feature.LOC)], []) == []
 
     def test_unanswered_question_is_clean(self):
-        assert validate_annotations([QAPair(q())]) == []
+        assert validate_corpus([q()], []) == []
+
+    def test_misplaced_feature_is_reported_once(self):
+        question = q(q_type=QuestionType.YN, feature=Feature.LOC)
+        answers = [a(turn=1, ref=question.ref), a(turn=2, ref=question.ref, a_type=AnswerType.FA)]
+        assert [v.kind for v in validate_corpus([question], answers)] == [
+            ViolationKind.FEATURE_NOT_APPLICABLE,
+            ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION,
+        ]
 
     @given(
         st.permutations(
             [
-                QAPair(q(q_type=QuestionType.YN), a(a_type=AnswerType.FA)),
-                QAPair(q(turn=2, span=(0, 3), q_type=QuestionType.PQ, feature=Feature.AG)),
-                QAPair(q(turn=4, span=(1, 7), q_type=QuestionType.WH), a(ref="d:4:1-7", a_type=AnswerType.FA)),
-                QAPair(q(turn=6, span=(0, 2), q_type=QuestionType.CS), a(ref="d:6:0-2", a_type=AnswerType.NA)),
+                q(q_type=QuestionType.YN),
+                q(turn=2, span=(0, 3), q_type=QuestionType.PQ, feature=Feature.AG),
+                q(turn=4, span=(1, 7), q_type=QuestionType.WH),
+                q(turn=6, span=(0, 2), q_type=QuestionType.CS),
             ]
-        )
+        ),
+        st.permutations(
+            [
+                a(a_type=AnswerType.FA),
+                a(ref="d:4:1-7", a_type=AnswerType.FA),
+                a(ref="d:6:0-2", a_type=AnswerType.NA),
+            ]
+        ),
     )
-    def test_violations_do_not_depend_on_order(self, pairs):
-        found = Counter((v.kind, v.item) for v in validate_annotations(pairs))
+    def test_violations_do_not_depend_on_order(self, questions, answers):
+        found = Counter((v.kind, v.item) for v in validate_corpus(questions, answers))
         assert found == Counter(
             {
                 (ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION, "d:0:0-5"): 1,
@@ -149,38 +153,120 @@ class TestValidateAnnotations:
 
 class TestPairing:
     def test_answers_attach_by_reference(self):
-        question = q()
-        answer = a(ref=question.ref)
-        pairs, dangling = pair_annotations([question], [answer])
-        assert pairs == [QAPair(question, answer)]
-        assert dangling == []
+        question = q(q_type=QuestionType.WH)
+        (violation,) = validate_corpus([question], [a(ref=question.ref, a_type=AnswerType.PA)])
+        assert (violation.kind, violation.item) == (ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION, question.ref)
 
     def test_unmatched_answer_dangles(self):
-        pairs, dangling = pair_annotations([q()], [a(ref="d:99:0-5")])
-        assert pairs == [QAPair(q())]
-        assert len(dangling) == 1
+        (violation,) = validate_corpus([q()], [a(turn=3, ref="d:99:0-5", a_type=AnswerType.FA)])
+        assert violation.kind is ViolationKind.DANGLING_REFERENCE
+        assert violation.item == "d:3"
+        assert violation.message == "answer references unknown question 'd:99:0-5'"
 
     def test_pairing_is_scoped_per_annotator(self):
         question = q(annotator="A1")
-        foreign = a(ref=question.ref, annotator="A2")
-        pairs, dangling = pair_annotations([question], [foreign])
-        assert pairs == [QAPair(question)]
-        assert dangling == [foreign]
+        (violation,) = validate_corpus([question], [a(ref=question.ref, annotator="A2")])
+        assert violation.kind is ViolationKind.DANGLING_REFERENCE
 
     def test_several_answers_one_question(self):
-        question = q()
-        first = a(turn=1, ref=question.ref)
-        second = a(turn=2, ref=question.ref, a_type=AnswerType.UA)
-        pairs, _ = pair_annotations([question], [first, second])
-        assert [p.answer for p in pairs] == [first, second]
+        question = q(q_type=QuestionType.PQ)
+        first = a(turn=1, ref=question.ref, a_type=AnswerType.NA)
+        second = a(turn=2, ref=question.ref, a_type=AnswerType.FA)
+        violations = validate_corpus([question], [first, second])
+        assert [v.message for v in violations] == [
+            "NA answers are not allowed for PQ questions",
+            "FA answers are not allowed for PQ questions",
+        ]
 
     def test_duplicate_question_records_collapse(self):
-        question = q()
-        pairs, _ = pair_annotations([question, question], [a(ref=question.ref)])
-        assert len(pairs) == 1
+        first = q(q_type=QuestionType.YN, feature=Feature.AG)
+        repeat = q(q_type=QuestionType.WH)
+        violations = validate_corpus([first, first, repeat], [a(ref=first.ref, a_type=AnswerType.FA)])
+        # the first record decides the type, and it is checked once
+        assert [v.kind for v in violations] == [
+            ViolationKind.FEATURE_NOT_APPLICABLE,
+            ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION,
+        ]
 
     def test_validate_corpus_reports_dangling(self):
-        violations = validate_corpus([q()], [a(ref="nowhere:0:0-1")])
-        (violation,) = violations
-        assert violation.kind is ViolationKind.DANGLING_REFERENCE
-        assert "nowhere:0:0-1" in violation.message
+        answers = [a(ref="nowhere:0:0-1"), a(ref="d:0:0-5", a_type=AnswerType.FA)]
+        violations = validate_corpus([q()], answers)
+        # dangling references come after the checks of every question
+        assert [v.kind for v in violations] == [
+            ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION,
+            ViolationKind.DANGLING_REFERENCE,
+        ]
+        assert "nowhere:0:0-1" in violations[1].message
+
+
+def _names(answer, question):
+    return (answer.annotator_id, answer.question_ref) == (question.annotator_id, question.ref)
+
+
+def validate_by_scan(questions, answers):
+    """Reference for validate_corpus: a quadratic scan over the records, without dicts."""
+    out = []
+    for i, question in enumerate(questions):
+        if any((p.annotator_id, p.ref) == (question.annotator_id, question.ref) for p in questions[:i]):
+            continue
+        if question.feature is not None and not feature_applicable(question.q_type):
+            out.append(
+                Violation(
+                    ViolationKind.FEATURE_NOT_APPLICABLE,
+                    question.ref,
+                    f"{question.q_type} questions do not take a feature (got {question.feature})",
+                )
+            )
+        for answer in answers:
+            if _names(answer, question) and answer.a_type not in allowed_answer_types(question.q_type):
+                out.append(
+                    Violation(
+                        ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION,
+                        question.ref,
+                        f"{answer.a_type} answers are not allowed for {question.q_type} questions",
+                    )
+                )
+    for answer in answers:
+        if not any(_names(answer, question) for question in questions):
+            out.append(
+                Violation(
+                    ViolationKind.DANGLING_REFERENCE,
+                    f"{answer.dialogue_id}:{answer.turn_index}",
+                    f"answer references unknown question {answer.question_ref!r}",
+                )
+            )
+    return out
+
+
+ANNOTATORS = st.sampled_from(["A1", "A2"])
+QUESTIONS = st.builds(
+    q,
+    turn=st.integers(min_value=0, max_value=1),
+    span=st.sampled_from([(0, 1), (0, 4)]),
+    q_type=st.sampled_from(QuestionType),
+    feature=st.none() | st.sampled_from(Feature),
+    annotator=ANNOTATORS,
+)
+
+
+@st.composite
+def annotation_records(draw):
+    """Interleaved annotators, repeated question records, several answers per question, dangling refs."""
+    questions = draw(st.lists(QUESTIONS, max_size=10))
+    # the refs of the drawn questions, plus refs that no question can have
+    refs = st.sampled_from([x.ref for x in questions] + ["d:2:0-1", "x:0:0-1"])
+    answer = st.builds(
+        a,
+        turn=st.integers(min_value=0, max_value=5),
+        a_type=st.sampled_from(AnswerType),
+        ref=refs,
+        annotator=ANNOTATORS,
+    )
+    return questions, draw(st.lists(answer, max_size=10))
+
+
+class TestValidateCorpusProperty:
+    @given(annotation_records())
+    def test_matches_a_quadratic_scan(self, records):
+        questions, answers = records
+        assert validate_corpus(questions, answers) == validate_by_scan(questions, answers)
