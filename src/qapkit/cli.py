@@ -28,7 +28,7 @@ from .evaluation import (
     pairwise_agreement,
     score,
 )
-from .features import ExtractorConfig, extract_features, load_extractor_config
+from .features import DEFAULT_EXTRACTOR, LEXICON_NAMES, ExtractorConfig, extract_features, load_extractor_config
 from .ingestion import (
     Dialogue,
     open_input,
@@ -49,7 +49,7 @@ from .model import (
     question_ref,
     validate_corpus,
 )
-from .rules import RuleConfig, load_wh_feature_map, map_wh_feature, rule_classify
+from .rules import load_wh_feature_map, map_wh_feature, rule_classify
 from .text import tokenize
 from .tree import (
     LabeledInstance,
@@ -74,9 +74,6 @@ class UnresolvedQuestion(ValueError):
     def __init__(self, key: tuple, problem: str):
         super().__init__(f"question {question_ref(*key)}{problem}")
         self.key = key
-
-
-LEXICON_NAMES = ("wh", "aux", "tag", "cliche")
 
 
 def _utc_stamp() -> str:
@@ -119,12 +116,9 @@ def _read_annotation_files(paths: Sequence[str]) -> list:
     return records
 
 
-def _extraction_setup(args) -> tuple[ExtractorConfig, RuleConfig, Optional[dict]]:
-    if args.extractor_config:
-        ext_cfg, cap = load_extractor_config(args.extractor_config)
-    else:
-        ext_cfg, cap = ExtractorConfig(), None
-
+def _extraction_setup(args) -> ExtractorConfig:
+    """The extractor config file's settings, or the defaults, with each flag given on top."""
+    cfg = load_extractor_config(args.extractor_config) if args.extractor_config else DEFAULT_EXTRACTOR
     overrides = {}
     for item in args.lexicon:
         name, sep, path = item.partition("=")
@@ -135,21 +129,21 @@ def _extraction_setup(args) -> tuple[ExtractorConfig, RuleConfig, Optional[dict]
         overrides[f"{name}_lexicon"] = load_lexicon(path, name=name)
     if args.threshold is not None:
         overrides["similarity_threshold"] = args.threshold
-    if overrides:
-        ext_cfg = replace(ext_cfg, **overrides)
-
     if getattr(args, "cliche_length_cap", None) is not None:
-        cap = args.cliche_length_cap
-    rule_cfg = RuleConfig(cliche_length_cap=cap) if cap is not None else RuleConfig()
+        overrides["cliche_length_cap"] = args.cliche_length_cap
+    return replace(cfg, **overrides)
 
-    wh_map = None
-    if args.wh_map:
-        wh_map = load_wh_feature_map(args.wh_map)
-        single = {e[0] for e in ext_cfg.wh_lexicon.entries if len(e) == 1}
-        missing = sorted(single - set(wh_map))
-        if missing:
-            log.warning("wh-feature map misses wh tokens: %s", ", ".join(missing))
-    return ext_cfg, rule_cfg, wh_map
+
+def _wh_feature_map(path: Optional[str], cfg: ExtractorConfig) -> Optional[dict]:
+    """The --wh-map mapping (None for the built-in one); warns about wh tokens it misses."""
+    if not path:
+        return None
+    wh_map = load_wh_feature_map(path)
+    single = {e[0] for e in cfg.wh_lexicon.entries if len(e) == 1}
+    missing = sorted(single - set(wh_map))
+    if missing:
+        log.warning("wh-feature map misses wh tokens: %s", ", ".join(missing))
+    return wh_map
 
 
 def cmd_ingest(args) -> int:
@@ -239,7 +233,8 @@ def _locating_questions(paths: Sequence[str]):
 
 
 def cmd_classify(args) -> int:
-    ext_cfg, rule_cfg, wh_map = _extraction_setup(args)
+    cfg = _extraction_setup(args)
+    wh_map = _wh_feature_map(args.wh_map, cfg)
     dialogues = _load_corpus([args.input])
 
     model = None
@@ -265,11 +260,11 @@ def cmd_classify(args) -> int:
     annotator = args.annotator_id or args.mode
     records = []
     for utt, span, previous in targets:
-        fv = extract_features(utt, span, previous, ext_cfg)
+        fv = extract_features(utt, span, previous, cfg)
         if model is not None:
             q_type = predict(model, fv)
         else:
-            q_type = rule_classify(fv, rule_cfg)
+            q_type = rule_classify(fv, cfg)
         feature = None
         if q_type is QuestionType.WH:
             feature = map_wh_feature(tokenize(utt.text[span[0] : span[1]]), wh_map)
@@ -286,7 +281,7 @@ def cmd_classify(args) -> int:
 def cmd_train(args) -> int:
     if not args.output:
         raise ValueError("train requires --output for the model file")
-    ext_cfg, _, _ = _extraction_setup(args)
+    cfg = _extraction_setup(args)
     dialogues = _load_corpus(args.input)
     questions = sorted(
         (r for r in _read_annotation_files(args.annotations) if isinstance(r, QuestionAnnotation)),
@@ -306,7 +301,7 @@ def cmd_train(args) -> int:
         targets = [(q, t) for q, t in targets if (q.dialogue_id, q.turn_index) in allowed]
 
     instances = [
-        LabeledInstance(extract_features(utt, span, previous, ext_cfg), q.q_type)
+        LabeledInstance(extract_features(utt, span, previous, cfg), q.q_type)
         for q, (utt, span, previous) in targets
     ]
 
@@ -429,7 +424,7 @@ def _add_extractor_flags(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=[],
         metavar="NAME=PATH",
-        help="override a built-in lexicon (names: wh, aux, tag, cliche); repeatable",
+        help=f"override a built-in lexicon (names: {', '.join(LEXICON_NAMES)}); repeatable",
     )
     parser.add_argument(
         "--threshold",
@@ -437,12 +432,6 @@ def _add_extractor_flags(parser: argparse.ArgumentParser) -> None:
         help="token-overlap threshold for last_utt_similar (default 0.5)",
     )
     parser.add_argument("--extractor-config", help="JSON file with lexicons and thresholds")
-    parser.add_argument("--wh-map", help="two-column file mapping wh-words to feature tags")
-    parser.add_argument(
-        "--cliche-length-cap",
-        type=int,
-        help="maximum token length still counting as short (default 5)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,6 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--language", help="only classify dialogues with this language code")
     p.add_argument("--annotator-id", help="annotator id written to output records (default: mode name)")
     _add_extractor_flags(p)
+    p.add_argument("--wh-map", help="two-column file mapping wh-words to feature tags")
+    p.add_argument(
+        "--cliche-length-cap",
+        type=int,
+        help="maximum token length still counting as short (default 5)",
+    )
     _add_common_flags(p)
     p.set_defaults(func=cmd_classify)
 

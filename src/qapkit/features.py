@@ -48,19 +48,30 @@ class FeatureVector:
         return tuple(getattr(self, name) for name in FEATURE_NAMES)
 
 
+#: Names of the four lexicons; each is the ``NAME_lexicon`` field of ExtractorConfig.
+LEXICON_NAMES = ("wh", "aux", "tag", "cliche")
+
+
 @dataclass(frozen=True)
 class ExtractorConfig:
-    """Lexicons and thresholds that parameterize extraction."""
+    """Every setting that types a question: the lexicons, the overlap threshold and the length cap.
+
+    ``cliche_length_cap`` bounds how long a question may be while still
+    counting as "short" for the rule classifier's completion-suggestion cue.
+    """
 
     wh_lexicon: Lexicon = DEFAULT_WH
     aux_lexicon: Lexicon = DEFAULT_AUX
     tag_lexicon: Lexicon = DEFAULT_TAG
     cliche_lexicon: Lexicon = DEFAULT_CLICHE
     similarity_threshold: float = 0.5
+    cliche_length_cap: int = 5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.similarity_threshold <= 1.0:
             raise ValueError(f"similarity_threshold must be in [0,1], got {self.similarity_threshold}")
+        if self.cliche_length_cap < 0:
+            raise ValueError("cliche_length_cap must be non-negative")
 
 
 DEFAULT_EXTRACTOR = ExtractorConfig()
@@ -113,17 +124,13 @@ def extract_features(
     )
 
 
-_LEXICON_FIELDS = ("wh_lexicon", "aux_lexicon", "tag_lexicon", "cliche_lexicon")
-
-
-def load_extractor_config(path: Union[str, Path]) -> tuple[ExtractorConfig, Optional[int]]:
+def load_extractor_config(path: Union[str, Path]) -> ExtractorConfig:
     """Read extractor settings from a JSON document.
 
-    Recognized fields: the four lexicons (each either an inline list of
-    phrases or a path to a lexicon file, resolved relative to the
-    document), similarity_threshold, and cliche_length_cap. Missing fields
-    keep their defaults. The length cap is returned separately because it
-    parameterizes the rule classifier, not extraction.
+    Each field of the document sets the ExtractorConfig field of the same
+    name. A lexicon is either an inline list of phrases or a path to a
+    lexicon file, resolved relative to the document. Missing fields keep
+    their defaults.
     """
     path = Path(path)
     with open_input(path) as f:
@@ -136,20 +143,23 @@ def load_extractor_config(path: Union[str, Path]) -> tuple[ExtractorConfig, Opti
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
 
-        known = set(_LEXICON_FIELDS) | {"similarity_threshold", "cliche_length_cap"}
+        known = {f.name for f in fields(ExtractorConfig)}
         for key in doc:
             if key not in known:
                 raise ValueError(f"unknown extractor config field {key!r}")
 
         kwargs = {}
-        for field_name in _LEXICON_FIELDS:
+        for name in LEXICON_NAMES:
+            field_name = f"{name}_lexicon"
             if field_name not in doc:
                 continue
             value = doc[field_name]
-            name = field_name.removesuffix("_lexicon")
             if isinstance(value, str):
                 kwargs[field_name] = load_lexicon(path.parent / value, name=name)
             elif isinstance(value, list) and all(isinstance(p, str) for p in value):
+                for phrase in value:
+                    if not tokenize(phrase):
+                        raise ValueError(f"{field_name}: entry {phrase!r} has no word tokens")
                 kwargs[field_name] = Lexicon.from_phrases(name, value)
             else:
                 raise ValueError(f"{field_name} must be a list of phrases or a file path")
@@ -157,12 +167,14 @@ def load_extractor_config(path: Union[str, Path]) -> tuple[ExtractorConfig, Opti
             threshold = doc["similarity_threshold"]
             if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
                 raise ValueError("similarity_threshold must be a number")
-            kwargs["similarity_threshold"] = float(threshold)
+            kwargs["similarity_threshold"] = threshold
 
         cap = doc.get("cliche_length_cap")
-        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
-            raise ValueError("cliche_length_cap must be a non-negative integer")
-        return ExtractorConfig(**kwargs), cap
+        if cap is not None:
+            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+                raise ValueError("cliche_length_cap must be a non-negative integer")
+            kwargs["cliche_length_cap"] = cap
+        return ExtractorConfig(**kwargs)
 
 
 # keep the dataclass and the canonical name list in sync

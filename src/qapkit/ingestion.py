@@ -120,7 +120,7 @@ def _json_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
 
 @dataclass(frozen=True)
 class Dialogue:
-    """All turns of one conversation, sorted by turn index."""
+    """All turns of one conversation, sorted by turn index; the indices form a consecutive run."""
 
     dialogue_id: str
     language: str
@@ -135,15 +135,9 @@ class Dialogue:
         indices = [u.turn_index for u in self.utterances]
         if indices != sorted(indices) or len(set(indices)) != len(indices):
             raise ValueError("utterances must be sorted by distinct turn_index")
-
-
-def _dialogue(dialogue_id: str, language: str, turns: dict[int, Utterance]) -> Dialogue:
-    """The dialogue of ``turns`` (turn index -> utterance); raises NonDenseTurns on a gap."""
-    indices = sorted(turns)
-    # consecutive, not necessarily 0-based: t, t+1, ..., t+n-1
-    if indices != list(range(indices[0], indices[0] + len(indices))):
-        raise NonDenseTurns(dialogue_id, indices)
-    return Dialogue(dialogue_id, language, tuple(turns[i] for i in indices))
+        # consecutive, not necessarily 0-based: t, t+1, ..., t+n-1
+        if indices and indices[-1] - indices[0] != len(indices) - 1:
+            raise NonDenseTurns(self.dialogue_id, indices)
 
 
 def _utterance_from_obj(obj: dict, line_no: int) -> tuple[Utterance, str]:
@@ -183,7 +177,9 @@ def parse_dialogue_jsonl(lines: Iterable[str]) -> list[Dialogue]:
                 line_no, f"conflicting language {language!r} for dialogue {utt.dialogue_id!r} (was {known!r})"
             )
 
-    return [_dialogue(d, languages[d], by_dialogue[d]) for d in sorted(by_dialogue)]
+    return [
+        Dialogue(d, languages[d], tuple(turns[i] for i in sorted(turns))) for d, turns in sorted(by_dialogue.items())
+    ]
 
 
 def _strip_interruption(text: str, marker: str) -> tuple[str, bool]:
@@ -228,7 +224,7 @@ def parse_tsv_transcript(
 
     if not turns:
         raise EmptyTranscript("transcript has no utterances")
-    return [_dialogue(dialogue_id, language, turns)]
+    return [Dialogue(dialogue_id, language, tuple(turns[i] for i in sorted(turns)))]
 
 
 def parse_eaf(
@@ -243,8 +239,10 @@ def parse_eaf(
     TIME_VALUE of their start time slot. A slot without a value keeps its
     document position in TIME_ORDER, right after the slot listed before it.
     The tier's PARTICIPANT attribute, falling back to TIER_ID, names the
-    speaker. Turn indices are assigned 0..n-1 in temporal order. The XML
-    declaration's encoding is honoured; given a path, errors name it.
+    speaker. An annotation left empty once the interruption marker is
+    stripped is dropped, and the kept ones get turn indices 0..n-1 in
+    temporal order. The XML declaration's encoding is honoured; given a
+    path, errors name it.
     """
     if dialogue_id is None:
         dialogue_id = Path(source).stem if isinstance(source, (str, Path)) else "eaf"
@@ -288,11 +286,10 @@ def parse_eaf(
             raise EmptyTranscript("eaf source has no non-empty alignable annotations")
         entries.sort(key=lambda e: (e[0], e[1]))
         utterances = []
-        for turn_index, (_, _, speaker, text) in enumerate(entries):
+        for _, _, speaker, text in entries:
             text, interrupted = _strip_interruption(text, interruption_marker)
-            if not text:
-                continue
-            utterances.append(Utterance(dialogue_id, turn_index, speaker, text, interrupted))
+            if text:
+                utterances.append(Utterance(dialogue_id, len(utterances), speaker, text, interrupted))
         if not utterances:
             raise EmptyTranscript("eaf source has no usable annotations")
         return [Dialogue(dialogue_id, language, tuple(utterances))]

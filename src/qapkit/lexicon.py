@@ -13,7 +13,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from .ingestion import open_input
+from .ingestion import MalformedLine, open_input
 from .text import tokenize
 
 
@@ -65,16 +65,19 @@ class Lexicon:
 def load_lexicon(source: Union[str, Path, Iterable[str]], name: str | None = None) -> Lexicon:
     """Read a lexicon from a path or an iterable of lines.
 
-    Raises EmptyLexicon when nothing but blanks and comments is left.
+    Raises MalformedLine for an entry with no word tokens, and EmptyLexicon
+    when nothing but blanks and comments is left.
     """
     if isinstance(source, (str, Path)):
         with open_input(source) as f:
             return load_lexicon(f, Path(source).stem if name is None else name)
     phrases = []
-    for line in source:
+    for line_no, line in enumerate(source, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if not tokenize(line):
+            raise MalformedLine(line_no, f"entry {line!r} has no word tokens")
         phrases.append(line)
     return Lexicon.from_phrases("lexicon" if name is None else name, phrases)
 

@@ -2,31 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .features import FeatureVector
+from .features import DEFAULT_EXTRACTOR, ExtractorConfig, FeatureVector
 from .ingestion import UnknownTag, open_input
 from .model import Feature, QuestionType
 
-
-@dataclass(frozen=True)
-class RuleConfig:
-    """Knobs of the rule classifier.
-
-    ``cliche_length_cap`` bounds how long a question may be while still
-    counting as "short" for the completion-suggestion cue.
-    """
-
-    cliche_length_cap: int = 5
-
-    def __post_init__(self) -> None:
-        if self.cliche_length_cap < 0:
-            raise ValueError("cliche_length_cap must be non-negative")
-
-
-DEFAULT_RULES = RuleConfig()
 
 #: Wh-word to semantic role. Shipped as overridable data.
 DEFAULT_WH_FEATURE_MAP: Mapping[str, Feature] = {
@@ -42,7 +24,7 @@ DEFAULT_WH_FEATURE_MAP: Mapping[str, Feature] = {
 }
 
 
-def rule_classify(fv: FeatureVector, cfg: RuleConfig = DEFAULT_RULES) -> QuestionType:
+def rule_classify(fv: FeatureVector, cfg: ExtractorConfig = DEFAULT_EXTRACTOR) -> QuestionType:
     """Assign a question type from surface predictors.
 
     Cues are tried from most to least specific; the first hit wins:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Optional, Sequence
@@ -269,6 +270,8 @@ def _node_from_obj(obj: object) -> Node:
     if feature == "length":
         if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
             raise MalformedModel("length split requires a numeric threshold")
+        if not abs(threshold) <= sys.float_info.max:  # NaN, infinities, integers past the float range
+            raise MalformedModel("length split threshold must be finite")
         threshold = float(threshold)
     elif threshold is not None:
         raise MalformedModel(f"boolean split {feature!r} cannot carry a threshold")

@@ -133,6 +133,25 @@ class TestIngest:
             utt_obj(1, "Water?", dialogue="session", speaker="BOB"),
         ]
 
+    def test_eaf_turns_are_numbered_after_empty_annotations_are_dropped(self, run_cli, tmp_path):
+        slots = "".join(f'<TIME_SLOT TIME_SLOT_ID="ts{i}" TIME_VALUE="{i}000"/>' for i in range(3))
+        values = ("Did you --", "--", "Water?")
+        tier = "".join(
+            f'<ANNOTATION><ALIGNABLE_ANNOTATION TIME_SLOT_REF1="ts{i}"><ANNOTATION_VALUE>{v}</ANNOTATION_VALUE>'
+            "</ALIGNABLE_ANNOTATION></ANNOTATION>"
+            for i, v in enumerate(values)
+        )
+        src = tmp_path / "gap.eaf"
+        src.write_text(
+            f'<ANNOTATION_DOCUMENT><TIME_ORDER>{slots}</TIME_ORDER><TIER TIER_ID="A">{tier}</TIER></ANNOTATION_DOCUMENT>',
+            encoding="utf-8",
+        )
+        corpus = tmp_path / "gap.jsonl"
+        assert run_cli("ingest", "--input", src, "--format", "eaf", "--output", corpus)[0] == 0
+        assert [json.loads(line)["turn_index"] for line in corpus.read_text().splitlines()] == [0, 1]
+        code, _, err = run_cli("classify", "--input", corpus, "--output", tmp_path / "pred.jsonl")
+        assert code == 0, err
+
     def test_unknown_format_is_usage_error(self, run_cli, tmp_path):
         code, _, err = run_cli("ingest", "--input", tmp_path / "x", "--format", "docx")
         assert code == 2
@@ -280,6 +299,23 @@ class TestClassify:
         assert "model nesting too deep" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "threshold", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "infinity", "-infinity", "1e400", "400-digit-int"],
+    )
+    def test_model_threshold_must_be_finite(self, run_cli, tmp_path, threshold):
+        leaf = json.dumps({"label": "YN", "distribution": {"YN": 1}})
+        model = tmp_path / "model.json"
+        model.write_text(
+            f'{{"version": 1, "root": {{"feature": "length", "threshold": {threshold}, "left": {leaf}, "right": {leaf}}}}}',
+            encoding="utf-8",
+        )
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "Where to?")])
+        code, _, err = run_cli("classify", "--input", corpus, "--mode", "tree", "--model", model)
+        assert code == 2
+        assert err.startswith(f"error: {model}: ")
+        assert "finite" in err
+
     def test_tree_mode_requires_model(self, run_cli, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "really?")])
         code, _, err = run_cli("classify", "--input", corpus, "--mode", "tree")
@@ -341,6 +377,91 @@ class TestClassify:
         run_cli("classify", "--input", corpus, "--output", out1)
         run_cli("classify", "--input", corpus, "--output", out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def _verdict(run_cli, tmp_path, corpus, *flags):
+    out = tmp_path / "pred.jsonl"
+    code, _, err = run_cli("classify", "--input", corpus, *flags, "--output", out)
+    assert code == 0, err
+    return json.loads(out.read_text().splitlines()[-1])["q_type"]
+
+
+class TestExtractionSettings:
+    """The extractor config sets each setting; a flag given on the command line wins."""
+
+    @pytest.fixture
+    def short_after_cut(self, tmp_path):
+        # 7 tokens, none shared with the cut-off turn: CS only when the length cap reaches 7
+        return write_jsonl(
+            tmp_path / "short.jsonl",
+            [utt_obj(0, "and then we went to", interrupted=True), utt_obj(1, "a small quiet town by a lake?")],
+        )
+
+    @pytest.fixture
+    def overlapping(self, tmp_path):
+        # 6 tokens, 5 shared with the cut-off turn: CS only while the threshold is at most 5/6
+        return write_jsonl(
+            tmp_path / "overlap.jsonl",
+            [utt_obj(0, "you want the red car", interrupted=True), utt_obj(1, "you want the red car maybe?")],
+        )
+
+    @staticmethod
+    def config(tmp_path, **fields):
+        path = tmp_path / "extractor.json"
+        path.write_text(json.dumps(fields), encoding="utf-8")
+        return path
+
+    def test_config_length_cap_changes_the_verdict(self, run_cli, tmp_path, short_after_cut):
+        assert _verdict(run_cli, tmp_path, short_after_cut) == "YN"
+        config = self.config(tmp_path, cliche_length_cap=7)
+        assert _verdict(run_cli, tmp_path, short_after_cut, "--extractor-config", config) == "CS"
+
+    def test_config_threshold_changes_the_verdict(self, run_cli, tmp_path, overlapping):
+        assert _verdict(run_cli, tmp_path, overlapping) == "CS"
+        config = self.config(tmp_path, similarity_threshold=0.9)
+        assert _verdict(run_cli, tmp_path, overlapping, "--extractor-config", config) == "YN"
+
+    def test_length_cap_flag_wins_over_the_config(self, run_cli, tmp_path, short_after_cut):
+        config = self.config(tmp_path, cliche_length_cap=7)
+        flags = ("--extractor-config", config, "--cliche-length-cap", "6")
+        assert _verdict(run_cli, tmp_path, short_after_cut, *flags) == "YN"
+
+    def test_threshold_flag_wins_over_the_config(self, run_cli, tmp_path, overlapping):
+        config = self.config(tmp_path, similarity_threshold=0.9)
+        flags = ("--extractor-config", config, "--threshold", "0.5")
+        assert _verdict(run_cli, tmp_path, overlapping, *flags) == "CS"
+
+    def test_lexicon_flag_wins_over_the_config(self, run_cli, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "you know?")])
+        config = self.config(tmp_path, cliche_lexicon=["okay"])
+        # "you know" is no cliché under the config's lexicon, and one under the flag's
+        assert _verdict(run_cli, tmp_path, corpus, "--extractor-config", config) == "YN"
+        lex = tmp_path / "cliche.txt"
+        lex.write_text("you know\n", encoding="utf-8")
+        flags = ("--extractor-config", config, "--lexicon", f"cliche={lex}")
+        assert _verdict(run_cli, tmp_path, corpus, *flags) == "PQ"
+
+    @pytest.mark.parametrize("flag", ["--wh-map", "--cliche-length-cap"])
+    def test_train_rejects_flags_it_does_not_read(self, run_cli, tmp_path, train_corpus, flag):
+        corpus, gold = train_corpus
+        wh_map = tmp_path / "map.txt"
+        wh_map.write_text("where LOC\n", encoding="utf-8")
+        value = wh_map if flag == "--wh-map" else "3"
+        code, _, err = run_cli(
+            "train", "--input", corpus, "--annotations", gold, "--output", tmp_path / "m.json", flag, value
+        )
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_train_accepts_a_config_with_a_length_cap(self, run_cli, tmp_path, train_corpus):
+        corpus, gold = train_corpus
+        config = self.config(tmp_path, cliche_length_cap=7, similarity_threshold=0.4)
+        code, _, err = run_cli(
+            "train", "--input", corpus, "--annotations", gold, "--output", tmp_path / "m.json",
+            "--extractor-config", config, "--deterministic",
+        )
+        assert code == 0, err
 
 
 class TestTrain:
@@ -701,6 +822,19 @@ def _lexicon(d):
     return ("classify", "--input", corpus, "--lexicon", f"wh={bad}"), bad, f"{bad}:2: invalid UTF-8"
 
 
+def _wordless_lexicon_entry(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    bad = _file(d / "lex.txt", "you know\n?!\n")
+    return ("classify", "--input", corpus, "--lexicon", f"cliche={bad}"), bad, "line 2: entry '?!' has no word tokens"
+
+
+def _wordless_inline_entry(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    bad = _file(d / "ext.json", json.dumps({"cliche_lexicon": ["you know", "?!"]}))
+    argv = ("classify", "--input", corpus, "--extractor-config", bad)
+    return argv, bad, "cliche_lexicon: entry '?!' has no word tokens"
+
+
 def _config_lexicon(d):
     corpus = _file(d / "c.jsonl", CORPUS_LINE)
     lexicon = _file(d / "wh.txt", BAD_UTF8_LINE2)
@@ -749,8 +883,8 @@ class TestInputErrorsNameTheFile:
     @pytest.mark.parametrize(
         "make",
         [
-            _corpus_input, _tsv, _eaf, _wh_map, _lexicon, _config_lexicon, _extractor_config, _model, _annotations,
-            _question_spans, _training_annotations,
+            _corpus_input, _tsv, _eaf, _wh_map, _lexicon, _wordless_lexicon_entry, _wordless_inline_entry,
+            _config_lexicon, _extractor_config, _model, _annotations, _question_spans, _training_annotations,
         ],
     )
     def test_every_input_kind(self, run_cli, tmp_path, make):

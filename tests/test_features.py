@@ -8,6 +8,7 @@ from qapkit import (
     EmptyLexicon,
     ExtractorConfig,
     Lexicon,
+    MalformedLine,
     Utterance,
     detect_inversion,
     extract_features,
@@ -126,6 +127,10 @@ class TestLexicon:
     def test_load_from_lines(self):
         lex = load_lexicon(["who\n", "# nope\n", "what\n"], name="wh")
         assert lex.entries == frozenset({("who",), ("what",)})
+
+    def test_line_without_words_names_the_line(self):
+        with pytest.raises(MalformedLine, match="line 3: .*'\\?!'"):
+            load_lexicon(["who\n", "# punctuation is no entry\n", "?!\n"], name="wh")
 
     def test_load_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -252,20 +257,20 @@ class TestConfigFile:
         }
         path = tmp_path / "extractor.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        cfg, cap = load_extractor_config(path)
+        cfg = load_extractor_config(path)
         assert cfg.wh_lexicon.entries == frozenset({("who",), ("where",)})
         assert cfg.cliche_lexicon.entries == frozenset({("you", "know"), ("really",)})
         assert cfg.similarity_threshold == 0.4
-        assert cap == 7
+        assert cfg.cliche_length_cap == 7
         # untouched fields keep defaults
         assert cfg.aux_lexicon.contains_token("do")
 
     def test_defaults_when_fields_missing(self, tmp_path):
         path = tmp_path / "extractor.json"
         path.write_text("{}", encoding="utf-8")
-        cfg, cap = load_extractor_config(path)
+        cfg = load_extractor_config(path)
         assert cfg == ExtractorConfig()
-        assert cap is None
+        assert cfg.cliche_length_cap == 5
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "extractor.json"
@@ -277,6 +282,20 @@ class TestConfigFile:
         path = tmp_path / "extractor.json"
         path.write_text('{"similarity_threshold": "half"}', encoding="utf-8")
         with pytest.raises(ValueError):
+            load_extractor_config(path)
+
+    @pytest.mark.parametrize("threshold", ["1.5", "NaN", "1" + "0" * 400], ids=["1.5", "nan", "400-digit-int"])
+    def test_threshold_out_of_range(self, tmp_path, threshold):
+        path = tmp_path / "extractor.json"
+        path.write_text(f'{{"similarity_threshold": {threshold}}}', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"similarity_threshold must be in \[0,1\]"):
+            load_extractor_config(path)
+
+    @pytest.mark.parametrize("cap", ["-1", "true", "2.5", '"5"'])
+    def test_bad_length_cap(self, tmp_path, cap):
+        path = tmp_path / "extractor.json"
+        path.write_text(f'{{"cliche_length_cap": {cap}}}', encoding="utf-8")
+        with pytest.raises(ValueError, match="cliche_length_cap must be a non-negative integer"):
             load_extractor_config(path)
 
     def test_invalid_json(self, tmp_path):

@@ -119,6 +119,17 @@ class TestDialogueJsonl:
         with pytest.raises(NonDenseTurns):
             parse_dialogue_jsonl(jsonl(utt_obj(0), utt_obj(2)))
 
+    def test_dialogue_with_a_gap_is_rejected(self):
+        turns = (Utterance("d1", 0, "A", "a"), Utterance("d1", 2, "B", "b"))
+        with pytest.raises(NonDenseTurns, match="turn 1 missing between 0 and 2"):
+            Dialogue("d1", "en", turns)
+
+    def test_dialogue_with_unsorted_or_repeated_turns_is_rejected(self):
+        a, b = Utterance("d1", 0, "A", "a"), Utterance("d1", 1, "B", "b")
+        for turns in ((b, a), (a, a)):
+            with pytest.raises(ValueError, match="sorted by distinct turn_index"):
+                Dialogue("d1", "en", turns)
+
     def test_conflicting_language(self):
         lines = jsonl(utt_obj(0), utt_obj(1, language="nl"))
         with pytest.raises(MalformedLine, match="language"):
@@ -263,6 +274,28 @@ class TestEaf:
         path.write_text(EAF_DOC, encoding="utf-8")
         (d,) = parse_eaf(path)
         assert len(d.utterances) == 2  # whitespace-only annotation dropped
+
+    def test_turns_numbered_after_marker_only_annotations_are_dropped(self, tmp_path):
+        doc = """<ANNOTATION_DOCUMENT>
+  <TIME_ORDER>
+    <TIME_SLOT TIME_SLOT_ID="ts1" TIME_VALUE="0"/>
+    <TIME_SLOT TIME_SLOT_ID="ts2" TIME_VALUE="1000"/>
+    <TIME_SLOT TIME_SLOT_ID="ts3" TIME_VALUE="2000"/>
+  </TIME_ORDER>
+  <TIER TIER_ID="A">
+    <ANNOTATION><ALIGNABLE_ANNOTATION TIME_SLOT_REF1="ts1">
+      <ANNOTATION_VALUE>I think --</ANNOTATION_VALUE></ALIGNABLE_ANNOTATION></ANNOTATION>
+    <ANNOTATION><ALIGNABLE_ANNOTATION TIME_SLOT_REF1="ts2">
+      <ANNOTATION_VALUE>--</ANNOTATION_VALUE></ALIGNABLE_ANNOTATION></ANNOTATION>
+    <ANNOTATION><ALIGNABLE_ANNOTATION TIME_SLOT_REF1="ts3">
+      <ANNOTATION_VALUE>Water?</ANNOTATION_VALUE></ALIGNABLE_ANNOTATION></ANNOTATION>
+  </TIER>
+</ANNOTATION_DOCUMENT>
+"""
+        path = tmp_path / "gap.eaf"
+        path.write_text(doc, encoding="utf-8")
+        (d,) = parse_eaf(path)
+        assert [(u.turn_index, u.text) for u in d.utterances] == [(0, "I think"), (1, "Water?")]
 
     def test_invalid_xml(self, tmp_path):
         path = tmp_path / "broken.eaf"

@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from qapkit import (
     DEFAULT_WH_FEATURE_MAP,
+    ExtractorConfig,
     Feature,
     FeatureVector,
     QuestionType,
-    RuleConfig,
     UnknownTag,
     extract_features,
     load_wh_feature_map,
@@ -19,8 +19,8 @@ from qapkit import (
 from helpers import make_fv, utt
 
 
-def classify_text(text, previous=None, cfg=RuleConfig()):
-    return rule_classify(extract_features(utt(text, turn=1), previous=previous), cfg)
+def classify_text(text, previous=None, cfg=ExtractorConfig()):
+    return rule_classify(extract_features(utt(text, turn=1), previous=previous, cfg=cfg), cfg)
 
 
 class TestWorkedExamples:
@@ -84,11 +84,11 @@ class TestPrecedence:
     def test_length_cap_is_configurable(self):
         fv = make_fv(last_utt_incomplete=True, length=7)
         assert rule_classify(fv) is QuestionType.YN
-        assert rule_classify(fv, RuleConfig(cliche_length_cap=8)) is QuestionType.CS
+        assert rule_classify(fv, ExtractorConfig(cliche_length_cap=8)) is QuestionType.CS
 
     def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            RuleConfig(cliche_length_cap=-1)
+        with pytest.raises(ValueError, match="cliche_length_cap must be non-negative"):
+            ExtractorConfig(cliche_length_cap=-1)
 
 
 FV_STRATEGY = st.builds(
