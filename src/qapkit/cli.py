@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .evaluation import (
@@ -28,7 +28,15 @@ from .evaluation import (
     pairwise_agreement,
     score,
 )
-from .features import DEFAULT_EXTRACTOR, LEXICON_NAMES, ExtractorConfig, extract_features, load_extractor_config
+from .features import (
+    DEFAULT_EXTRACTOR,
+    LEXICON_NAMES,
+    ExtractorConfig,
+    FeatureVector,
+    extract_features,  # noqa: F401  (the one-question API; bench/tracer.py wraps it here)
+    load_extractor_config,
+    token_features,
+)
 from .ingestion import (
     Dialogue,
     open_input,
@@ -131,7 +139,13 @@ def _extraction_setup(args) -> ExtractorConfig:
         overrides["similarity_threshold"] = args.threshold
     if getattr(args, "cliche_length_cap", None) is not None:
         overrides["cliche_length_cap"] = args.cliche_length_cap
-    return replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
+    # wh-words and auxiliaries are looked up one token at a time
+    for name in ("wh", "aux"):
+        phrases = sorted(" ".join(e) for e in getattr(cfg, f"{name}_lexicon").entries if len(e) > 1)
+        if phrases:
+            log.warning("%s lexicon entries of more than one word never match: %s", name, ", ".join(phrases))
+    return cfg
 
 
 def _wh_feature_map(path: Optional[str], cfg: ExtractorConfig) -> Optional[dict]:
@@ -139,8 +153,7 @@ def _wh_feature_map(path: Optional[str], cfg: ExtractorConfig) -> Optional[dict]
     if not path:
         return None
     wh_map = load_wh_feature_map(path)
-    single = {e[0] for e in cfg.wh_lexicon.entries if len(e) == 1}
-    missing = sorted(single - set(wh_map))
+    missing = sorted(cfg.wh_lexicon.words - set(wh_map))
     if missing:
         log.warning("wh-feature map misses wh tokens: %s", ", ".join(missing))
     return wh_map
@@ -207,6 +220,25 @@ def _resolve_questions(
     return targets
 
 
+def _question_features(
+    targets: Iterable[tuple[Utterance, tuple[int, int], Optional[Utterance]]], cfg: ExtractorConfig
+) -> Iterator[tuple[list[str], FeatureVector]]:
+    """The span's tokens and feature vector for each (utterance, span, previous turn) target.
+
+    Each span is tokenized once. A previous turn is tokenized once for the
+    run of targets that follow it, which key order keeps together. Spans are
+    not sliced from the utterance's tokens: lowercasing depends on context
+    (the final-sigma rule), so those could differ from the span's own.
+    """
+    last_prev = prev_tokens = None
+    for utt, span, previous in targets:
+        tokens = tokenize(utt.text[span[0] : span[1]])
+        if previous is not last_prev:
+            last_prev = previous
+            prev_tokens = tokenize(previous.text) if previous is not None else None
+        yield tokens, token_features(tokens, prev_tokens, previous is not None and previous.interrupted, cfg)
+
+
 def _first_question_line(paths: Sequence[str], key: tuple) -> Optional[str]:
     """``PATH: line N`` of the first question record with this key in the annotation files."""
     for path in paths:
@@ -259,15 +291,14 @@ def cmd_classify(args) -> int:
         targets = _resolve_questions(dialogues, keys, args.language)
     annotator = args.annotator_id or args.mode
     records = []
-    for utt, span, previous in targets:
-        fv = extract_features(utt, span, previous, cfg)
+    for (utt, span, _), (tokens, fv) in zip(targets, _question_features(targets, cfg)):
         if model is not None:
             q_type = predict(model, fv)
         else:
             q_type = rule_classify(fv, cfg)
         feature = None
         if q_type is QuestionType.WH:
-            feature = map_wh_feature(tokenize(utt.text[span[0] : span[1]]), wh_map)
+            feature = map_wh_feature(tokens, wh_map)
         records.append(
             QuestionAnnotation(utt.dialogue_id, utt.turn_index, span, q_type, feature, annotator)
         )
@@ -288,7 +319,7 @@ def cmd_train(args) -> int:
         key=lambda q: q.key,
     )
     with _locating_questions(args.annotations):
-        targets = zip(questions, _resolve_questions(dialogues, [q.key for q in questions]))
+        targets = _resolve_questions(dialogues, [q.key for q in questions])
 
     if args.limit_utterances is not None:
         total = sum(len(d.utterances) for d in dialogues)
@@ -298,11 +329,12 @@ def cmd_train(args) -> int:
             raise ValueError(f"--limit-utterances {args.limit_utterances} exceeds corpus size {total}")
         first = itertools.islice((u for d in dialogues for u in d.utterances), args.limit_utterances)
         allowed = {(u.dialogue_id, u.turn_index) for u in first}
-        targets = [(q, t) for q, t in targets if (q.dialogue_id, q.turn_index) in allowed]
+        keep = [(q.dialogue_id, q.turn_index) in allowed for q in questions]
+        questions = list(itertools.compress(questions, keep))
+        targets = list(itertools.compress(targets, keep))
 
     instances = [
-        LabeledInstance(extract_features(utt, span, previous, cfg), q.q_type)
-        for q, (utt, span, previous) in targets
+        LabeledInstance(fv, q.q_type) for q, (_, fv) in zip(questions, _question_features(targets, cfg))
     ]
 
     if args.baseline:

@@ -90,6 +90,30 @@ def detect_inversion(tokens: Sequence[str], cfg: ExtractorConfig = DEFAULT_EXTRA
     )
 
 
+def token_features(
+    tokens: Sequence[str],
+    prev_tokens: Optional[Sequence[str]],
+    prev_interrupted: bool,
+    cfg: ExtractorConfig = DEFAULT_EXTRACTOR,
+) -> FeatureVector:
+    """The eight predictors from a question's tokens and its previous turn's.
+
+    ``prev_tokens`` is None when there is no previous turn; both context
+    predictors are then false.
+    """
+    has_prev = prev_tokens is not None
+    return FeatureVector(
+        has_wh=not cfg.wh_lexicon.words.isdisjoint(tokens),
+        has_or="or" in tokens,
+        has_inversion=detect_inversion(tokens, cfg),
+        has_tag=cfg.tag_lexicon.matches_end(tokens),
+        last_utt_similar=has_prev and overlap_ratio(tokens, prev_tokens) >= cfg.similarity_threshold,
+        last_utt_incomplete=has_prev and prev_interrupted,
+        has_cliche=cfg.cliche_lexicon.contains(tokens),
+        length=len(tokens),
+    )
+
+
 def extract_features(
     question: Utterance,
     span: Optional[tuple[int, int]] = None,
@@ -103,25 +127,9 @@ def extract_features(
     predictors are false.
     """
     text = question.text if span is None else question.text[span[0] : span[1]]
-    tokens = tokenize(text)
-
-    similar = False
-    incomplete = False
-    if previous is not None:
-        prev_tokens = tokenize(previous.text)
-        similar = overlap_ratio(tokens, prev_tokens) >= cfg.similarity_threshold
-        incomplete = previous.interrupted
-
-    return FeatureVector(
-        has_wh=any(cfg.wh_lexicon.contains_token(t) for t in tokens),
-        has_or="or" in tokens,
-        has_inversion=detect_inversion(tokens, cfg),
-        has_tag=cfg.tag_lexicon.matches_end(tokens),
-        last_utt_similar=similar,
-        last_utt_incomplete=incomplete,
-        has_cliche=cfg.cliche_lexicon.contains(tokens),
-        length=len(tokens),
-    )
+    if previous is None:
+        return token_features(tokenize(text), None, False, cfg)
+    return token_features(tokenize(text), tokenize(previous.text), previous.interrupted, cfg)
 
 
 def load_extractor_config(path: Union[str, Path]) -> ExtractorConfig:

@@ -41,16 +41,33 @@ class Lexicon:
         """Distinct entry lengths, ascending; computed once per lexicon."""
         return tuple(sorted({len(e) for e in self.entries}))
 
+    @cached_property
+    def _by_first(self) -> dict[str, tuple[int, ...]]:
+        """Each entry's first token, mapped to the ascending lengths of the entries it starts."""
+        lengths: dict[str, set[int]] = {}
+        for entry in self.entries:
+            lengths.setdefault(entry[0], set()).add(len(entry))
+        return {first: tuple(sorted(ns)) for first, ns in lengths.items()}
+
+    @cached_property
+    def words(self) -> frozenset[str]:
+        """The single-word entries."""
+        return frozenset(e[0] for e in self.entries if len(e) == 1)
+
     def contains_token(self, token: str) -> bool:
-        return (token.lower(),) in self.entries
+        return token.lower() in self.words
 
     def contains(self, tokens: Sequence[str]) -> bool:
-        """True if any entry occurs as a contiguous run inside ``tokens``."""
-        for n in self._lengths:
-            if n > len(tokens):
-                break
-            for i in range(len(tokens) - n + 1):
-                if tuple(tokens[i : i + n]) in self.entries:
+        """True if any entry occurs as a contiguous run inside ``tokens``.
+
+        Only the entries that start with a token are tried at that token.
+        """
+        by_first = self._by_first
+        for i, token in enumerate(tokens):
+            for n in by_first.get(token, ()):
+                if i + n > len(tokens):
+                    break
+                if n == 1 or tuple(tokens[i : i + n]) in self.entries:
                     return True
         return False
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qapkit import load_model, predict
+from qapkit import load_model, map_wh_feature, predict, tokenize
+from qapkit import cli as cli_module
+from qapkit import features as features_module
 from qapkit.cli import main
 from qapkit.features import FEATURE_NAMES
 from helpers import make_fv
@@ -369,6 +371,36 @@ class TestClassify:
         assert json.loads(out.read_text())["feature"] is None  # "what" unmapped
         assert any("misses wh tokens" in r.getMessage() for r in caplog.records)
 
+    def test_each_span_and_previous_turn_is_tokenized_once(self, run_cli, tmp_path, monkeypatch):
+        last = "Really? Where was it? Was it old?"
+        spans = [(0, 7), (8, 21), (22, 33)]
+        corpus = write_jsonl(
+            tmp_path / "c.jsonl",
+            [utt_obj(0, "We walked for hours."), utt_obj(1, "Then we saw the mill."), utt_obj(2, last)],
+        )
+        questions = write_jsonl(tmp_path / "q.jsonl", [q_obj(2, "", "YN", span=span) for span in spans])
+        returned, wh_tokens = [], []
+
+        def counting_tokenize(text):
+            returned.append(tokenize(text))
+            return returned[-1]
+
+        def recording_map(tokens, mapping=None):
+            wh_tokens.append(tokens)
+            return map_wh_feature(tokens, mapping)
+
+        monkeypatch.setattr(cli_module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(cli_module, "map_wh_feature", recording_map)
+        monkeypatch.setattr(features_module, "tokenize", lambda text: pytest.fail(f"features.tokenize({text!r})"))
+        out = tmp_path / "pred.jsonl"
+        code, _, err = run_cli("classify", "--input", corpus, "--questions", questions, "--output", out)
+        assert code == 0, err
+        assert [json.loads(line)["q_type"] for line in out.read_text().splitlines()] == ["PQ", "WH", "YN"]
+        assert len(returned) == len(spans) + 1  # one previous turn, shared by the three spans
+        assert len(wh_tokens) == 1
+        assert wh_tokens[0] == tokenize(last[8:21])
+        assert any(tokens is wh_tokens[0] for tokens in returned)
+
     def test_output_is_stable_across_runs(self, run_cli, tmp_path):
         corpus = write_jsonl(
             tmp_path / "c.jsonl", [utt_obj(0, "Did you see him?"), utt_obj(1, "why?")]
@@ -440,6 +472,21 @@ class TestExtractionSettings:
         lex.write_text("you know\n", encoding="utf-8")
         flags = ("--extractor-config", config, "--lexicon", f"cliche={lex}")
         assert _verdict(run_cli, tmp_path, corpus, *flags) == "PQ"
+
+    def test_multi_word_wh_entries_are_flagged(self, run_cli, tmp_path, train_corpus, caplog):
+        corpus, gold = train_corpus
+        config = self.config(tmp_path, wh_lexicon=["who", "how much"])
+        commands = [
+            ("classify", "--input", corpus, "--output", tmp_path / "pred.jsonl"),
+            ("train", "--input", corpus, "--annotations", gold, "--output", tmp_path / "m.json"),
+        ]
+        for argv in commands:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="qapkit"):
+                code, _, err = run_cli(*argv, "--extractor-config", config, "--deterministic")
+            assert code == 0, err
+            warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+            assert warnings == ["wh lexicon entries of more than one word never match: how much"]
 
     @pytest.mark.parametrize("flag", ["--wh-map", "--cliche-length-cap"])
     def test_train_rejects_flags_it_does_not_read(self, run_cli, tmp_path, train_corpus, flag):

@@ -1,21 +1,25 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qapkit import (
+    Dialogue,
     EmptyLexicon,
     ExtractorConfig,
+    Feature,
     Lexicon,
     MalformedLine,
     Utterance,
     detect_inversion,
     extract_features,
     load_lexicon,
+    map_wh_feature,
     overlap_ratio,
     tokenize,
 )
+from qapkit.cli import _question_features, _resolve_questions
 from qapkit.features import FEATURE_NAMES, load_extractor_config
 from qapkit.lexicon import DEFAULT_CLICHE
 
@@ -98,6 +102,12 @@ class TestLexicon:
         assert not lex.matches_end(["you", "know", "what"])
         assert lex.contains(["do", "you", "know", "what", "now"])
         assert lex.matches_end(["so", "do", "you", "know", "what"])
+
+    def test_entries_sharing_a_first_token(self):
+        lex = Lexicon.from_phrases("x", ["you know", "you see what i mean"])
+        assert lex.contains(["so", "you", "see", "what", "i", "mean"])
+        assert lex.contains(["you", "see", "you", "know"])
+        assert not lex.contains(["you", "see", "what", "i"])
 
     @given(
         st.sets(st.lists(st.sampled_from("abc"), min_size=1, max_size=4).map(tuple), min_size=1),
@@ -303,3 +313,67 @@ class TestConfigFile:
         path.write_text("{", encoding="utf-8")
         with pytest.raises(ValueError, match="JSON"):
             load_extractor_config(path)
+
+
+# Words the random lexicons draw from; turns mix their phrases with arbitrary text.
+VOCAB = ["you", "know", "see", "ΑΣ", "σας", "İt", "o'clock", "is", "what", "7"]
+ALPHABET = st.one_of(st.characters(), st.sampled_from(list("ΣςİΑ'’.:_0123456789 ")))
+# Entries start with one of two words, so several share a first token.
+PHRASES = st.lists(
+    st.tuples(st.sampled_from(VOCAB[:2]), st.lists(st.sampled_from(VOCAB[:4]), max_size=3)).map(
+        lambda t: " ".join([t[0], *t[1]])
+    ),
+    min_size=1,
+    max_size=6,
+)
+WH_MAP = {word: list(Feature)[i % len(Feature)] for i, word in enumerate(t for w in VOCAB for t in tokenize(w))}
+
+
+def turn_texts(phrases):
+    piece = st.one_of(st.sampled_from(phrases + VOCAB), st.text(ALPHABET, max_size=4))
+    text = st.lists(st.one_of(piece, piece.map(str.upper)), max_size=8).map(" ".join).filter(str.strip)
+    return st.lists(st.tuples(text, st.booleans()), min_size=1, max_size=4)
+
+
+class TestOneFeaturePass:
+    """The CLI's shared loop gives what extract_features gives one question at a time."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_shared_loop_matches_extract_features(self, data):
+        lexicons = {name: data.draw(PHRASES) for name in ("wh", "aux", "tag", "cliche")}
+        cfg = ExtractorConfig(
+            **{f"{name}_lexicon": Lexicon.from_phrases(name, phrases) for name, phrases in lexicons.items()},
+            similarity_threshold=data.draw(st.floats(0.0, 1.0)),
+        )
+        turns = data.draw(turn_texts(sorted({p for phrases in lexicons.values() for p in phrases})))
+        utterances = tuple(
+            Utterance("d", i, "A", text, interrupted) for i, (text, interrupted) in enumerate(turns)
+        )
+
+        def spans(n):
+            return st.one_of(st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted), st.just((0, n)))
+
+        keys = sorted(
+            {
+                ("d", u.turn_index, tuple(data.draw(spans(len(u.text)))))
+                for u in utterances
+                for _ in range(data.draw(st.integers(0, 3)))
+            }
+        )
+        targets = _resolve_questions([Dialogue("d", "en", utterances)], keys)
+        for (utt, (s, e), previous), (tokens, fv) in zip(targets, _question_features(targets, cfg), strict=True):
+            assert tokens == tokenize(utt.text[s:e])
+            assert fv == extract_features(utt, (s, e), previous, cfg)
+            assert map_wh_feature(tokens, WH_MAP) == map_wh_feature(tokenize(utt.text[s:e]), WH_MAP)
+            assert fv.has_wh == any(cfg.wh_lexicon.contains_token(t) for t in tokens)
+            windows = {tuple(tokens[i:j]) for i in range(len(tokens)) for j in range(i + 1, len(tokens) + 1)}
+            assert fv.has_cliche == any(entry in windows for entry in cfg.cliche_lexicon.entries)
+
+    def test_span_is_tokenized_on_its_own(self):
+        # Lowercasing reads context: alone, the span's sigma is word-final; in the whole text it is not.
+        question = utt("ΑΣ:Α")
+        [(tokens, fv)] = _question_features([(question, (0, 2), None)], ExtractorConfig())
+        assert tokens == ["ας"]
+        assert tokenize("ΑΣ:Α") == ["ασ", "α"]
+        assert fv == extract_features(question, (0, 2))
