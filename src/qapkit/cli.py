@@ -76,18 +76,6 @@ class MissingModel(ValueError):
     """Tree mode invoked without a model file."""
 
 
-class UnresolvedQuestion(ValueError):
-    """A question span naming no utterance of the corpus, or running past its text."""
-
-    def __init__(self, key: tuple, problem: str):
-        super().__init__(f"question {question_ref(*key)}{problem}")
-        self.key = key
-
-
-def _utc_stamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 @contextmanager
 def _open_out(path: Optional[str]):
     if path:
@@ -97,7 +85,10 @@ def _open_out(path: Optional[str]):
         yield sys.stdout
 
 
-def _write_json(doc: dict, path: Optional[str]) -> None:
+def _write_report(doc: dict, path: Optional[str], deterministic: bool) -> None:
+    """Write a JSON report, stamped with generated_at unless the run is deterministic."""
+    if not deterministic:
+        doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     with _open_out(path) as out:
         out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -189,18 +180,43 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _resolve_questions(
-    dialogues: Sequence[Dialogue], keys: Sequence[tuple], language: Optional[str] = None
-) -> list[tuple[Utterance, tuple[int, int], Optional[Utterance]]]:
-    """The (utterance, span, previous turn) of each (dialogue, turn, span) key, in key order.
+def _unresolved(key: tuple, problem: str, sources: Sequence[str]) -> ValueError:
+    """The error for a question span naming no utterance, or running past its text.
+
+    It names the first line of the annotation files ``sources`` that holds
+    the span; the files are read again only now that the error is raised.
+    """
+    message = f"question {question_ref(*key)}{problem}"
+    for path in sources:
+        with open_input(path) as f:
+            for line_no, line in enumerate(f, 1):
+                if any(isinstance(r, QuestionAnnotation) and r.key == key for r in read_annotations([line])):
+                    return ValueError(f"{path}: line {line_no}: {message}")
+    return ValueError(message)
+
+
+def _question_features(
+    dialogues: Sequence[Dialogue],
+    keys: Iterable[tuple],
+    cfg: ExtractorConfig,
+    sources: Sequence[str] = (),
+    language: Optional[str] = None,
+) -> Iterator[tuple[Utterance, tuple[int, int], list[str], FeatureVector]]:
+    """(utterance, span, span tokens, feature vector) of each (dialogue, turn, span) key, in key order.
 
     A key naming no utterance, or a span running past the utterance text,
-    raises UnresolvedQuestion. With ``language`` set, keys in dialogues of
-    another language are skipped and the number skipped is logged.
+    raises a ValueError located in ``sources`` (see _unresolved). With
+    ``language`` set, keys in dialogues of another language are skipped and
+    the number skipped is logged once the keys are exhausted.
+
+    Each span is tokenized once. A previous turn is tokenized once for the
+    run of keys that follow it, which key order keeps together. Spans are
+    not sliced from the utterance's tokens: lowercasing depends on context
+    (the final-sigma rule), so those could differ from the span's own.
     """
     by_id = {d.dialogue_id: d for d in dialogues}
-    targets = []
     skipped = 0
+    last_prev = prev_tokens = None
     for key in keys:
         dialogue_id, turn_index, span = key
         dialogue = by_id.get(dialogue_id)
@@ -210,58 +226,19 @@ def _resolve_questions(
         utterances = dialogue.utterances if dialogue is not None else ()
         i = turn_index - utterances[0].turn_index if utterances else -1
         if not 0 <= i < len(utterances):
-            raise UnresolvedQuestion(key, " has no matching utterance")
+            raise _unresolved(key, " has no matching utterance", sources)
         utt = utterances[i]
         if span[1] > len(utt.text):
-            raise UnresolvedQuestion(key, f": span exceeds utterance length {len(utt.text)}")
-        targets.append((utt, span, utterances[i - 1] if i > 0 else None))
-    if skipped:
-        log.info("skipped %d questions in dialogues not in language %s", skipped, language)
-    return targets
-
-
-def _question_features(
-    targets: Iterable[tuple[Utterance, tuple[int, int], Optional[Utterance]]], cfg: ExtractorConfig
-) -> Iterator[tuple[list[str], FeatureVector]]:
-    """The span's tokens and feature vector for each (utterance, span, previous turn) target.
-
-    Each span is tokenized once. A previous turn is tokenized once for the
-    run of targets that follow it, which key order keeps together. Spans are
-    not sliced from the utterance's tokens: lowercasing depends on context
-    (the final-sigma rule), so those could differ from the span's own.
-    """
-    last_prev = prev_tokens = None
-    for utt, span, previous in targets:
+            raise _unresolved(key, f": span exceeds utterance length {len(utt.text)}", sources)
+        previous = utterances[i - 1] if i > 0 else None
         tokens = tokenize(utt.text[span[0] : span[1]])
         if previous is not last_prev:
             last_prev = previous
             prev_tokens = tokenize(previous.text) if previous is not None else None
-        yield tokens, token_features(tokens, prev_tokens, previous is not None and previous.interrupted, cfg)
-
-
-def _first_question_line(paths: Sequence[str], key: tuple) -> Optional[str]:
-    """``PATH: line N`` of the first question record with this key in the annotation files."""
-    for path in paths:
-        with open_input(path) as f:
-            for line_no, line in enumerate(f, 1):
-                if any(isinstance(r, QuestionAnnotation) and r.key == key for r in read_annotations([line])):
-                    return f"{path}: line {line_no}"
-    return None
-
-
-@contextmanager
-def _locating_questions(paths: Sequence[str]):
-    """Put the file and line naming an unresolved question span in front of its error.
-
-    The files are read again only once the error is raised.
-    """
-    try:
-        yield
-    except UnresolvedQuestion as exc:
-        where = _first_question_line(paths, exc.key)
-        if where is not None:
-            exc.args = (f"{where}: {exc}",)
-        raise
+        interrupted = previous is not None and previous.interrupted
+        yield utt, span, tokens, token_features(tokens, prev_tokens, interrupted, cfg)
+    if skipped:
+        log.info("skipped %d questions in dialogues not in language %s", skipped, language)
 
 
 def cmd_classify(args) -> int:
@@ -287,21 +264,13 @@ def cmd_classify(args) -> int:
             if u.text.rstrip().endswith("?")
         ]
 
-    with _locating_questions([args.questions] if args.questions else []):
-        targets = _resolve_questions(dialogues, keys, args.language)
     annotator = args.annotator_id or args.mode
+    sources = [args.questions] if args.questions else ()
     records = []
-    for (utt, span, _), (tokens, fv) in zip(targets, _question_features(targets, cfg)):
-        if model is not None:
-            q_type = predict(model, fv)
-        else:
-            q_type = rule_classify(fv, cfg)
-        feature = None
-        if q_type is QuestionType.WH:
-            feature = map_wh_feature(tokens, wh_map)
-        records.append(
-            QuestionAnnotation(utt.dialogue_id, utt.turn_index, span, q_type, feature, annotator)
-        )
+    for utt, span, tokens, fv in _question_features(dialogues, keys, cfg, sources, args.language):
+        q_type = predict(model, fv) if model is not None else rule_classify(fv, cfg)
+        feature = map_wh_feature(tokens, wh_map) if q_type is QuestionType.WH else None
+        records.append(QuestionAnnotation(utt.dialogue_id, utt.turn_index, span, q_type, feature, annotator))
 
     with _open_out(args.output) as out:
         write_annotations(records, out)
@@ -318,8 +287,8 @@ def cmd_train(args) -> int:
         (r for r in _read_annotation_files(args.annotations) if isinstance(r, QuestionAnnotation)),
         key=lambda q: q.key,
     )
-    with _locating_questions(args.annotations):
-        targets = _resolve_questions(dialogues, [q.key for q in questions])
+    passed = _question_features(dialogues, (q.key for q in questions), cfg, args.annotations)
+    rows = [(q, utt, fv) for q, (utt, _, _, fv) in zip(questions, passed)]
 
     if args.limit_utterances is not None:
         total = sum(len(d.utterances) for d in dialogues)
@@ -327,15 +296,9 @@ def cmd_train(args) -> int:
             raise ValueError(f"--limit-utterances must be non-negative, got {args.limit_utterances}")
         if args.limit_utterances > total:
             raise ValueError(f"--limit-utterances {args.limit_utterances} exceeds corpus size {total}")
-        first = itertools.islice((u for d in dialogues for u in d.utterances), args.limit_utterances)
-        allowed = {(u.dialogue_id, u.turn_index) for u in first}
-        keep = [(q.dialogue_id, q.turn_index) in allowed for q in questions]
-        questions = list(itertools.compress(questions, keep))
-        targets = list(itertools.compress(targets, keep))
-
-    instances = [
-        LabeledInstance(fv, q.q_type) for q, (_, fv) in zip(questions, _question_features(targets, cfg))
-    ]
+        first = set(itertools.islice((u for d in dialogues for u in d.utterances), args.limit_utterances))
+        rows = [row for row in rows if row[1] in first]
+    instances = [LabeledInstance(fv, q.q_type) for q, _, fv in rows]
 
     if args.baseline:
         model = majority_baseline(inst.label for inst in instances)
@@ -357,9 +320,7 @@ def cmd_train(args) -> int:
         "label_distribution": distribution,
         "model": str(args.output),
     }
-    if not args.deterministic:
-        summary["generated_at"] = _utc_stamp()
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _write_report(summary, None, args.deterministic)
     return 0
 
 
@@ -378,9 +339,7 @@ def cmd_evaluate(args) -> int:
     doc = report.to_json_dict()
     doc["n_items"] = len(keys)
     doc["confusion_text"] = matrix.to_text()
-    if not args.deterministic:
-        doc["generated_at"] = _utc_stamp()
-    _write_json(doc, args.output)
+    _write_report(doc, args.output, args.deterministic)
     if args.output:
         print(matrix.to_text())
         print(f"accuracy {report.accuracy:.4f}  macro_f1 {report.macro_f1:.4f}  weighted_f1 {report.weighted_f1:.4f}")
@@ -416,9 +375,7 @@ def cmd_agree(args) -> int:
         "layers": layer_reports,
         "disagreements": [r.to_json_dict() for r in disagreement_report(by_annotator)],
     }
-    if not args.deterministic:
-        doc["generated_at"] = _utc_stamp()
-    _write_json(doc, args.output)
+    _write_report(doc, args.output, args.deterministic)
     return 0
 
 
@@ -434,9 +391,7 @@ def cmd_validate(args) -> int:
             {"kind": v.kind.value, "item": v.item, "message": v.message} for v in violations
         ],
     }
-    if not args.deterministic:
-        doc["generated_at"] = _utc_stamp()
-    _write_json(doc, args.output)
+    _write_report(doc, args.output, args.deterministic)
     log.info("%d questions, %d answers, %d violations", len(questions), len(answers), len(violations))
     return 1 if violations else 0
 

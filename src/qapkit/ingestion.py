@@ -113,6 +113,8 @@ def _json_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
             raise MalformedLine(line_no, f"invalid JSON: {exc.msg}") from exc
         except RecursionError:
             raise MalformedLine(line_no, "JSON nesting too deep") from None
+        except ValueError:  # an integer past the interpreter's digit limit
+            raise MalformedLine(line_no, "integer too long") from None
         if not isinstance(obj, dict):
             raise MalformedLine(line_no, "expected a JSON object")
         yield line_no, obj

@@ -24,4 +24,4 @@ def overlap_ratio(a: Sequence[str], b: Sequence[str]) -> float:
     if not a:
         return 0.0
     distinct = set(a)
-    return len(distinct & set(b)) / len(distinct)
+    return len(distinct.intersection(b)) / len(distinct)

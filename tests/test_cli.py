@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import logging
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -585,6 +586,17 @@ class TestTrain:
         assert code == 2
         assert "zzz:9:0-3" in err
 
+    def test_unresolved_span_is_reported_before_a_bad_limit(self, run_cli, tmp_path, train_corpus):
+        corpus, gold = train_corpus
+        with open(gold, "a", encoding="utf-8") as f:
+            f.write(json.dumps(q_obj(9, "abc", "YN", dialogue="zzz")) + "\n")
+        code, _, err = run_cli(
+            "train", "--input", corpus, "--annotations", gold,
+            "--output", tmp_path / "m.json", "--limit-utterances", "-1",
+        )
+        assert code == 2
+        assert err == f"error: {gold}: line 5: question zzz:9:0-3 has no matching utterance\n"
+
     def test_annotation_without_utterance(self, run_cli, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "hi?")])
         gold = write_jsonl(tmp_path / "g.jsonl", [q_obj(7, "hi?", "YN")])
@@ -830,6 +842,7 @@ class TestAnnotationIndex:
 CORPUS_LINE = json.dumps(utt_obj(0, "Where did you go?")) + "\n"
 GOLD_LINE = json.dumps(q_obj(0, "Where did you go?", "WH")) + "\n"
 BAD_UTF8_LINE2 = b"who\nwh\xffat\n"
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _file(path, content):
@@ -926,6 +939,19 @@ def _training_annotations(d):
     return argv, bad, "line 3: question d1:0:0-40: span exceeds utterance length 17"
 
 
+def _bad_second_line(d, command, line):
+    """The argv of ``command`` reading a JSON-lines input whose second line is ``line``, and that input."""
+    first = CORPUS_LINE if command in ("ingest", "classify") else GOLD_LINE
+    bad = _file(d / "bad.jsonl", first + line)
+    argv = {
+        "ingest": ("ingest", "--input", bad),
+        "classify": ("classify", "--input", bad),
+        "evaluate": ("evaluate", "--gold", bad, "--pred", _file(d / "p.jsonl", GOLD_LINE)),
+        "validate": ("validate", "--input", bad),
+    }[command]
+    return argv, bad
+
+
 class TestInputErrorsNameTheFile:
     @pytest.mark.parametrize(
         "make",
@@ -944,17 +970,18 @@ class TestInputErrorsNameTheFile:
 
     @pytest.mark.parametrize("command", ["ingest", "classify", "evaluate", "validate"])
     def test_deep_json_nesting_exits_two(self, run_cli, tmp_path, command):
-        first = CORPUS_LINE if command in ("ingest", "classify") else GOLD_LINE
-        deep = _file(tmp_path / "deep.jsonl", first + "[" * 100_000 + "\n")
-        argv = {
-            "ingest": ("ingest", "--input", deep),
-            "classify": ("classify", "--input", deep),
-            "evaluate": ("evaluate", "--gold", deep, "--pred", _file(tmp_path / "p.jsonl", GOLD_LINE)),
-            "validate": ("validate", "--input", deep),
-        }[command]
+        argv, deep = _bad_second_line(tmp_path, command, "[" * 100_000 + "\n")
         code, _, err = run_cli(*argv)
         assert code == 2
         assert err.startswith(f"error: {deep}: line 2: JSON nesting too deep")
+
+    @pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="this interpreter has no integer digit limit")
+    @pytest.mark.parametrize("command", ["ingest", "classify", "evaluate", "validate"])
+    def test_integer_past_the_digit_limit_exits_two(self, run_cli, tmp_path, command):
+        argv, big = _bad_second_line(tmp_path, command, '{"n": ' + "9" * (INT_DIGIT_LIMIT + 1) + "}\n")
+        code, _, err = run_cli(*argv)
+        assert code == 2
+        assert err.startswith(f"error: {big}: line 2:")
 
     def test_deep_extractor_config_exits_two(self, run_cli, tmp_path):
         corpus = _file(tmp_path / "c.jsonl", CORPUS_LINE)

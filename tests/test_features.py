@@ -19,7 +19,7 @@ from qapkit import (
     overlap_ratio,
     tokenize,
 )
-from qapkit.cli import _question_features, _resolve_questions
+from qapkit.cli import _question_features
 from qapkit.features import FEATURE_NAMES, load_extractor_config
 from qapkit.lexicon import DEFAULT_CLICHE
 
@@ -361,8 +361,10 @@ class TestOneFeaturePass:
                 for _ in range(data.draw(st.integers(0, 3)))
             }
         )
-        targets = _resolve_questions([Dialogue("d", "en", utterances)], keys)
-        for (utt, (s, e), previous), (tokens, fv) in zip(targets, _question_features(targets, cfg), strict=True):
+        passed = list(_question_features([Dialogue("d", "en", utterances)], keys, cfg))
+        assert [(utt.dialogue_id, utt.turn_index, span) for utt, span, _, _ in passed] == keys
+        for utt, (s, e), tokens, fv in passed:
+            previous = utterances[utt.turn_index - 1] if utt.turn_index > 0 else None
             assert tokens == tokenize(utt.text[s:e])
             assert fv == extract_features(utt, (s, e), previous, cfg)
             assert map_wh_feature(tokens, WH_MAP) == map_wh_feature(tokenize(utt.text[s:e]), WH_MAP)
@@ -373,7 +375,8 @@ class TestOneFeaturePass:
     def test_span_is_tokenized_on_its_own(self):
         # Lowercasing reads context: alone, the span's sigma is word-final; in the whole text it is not.
         question = utt("ΑΣ:Α")
-        [(tokens, fv)] = _question_features([(question, (0, 2), None)], ExtractorConfig())
+        dialogues = [Dialogue("d", "en", (question,))]
+        [(_, _, tokens, fv)] = _question_features(dialogues, [("d", 0, (0, 2))], ExtractorConfig())
         assert tokens == ["ας"]
         assert tokenize("ΑΣ:Α") == ["ασ", "α"]
         assert fv == extract_features(question, (0, 2))
