@@ -86,11 +86,15 @@ def _open_out(path: Optional[str]):
 
 
 def _write_report(doc: dict, path: Optional[str], deterministic: bool) -> None:
-    """Write a JSON report, stamped with generated_at unless the run is deterministic."""
+    """Write a JSON report, stamped with generated_at unless the run is deterministic.
+
+    Report records (dataclasses) are written as their own fields.
+    """
     if not deterministic:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     with _open_out(path) as out:
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        json.dump(doc, out, indent=2, sort_keys=True, default=vars)
+        out.write("\n")
 
 
 def _load_corpus(paths: Sequence[str]) -> list[Dialogue]:
@@ -347,22 +351,22 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_agree(args) -> int:
-    records = _read_annotation_files(args.input)
     by_annotator: dict[str, list] = {}
-    for rec in records:
+    for rec in _read_annotation_files(args.input):
         by_annotator.setdefault(rec.annotator_id, []).append(rec)
+    indexes = {annotator: index_by_item(records) for annotator, records in by_annotator.items()}
 
     layers = LAYERS if args.layer == "all" else (args.layer,)
-    layer_reports: dict[str, list[dict]] = {}
+    layer_reports = {}
     for layer in layers:
         try:
-            reports = pairwise_agreement(by_annotator, layer)
+            reports = pairwise_agreement(indexes, layer)
         except NoAlignedItems as exc:
             if args.layer != "all":
                 raise
             log.warning("layer %s skipped: %s", layer, exc)
             continue
-        layer_reports[layer] = [r.to_json_dict() for r in reports]
+        layer_reports[layer] = reports
         for r in reports:
             who = "mean" if r.is_mean else "~".join(r.annotators)
             log.info(
@@ -371,10 +375,7 @@ def cmd_agree(args) -> int:
     if not layer_reports:
         raise NoAlignedItems("no layer had items aligned across annotators")
 
-    doc = {
-        "layers": layer_reports,
-        "disagreements": [r.to_json_dict() for r in disagreement_report(by_annotator)],
-    }
+    doc = {"layers": layer_reports, "disagreements": disagreement_report(indexes)}
     _write_report(doc, args.output, args.deterministic)
     return 0
 
@@ -385,13 +386,7 @@ def cmd_validate(args) -> int:
     answers = [r for r in records if isinstance(r, AnswerAnnotation)]
     violations = validate_corpus(questions, answers)
 
-    doc = {
-        "count": len(violations),
-        "violations": [
-            {"kind": v.kind.value, "item": v.item, "message": v.message} for v in violations
-        ],
-    }
-    _write_report(doc, args.output, args.deterministic)
+    _write_report({"count": len(violations), "violations": violations}, args.output, args.deterministic)
     log.info("%d questions, %d answers, %d violations", len(questions), len(answers), len(violations))
     return 1 if violations else 0
 

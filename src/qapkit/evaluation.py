@@ -11,16 +11,19 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .model import (
     AnswerAnnotation,
     QuestionAnnotation,
+    Tag,
     feature_applicable,
 )
 
 AnnotationRecord = Union[QuestionAnnotation, AnswerAnnotation]
+
+#: One annotator's questions by (dialogue, turn, span) and answers by question reference.
+ItemIndex = tuple[dict[tuple, QuestionAnnotation], dict[str, AnswerAnnotation]]
 
 LAYERS = ("questions", "features", "answers")
 
@@ -201,20 +204,8 @@ class AgreementReport:
     n_items: int
     is_mean: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "layer": self.layer,
-            "annotators": list(self.annotators),
-            "observed": self.observed,
-            "kappa": self.kappa,
-            "n_items": self.n_items,
-            "is_mean": self.is_mean,
-        }
 
-
-def index_by_item(
-    records: Iterable[AnnotationRecord],
-) -> tuple[dict[tuple, QuestionAnnotation], dict[str, AnswerAnnotation]]:
+def index_by_item(records: Iterable[AnnotationRecord]) -> ItemIndex:
     """Index one annotator's records by item; the first record for an item wins.
 
     Questions are keyed by position (dialogue, turn, span), answers by the
@@ -234,8 +225,8 @@ def _feature_tag(ann: QuestionAnnotation) -> str:
     return ann.feature.value if ann.feature is not None else "-"
 
 
-def _layer_labels(records: Sequence[AnnotationRecord], layer: str) -> dict:
-    questions, answers = index_by_item(records)
+def _layer_labels(index: ItemIndex, layer: str) -> dict:
+    questions, answers = index
     if layer == "answers":
         return {ref: ann.a_type.value for ref, ann in answers.items()}
     if layer == "questions":
@@ -247,12 +238,10 @@ def _layer_labels(records: Sequence[AnnotationRecord], layer: str) -> dict:
     }
 
 
-def pairwise_agreement(
-    by_annotator: Mapping[str, Sequence[AnnotationRecord]],
-    layer: str,
-) -> list[AgreementReport]:
+def pairwise_agreement(indexes: Mapping[str, ItemIndex], layer: str) -> list[AgreementReport]:
     """Observed agreement and kappa for every annotator pair on one layer.
 
+    ``indexes`` maps each annotator to the index_by_item of their records.
     Items align by question position (dialogue, turn, span); answers align
     by the question they reference. A final report with ``is_mean=True``
     carries the unweighted mean over pairs; its n_items sums the pairwise
@@ -261,15 +250,17 @@ def pairwise_agreement(
     """
     if layer not in LAYERS:
         raise ValueError(f"unknown layer {layer!r}; expected one of {LAYERS}")
-    ids = sorted(by_annotator)
+    ids = sorted(indexes)
     if len(ids) < 2:
         raise NoAlignedItems("agreement needs at least two annotators")
 
-    labels = {annotator: _layer_labels(by_annotator[annotator], layer) for annotator in ids}
+    labels = {annotator: _layer_labels(indexes[annotator], layer) for annotator in ids}
     reports: list[AgreementReport] = []
     for id_a, id_b in itertools.combinations(ids, 2):
         map_a, map_b = labels[id_a], labels[id_b]
-        keys = sorted(map_a.keys() & map_b.keys())
+        # shared items in no particular order: observed agreement is an integer
+        # count over n, and kappa sums the label marginals in sorted-label order
+        keys = map_a.keys() & map_b.keys()
         if not keys:
             continue
         labels_a = [map_a[k] for k in keys]
@@ -298,12 +289,9 @@ def pairwise_agreement(
     return reports
 
 
-class DisagreementCategory(str, Enum):
+class DisagreementCategory(Tag):
     CASCADE = "cascade"
     UNCATEGORIZED = "uncategorized"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -313,18 +301,8 @@ class DisagreementRecord:
     tags: Mapping[str, str]  # annotator id -> tag ("-" for no feature)
     category: DisagreementCategory
 
-    def to_json_dict(self) -> dict:
-        return {
-            "layer": self.layer,
-            "item": self.item,
-            "tags": dict(self.tags),
-            "category": self.category.value,
-        }
 
-
-def disagreement_report(
-    by_annotator: Mapping[str, Sequence[AnnotationRecord]],
-) -> list[DisagreementRecord]:
+def disagreement_report(indexes: Mapping[str, ItemIndex]) -> list[DisagreementRecord]:
     """List every item where at least two annotators disagree.
 
     Question, feature, and answer layers are scanned; records default to
@@ -335,12 +313,11 @@ def disagreement_report(
 
     Unlike kappa scoring, the feature comparison here spans all
     co-annotated questions, so type-driven feature loss is visible.
+    ``indexes`` maps each annotator to the index_by_item of their records.
     """
-    ids = sorted(by_annotator)
-    q_maps: dict[str, dict] = {}
-    a_maps: dict[str, dict] = {}
-    for annotator in ids:
-        q_maps[annotator], a_maps[annotator] = index_by_item(by_annotator[annotator])
+    ids = sorted(indexes)
+    q_maps = {annotator: indexes[annotator][0] for annotator in ids}
+    a_maps = {annotator: indexes[annotator][1] for annotator in ids}
 
     records: list[DisagreementRecord] = []
 

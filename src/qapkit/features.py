@@ -19,19 +19,6 @@ from .lexicon import DEFAULT_AUX, DEFAULT_CLICHE, DEFAULT_TAG, DEFAULT_WH, Lexic
 from .model import Utterance
 from .text import overlap_ratio, tokenize
 
-#: Canonical field order; split tie-breaking and reports rely on it.
-FEATURE_NAMES: tuple[str, ...] = (
-    "has_wh",
-    "has_or",
-    "has_inversion",
-    "has_tag",
-    "last_utt_similar",
-    "last_utt_incomplete",
-    "has_cliche",
-    "length",
-)
-
-
 @dataclass(frozen=True)
 class FeatureVector:
     has_wh: bool
@@ -46,6 +33,10 @@ class FeatureVector:
     def as_tuple(self) -> tuple:
         """Values in canonical field order."""
         return tuple(getattr(self, name) for name in FEATURE_NAMES)
+
+
+#: Canonical field order; split tie-breaking and reports rely on it.
+FEATURE_NAMES: tuple[str, ...] = tuple(f.name for f in fields(FeatureVector))
 
 
 #: Names of the four lexicons; each is the ``NAME_lexicon`` field of ExtractorConfig.
@@ -142,12 +133,15 @@ def load_extractor_config(path: Union[str, Path]) -> ExtractorConfig:
     """
     path = Path(path)
     with open_input(path) as f:
+        text = f.read()  # outside the try: a decoding error is not a JSON error
         try:
-            doc = json.load(f)
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise MalformedLine(exc.lineno, f"invalid JSON: {exc.msg}") from exc
         except RecursionError:
             raise ValueError("JSON nesting too deep") from None
+        except ValueError:  # an integer past the interpreter's digit limit
+            raise ValueError("integer too long") from None
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
 
@@ -183,7 +177,3 @@ def load_extractor_config(path: Union[str, Path]) -> ExtractorConfig:
                 raise ValueError("cliche_length_cap must be a non-negative integer")
             kwargs["cliche_length_cap"] = cap
         return ExtractorConfig(**kwargs)
-
-
-# keep the dataclass and the canonical name list in sync
-assert tuple(f.name for f in fields(FeatureVector)) == FEATURE_NAMES

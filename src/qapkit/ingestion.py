@@ -35,14 +35,11 @@ class MalformedLine(IngestError):
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
-        self.reason = reason
 
 
 class DuplicateTurn(IngestError):
     def __init__(self, dialogue_id: str, turn_index: int):
         super().__init__(f"duplicate turn {turn_index} in dialogue {dialogue_id!r}")
-        self.dialogue_id = dialogue_id
-        self.turn_index = turn_index
 
 
 class NonDenseTurns(IngestError):
@@ -54,8 +51,6 @@ class NonDenseTurns(IngestError):
         super().__init__(
             f"dialogue {dialogue_id!r}: turn indices not consecutive ({missing} missing between {before} and {after})"
         )
-        self.dialogue_id = dialogue_id
-        self.indices = tuple(indices)
 
 
 class EmptyTranscript(IngestError):

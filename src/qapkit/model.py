@@ -14,7 +14,14 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 
-class QuestionType(str, Enum):
+class Tag(str, Enum):
+    """Base of the closed tagsets: a member is its string value, and prints as it."""
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class QuestionType(Tag):
     """Question type tags. The set is closed."""
 
     YN = "YN"  # yes/no question
@@ -23,11 +30,8 @@ class QuestionType(str, Enum):
     DQ = "DQ"  # disjunctive question
     PQ = "PQ"  # phatic question
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class Feature(str, Enum):
+class Feature(Tag):
     """Semantic role of the questioned constituent."""
 
     TMP = "TMP"  # temporality
@@ -38,11 +42,8 @@ class Feature(str, Enum):
     RE = "RE"  # reason
     TH = "TH"  # theme
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class AnswerType(str, Enum):
+class AnswerType(Tag):
     """Answer type tags. The set is closed."""
 
     PA = "PA"  # positive answer
@@ -52,9 +53,6 @@ class AnswerType(str, Enum):
     UA = "UA"  # uncertainty answer
     UT = "UT"  # unrelated topic
     DA = "DA"  # deny the assumption
-
-    def __str__(self) -> str:
-        return self.value
 
 
 #: Row and column order used by confusion tables and reports.
@@ -157,13 +155,10 @@ class AnswerAnnotation:
     annotator_id: str = ""
 
 
-class ViolationKind(str, Enum):
+class ViolationKind(Tag):
     ILLEGAL_ANSWER_FOR_QUESTION = "illegal-answer-for-question"
     FEATURE_NOT_APPLICABLE = "feature-not-applicable"
     DANGLING_REFERENCE = "dangling-reference"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)

@@ -283,12 +283,15 @@ def _node_from_obj(obj: object) -> Node:
 
 def load_model(stream: IO[str]) -> TreeModel:
     """Decode a model document; reject damage and future versions."""
+    text = stream.read()  # outside the try: a decoding error is not a JSON error
     try:
-        doc = json.load(stream)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedModel(f"line {exc.lineno}: invalid JSON: {exc.msg}") from exc
     except RecursionError:
         raise MalformedModel("model nesting too deep") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise MalformedModel("integer too long") from None
     if not isinstance(doc, dict):
         raise MalformedModel("model document must be a JSON object")
     version = doc.get("version")

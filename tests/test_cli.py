@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qapkit import load_model, map_wh_feature, predict, tokenize
 from qapkit import cli as cli_module
+from qapkit import evaluation as evaluation_module
 from qapkit import features as features_module
 from qapkit.cli import main
 from qapkit.features import FEATURE_NAMES
@@ -747,6 +748,27 @@ class TestAgree:
         skipped = [r for r in caplog.records if "skipped" in r.getMessage()]
         assert len(skipped) == 3  # one warning per layer before giving up
 
+    def test_each_annotator_is_indexed_once(self, run_cli, tmp_path, monkeypatch):
+        index_by_item = evaluation_module.index_by_item
+        indexed = []
+
+        def counting(records):
+            indexed.append(records)
+            return index_by_item(records)
+
+        monkeypatch.setattr(evaluation_module, "index_by_item", counting)
+        monkeypatch.setattr(cli_module, "index_by_item", counting)
+        files = [
+            write_jsonl(
+                tmp_path / f"{who}.jsonl",
+                [q_obj(0, "x?", "YN", annotator=who), a_obj(1, "PA", "d1:0:0-2", annotator=who)],
+            )
+            for who in ("A1", "A2", "A3")
+        ]
+        code, _, _ = run_cli("agree", "--input", *files, "--deterministic")
+        assert code == 0
+        assert len(indexed) == 3
+
 
 class TestValidate:
     def test_violations_exit_one(self, run_cli, tmp_path):
@@ -782,6 +804,25 @@ class TestValidate:
         doc = json.loads(out)
         assert doc["count"] == 1
         assert doc["violations"][0]["kind"] == "feature-not-applicable"
+
+    def test_report_text(self, run_cli, tmp_path):
+        ann = write_jsonl(
+            tmp_path / "ann.jsonl",
+            [q_obj(0, "Did you see him?", "YN"), a_obj(1, "FA", "d1:0:0-16")],
+        )
+        code, out, _ = run_cli("validate", "--input", ann, "--deterministic")
+        assert code == 1
+        assert out == """{
+  "count": 1,
+  "violations": [
+    {
+      "item": "d1:0:0-16",
+      "kind": "illegal-answer-for-question",
+      "message": "FA answers are not allowed for YN questions"
+    }
+  ]
+}
+"""
 
     def test_dangling_answer(self, run_cli, tmp_path):
         ann = write_jsonl(tmp_path / "ann.jsonl", [a_obj(1, "PA", "d1:0:0-4")])
@@ -910,6 +951,18 @@ def _extractor_config(d):
     return ("classify", "--input", corpus, "--extractor-config", bad), bad, "line 3: invalid JSON"
 
 
+def _utf8_extractor_config(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    bad = _file(d / "ext.json", b'{\n  "wh_lexicon": ["wh\xffat"]\n}\n')
+    return ("classify", "--input", corpus, "--extractor-config", bad), bad, f"{bad}:2: invalid UTF-8"
+
+
+def _utf8_model(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    bad = _file(d / "m.json", b'{"version": 1,\n "root": "\xff"}\n')
+    return ("classify", "--input", corpus, "--mode", "tree", "--model", bad), bad, f"{bad}:2: invalid UTF-8"
+
+
 def _model(d):
     corpus = _file(d / "c.jsonl", CORPUS_LINE)
     bad = _file(d / "m.json", '{"version": 1,\n "root": }\n')
@@ -957,7 +1010,8 @@ class TestInputErrorsNameTheFile:
         "make",
         [
             _corpus_input, _tsv, _eaf, _wh_map, _lexicon, _wordless_lexicon_entry, _wordless_inline_entry,
-            _config_lexicon, _extractor_config, _model, _annotations, _question_spans, _training_annotations,
+            _config_lexicon, _extractor_config, _utf8_extractor_config, _model, _utf8_model, _annotations,
+            _question_spans, _training_annotations,
         ],
     )
     def test_every_input_kind(self, run_cli, tmp_path, make):
@@ -989,6 +1043,19 @@ class TestInputErrorsNameTheFile:
         code, _, err = run_cli("classify", "--input", corpus, "--extractor-config", config)
         assert code == 2
         assert err.startswith(f"error: {config}: JSON nesting too deep")
+
+    @pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="this interpreter has no integer digit limit")
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(("--extractor-config",), "similarity_threshold"), (("--mode", "tree", "--model"), "version")],
+        ids=["extractor-config", "model"],
+    )
+    def test_integer_past_the_digit_limit_in_a_json_document_exits_two(self, run_cli, tmp_path, flags, field):
+        corpus = _file(tmp_path / "c.jsonl", CORPUS_LINE)
+        doc = _file(tmp_path / "doc.json", f'{{"{field}": ' + "9" * (INT_DIGIT_LIMIT + 1) + "}\n")
+        code, _, err = run_cli("classify", "--input", corpus, *flags, doc)
+        assert code == 2
+        assert err == f"error: {doc}: integer too long\n"
 
     def test_gap_in_a_long_transcript_names_the_missing_turn(self, run_cli, tmp_path):
         lines = [f"{i}\tA\tline {i}\n" for i in range(5000) if i != 2500]

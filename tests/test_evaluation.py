@@ -1,11 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qapkit import (
-    AgreementReport,
     AnswerAnnotation,
     AnswerType,
     ConfusionMatrix,
@@ -20,9 +19,11 @@ from qapkit import (
     cohen_kappa,
     confusion,
     disagreement_report,
+    index_by_item,
     observed_agreement,
     pairwise_agreement,
     score,
+    write_annotations,
 )
 
 YN, WH, DQ, CS, PQ = QuestionType.YN, QuestionType.WH, QuestionType.DQ, QuestionType.CS, QuestionType.PQ
@@ -239,13 +240,30 @@ def a_ann(annotator, turn, a_type, ref, dialogue="d1"):
     return AnswerAnnotation(dialogue, turn, a_type, ref, annotator)
 
 
+def indexed(records):
+    """The annotator -> index_by_item mapping that agreement takes, from annotator -> records."""
+    return {annotator: index_by_item(recs) for annotator, recs in records.items()}
+
+
+def agree_stdout(run_cli, tmp_path, records, *flags):
+    """stdout of ``agree --deterministic`` over one annotation file per annotator."""
+    paths = []
+    for annotator, recs in records.items():
+        paths.append(tmp_path / f"{annotator}.jsonl")
+        with open(paths[-1], "w", encoding="utf-8") as f:
+            write_annotations(recs, f)
+    code, out, _ = run_cli("agree", "--input", *paths, *flags, "--deterministic")
+    assert code == 0
+    return out
+
+
 class TestPairwiseAgreement:
     def test_two_annotators_single_layer(self):
         records = {
             "A": [q_ann("A", 0, YN), q_ann("A", 2, WH), q_ann("A", 4, PQ), q_ann("A", 6, PQ)],
             "B": [q_ann("B", 0, YN), q_ann("B", 2, WH), q_ann("B", 4, YN), q_ann("B", 6, PQ)],
         }
-        reports = pairwise_agreement(records, "questions")
+        reports = pairwise_agreement(indexed(records), "questions")
         assert len(reports) == 2
         pair, mean = reports
         assert pair.annotators == ("A", "B")
@@ -267,7 +285,7 @@ class TestPairwiseAgreement:
                 "C": (PQ, PQ),
             }.items()
         }
-        reports = pairwise_agreement(records, "questions")
+        reports = pairwise_agreement(indexed(records), "questions")
         pairs = [r for r in reports if not r.is_mean]
         assert [r.annotators for r in pairs] == [("A", "B"), ("A", "C"), ("B", "C")]
         mean = reports[-1]
@@ -290,7 +308,7 @@ class TestPairwiseAgreement:
                 q_ann("B", 2, WH, Feature.AG),
             ],
         }
-        reports = pairwise_agreement(records, "features")
+        reports = pairwise_agreement(indexed(records), "features")
         pair = reports[0]
         assert pair.n_items == 2  # turns 0 and 1 only
         assert pair.observed == 0.5  # LOC==LOC, TMP!="-"
@@ -300,13 +318,13 @@ class TestPairwiseAgreement:
             "A": [a_ann("A", 1, AnswerType.PA, "d1:0:0-4"), a_ann("A", 3, AnswerType.FA, "d1:2:0-4")],
             "B": [a_ann("B", 1, AnswerType.PA, "d1:0:0-4"), a_ann("B", 3, AnswerType.UA, "d1:2:0-4")],
         }
-        reports = pairwise_agreement(records, "answers")
+        reports = pairwise_agreement(indexed(records), "answers")
         assert reports[0].observed == 0.5
         assert reports[0].n_items == 2
 
     def test_single_annotator(self):
         with pytest.raises(NoAlignedItems):
-            pairwise_agreement({"A": [q_ann("A", 0, YN)]}, "questions")
+            pairwise_agreement(indexed({"A": [q_ann("A", 0, YN)]}), "questions")
 
     def test_disjoint_items(self):
         records = {
@@ -314,23 +332,66 @@ class TestPairwiseAgreement:
             "B": [q_ann("B", 5, YN)],
         }
         with pytest.raises(NoAlignedItems):
-            pairwise_agreement(records, "questions")
+            pairwise_agreement(indexed(records), "questions")
 
     def test_unknown_layer(self):
         with pytest.raises(ValueError, match="layer"):
-            pairwise_agreement({"A": [], "B": []}, "typos")
+            pairwise_agreement(indexed({"A": [], "B": []}), "typos")
 
-    def test_reports_serialize(self):
-        report = AgreementReport("questions", ("A", "B"), 1.0, 1.0, 3)
-        doc = report.to_json_dict()
-        assert doc == {
-            "layer": "questions",
-            "annotators": ["A", "B"],
-            "observed": 1.0,
-            "kappa": 1.0,
-            "n_items": 3,
-            "is_mean": False,
-        }
+    def test_reports_serialize(self, run_cli, tmp_path):
+        records = {name: [q_ann(name, t, YN) for t in range(3)] for name in ("A", "B")}
+        out = agree_stdout(run_cli, tmp_path, records, "--layer", "questions")
+        assert out == """{
+  "disagreements": [],
+  "layers": {
+    "questions": [
+      {
+        "annotators": [
+          "A",
+          "B"
+        ],
+        "is_mean": false,
+        "kappa": 1.0,
+        "layer": "questions",
+        "n_items": 3,
+        "observed": 1.0
+      },
+      {
+        "annotators": [
+          "A",
+          "B"
+        ],
+        "is_mean": true,
+        "kappa": 1.0,
+        "layer": "questions",
+        "n_items": 3,
+        "observed": 1.0
+      }
+    ]
+  }
+}
+"""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_record_order_does_not_change_any_report(self, data):
+        items = st.tuples(st.integers(0, 5), st.sampled_from([YN, WH, DQ, PQ]), st.sampled_from([None, *Feature]))
+        records = {}
+        for name in ("A", "B", "C"):
+            drawn = data.draw(st.lists(items, max_size=6, unique_by=lambda item: item[0]))
+            recs = [q_ann(name, t, q_type, feature) for t, q_type, feature in drawn]
+            recs += [a_ann(name, t + 1, data.draw(st.sampled_from(AnswerType)), f"d1:{t}:0-4") for t, _, _ in drawn]
+            records[name] = recs
+        permuted = {name: data.draw(st.permutations(recs)) for name, recs in records.items()}
+
+        def reports(by_annotator, layer):
+            try:
+                return pairwise_agreement(indexed(by_annotator), layer)
+            except NoAlignedItems:
+                return None
+
+        for layer in ("questions", "features", "answers"):
+            assert reports(permuted, layer) == reports(records, layer)
 
 
 class TestDisagreementReport:
@@ -339,7 +400,7 @@ class TestDisagreementReport:
             "A": [q_ann("A", 0, WH, Feature.LOC)],
             "B": [q_ann("B", 0, PQ, None)],
         }
-        report = disagreement_report(records)
+        report = disagreement_report(indexed(records))
         assert [r.layer for r in report] == ["questions", "features"]
         q_rec, f_rec = report
         assert q_rec.category is DisagreementCategory.UNCATEGORIZED
@@ -353,7 +414,7 @@ class TestDisagreementReport:
             "A": [q_ann("A", 0, WH, Feature.LOC)],
             "B": [q_ann("B", 0, WH, Feature.TMP)],
         }
-        report = disagreement_report(records)
+        report = disagreement_report(indexed(records))
         assert len(report) == 1
         assert report[0].layer == "features"
         assert report[0].category is DisagreementCategory.UNCATEGORIZED
@@ -363,14 +424,14 @@ class TestDisagreementReport:
             "A": [q_ann("A", 0, YN), a_ann("A", 1, AnswerType.PA, "d1:0:0-4")],
             "B": [q_ann("B", 0, YN), a_ann("B", 1, AnswerType.PA, "d1:0:0-4")],
         }
-        assert disagreement_report(records) == []
+        assert disagreement_report(indexed(records)) == []
 
     def test_plain_type_disagreement(self):
         records = {
             "A": [q_ann("A", 0, YN)],
             "B": [q_ann("B", 0, CS)],
         }
-        report = disagreement_report(records)
+        report = disagreement_report(indexed(records))
         assert len(report) == 1
         assert report[0].layer == "questions"
         assert report[0].tags == {"A": "YN", "B": "CS"}
@@ -380,7 +441,7 @@ class TestDisagreementReport:
             "A": [a_ann("A", 1, AnswerType.PA, "d1:0:0-4")],
             "B": [a_ann("B", 1, AnswerType.DA, "d1:0:0-4")],
         }
-        report = disagreement_report(records)
+        report = disagreement_report(indexed(records))
         assert len(report) == 1
         assert report[0].layer == "answers"
         assert report[0].tags == {"A": "PA", "B": "DA"}
@@ -391,7 +452,7 @@ class TestDisagreementReport:
             "A": [q_ann("A", 0, YN), q_ann("A", 9, WH, Feature.RE)],
             "B": [q_ann("B", 0, WH, Feature.TH)],
         }
-        report = disagreement_report(records)
+        report = disagreement_report(indexed(records))
         assert all(r.item == "d1:0:0-4" for r in report)
 
     def test_output_order_is_deterministic(self):
@@ -399,20 +460,61 @@ class TestDisagreementReport:
             "A": [q_ann("A", t, YN) for t in (5, 1, 3)],
             "B": [q_ann("B", t, PQ) for t in (3, 5, 1)],
         }
-        report = disagreement_report(records)
+        report = disagreement_report(indexed(records))
         assert [r.item for r in report] == ["d1:1:0-4", "d1:3:0-4", "d1:5:0-4"]
 
-    def test_record_serializes(self):
-        rec = disagreement_report(
-            {"A": [q_ann("A", 0, YN)], "B": [q_ann("B", 0, PQ)]}
-        )[0]
-        doc = rec.to_json_dict()
-        assert doc == {
-            "layer": "questions",
-            "item": "d1:0:0-4",
-            "tags": {"A": "YN", "B": "PQ"},
-            "category": "uncategorized",
-        }
+    def test_record_serializes(self, run_cli, tmp_path):
+        records = {"A": [q_ann("A", 0, WH, Feature.LOC)], "B": [q_ann("B", 0, PQ)]}
+        out = agree_stdout(run_cli, tmp_path, records, "--layer", "questions")
+        assert out == """{
+  "disagreements": [
+    {
+      "category": "uncategorized",
+      "item": "d1:0:0-4",
+      "layer": "questions",
+      "tags": {
+        "A": "WH",
+        "B": "PQ"
+      }
+    },
+    {
+      "category": "cascade",
+      "item": "d1:0:0-4",
+      "layer": "features",
+      "tags": {
+        "A": "LOC",
+        "B": "-"
+      }
+    }
+  ],
+  "layers": {
+    "questions": [
+      {
+        "annotators": [
+          "A",
+          "B"
+        ],
+        "is_mean": false,
+        "kappa": 0.0,
+        "layer": "questions",
+        "n_items": 1,
+        "observed": 0.0
+      },
+      {
+        "annotators": [
+          "A",
+          "B"
+        ],
+        "is_mean": true,
+        "kappa": 0.0,
+        "layer": "questions",
+        "n_items": 1,
+        "observed": 0.0
+      }
+    ]
+  }
+}
+"""
 
 
 class TestKappaEdgeFloats:
