@@ -9,9 +9,10 @@ feature-layer mismatches caused by a question-layer mismatch as cascades.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
     AnswerAnnotation,
@@ -172,7 +173,7 @@ def score(matrix: ConfusionMatrix) -> EvalReport:
 def observed_agreement(a: Sequence, b: Sequence) -> float:
     """Fraction of positions labeled identically."""
     _check_aligned(a, b)
-    return sum(1 for x, y in zip(a, b) if x == y) / len(a)
+    return sum(map(operator.eq, a, b)) / len(a)
 
 
 def cohen_kappa(a: Sequence, b: Sequence) -> float:
@@ -182,9 +183,12 @@ def cohen_kappa(a: Sequence, b: Sequence) -> float:
     from the two annotators' label marginals. When both sequences are the
     same single label throughout, A_e is 1 and kappa is defined as 1.0.
     """
-    _check_aligned(a, b)
+    return _kappa(observed_agreement(a, b), a, b)
+
+
+def _kappa(observed: float, a: Sequence, b: Sequence) -> float:
+    """Cohen's kappa of two aligned, non-empty label sequences whose observed agreement is given."""
     n = len(a)
-    a_o = observed_agreement(a, b)
     marg_a = Counter(a)
     marg_b = Counter(b)
     a_e = 0.0
@@ -192,7 +196,7 @@ def cohen_kappa(a: Sequence, b: Sequence) -> float:
         a_e += (marg_a[label] / n) * (marg_b[label] / n)
     if a_e >= 1.0:
         return 1.0
-    return (a_o - a_e) / (1.0 - a_e)
+    return (observed - a_e) / (1.0 - a_e)
 
 
 @dataclass(frozen=True)
@@ -225,17 +229,16 @@ def _feature_tag(ann: QuestionAnnotation) -> str:
     return ann.feature.value if ann.feature is not None else "-"
 
 
-def _layer_labels(index: ItemIndex, layer: str) -> dict:
+def _layer_labels(index: ItemIndex, layer: str) -> Iterator[tuple[Hashable, str]]:
+    """(item key, label) for each item of one annotator's index on a layer."""
     questions, answers = index
     if layer == "answers":
-        return {ref: ann.a_type.value for ref, ann in answers.items()}
+        return ((ref, ann.a_type.value) for ref, ann in answers.items())
     if layer == "questions":
-        return {key: ann.q_type.value for key, ann in questions.items()}
+        return ((key, ann.q_type.value) for key, ann in questions.items())
     # feature tags are undefined outside feature-bearing types, so the
     # comparison covers only items both annotators typed as such
-    return {
-        key: _feature_tag(ann) for key, ann in questions.items() if feature_applicable(ann.q_type)
-    }
+    return ((key, _feature_tag(ann)) for key, ann in questions.items() if feature_applicable(ann.q_type))
 
 
 def pairwise_agreement(indexes: Mapping[str, ItemIndex], layer: str) -> list[AgreementReport]:
@@ -254,7 +257,14 @@ def pairwise_agreement(indexes: Mapping[str, ItemIndex], layer: str) -> list[Agr
     if len(ids) < 2:
         raise NoAlignedItems("agreement needs at least two annotators")
 
-    labels = {annotator: _layer_labels(indexes[annotator], layer) for annotator in ids}
+    numbers: dict[Hashable, int] = {}  # item key -> number, one numbering for every annotator
+    labels = {
+        annotator: {
+            numbers.setdefault(key, len(numbers)): label
+            for key, label in _layer_labels(indexes[annotator], layer)
+        }
+        for annotator in ids
+    }
     reports: list[AgreementReport] = []
     for id_a, id_b in itertools.combinations(ids, 2):
         map_a, map_b = labels[id_a], labels[id_b]
@@ -265,14 +275,9 @@ def pairwise_agreement(indexes: Mapping[str, ItemIndex], layer: str) -> list[Agr
             continue
         labels_a = [map_a[k] for k in keys]
         labels_b = [map_b[k] for k in keys]
+        observed = observed_agreement(labels_a, labels_b)
         reports.append(
-            AgreementReport(
-                layer,
-                (id_a, id_b),
-                observed_agreement(labels_a, labels_b),
-                cohen_kappa(labels_a, labels_b),
-                len(labels_a),
-            )
+            AgreementReport(layer, (id_a, id_b), observed, _kappa(observed, labels_a, labels_b), len(keys))
         )
     if not reports:
         raise NoAlignedItems(f"no items aligned across annotators on layer {layer!r}")

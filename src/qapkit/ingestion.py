@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .model import (
     AnswerAnnotation,
@@ -23,6 +23,8 @@ from .model import (
     QuestionType,
     Utterance,
 )
+
+T = TypeVar("T")
 
 
 class IngestError(ValueError):
@@ -97,22 +99,41 @@ def open_input(path: Union[str, Path]) -> Iterator[IO[str]]:
         yield f
 
 
-def _json_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
-    """(1-based line number, object) for each non-blank JSONL line; raises MalformedLine."""
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _json_lines(lines: Iterable[str], build: Callable[[dict, int], T]) -> Iterator[tuple[int, T]]:
+    """(1-based line number, build(object, line number)) for each non-blank JSONL line.
+
+    A line may carry JSON whitespace (space, tab, CR, LF) around its object;
+    a line of only whitespace is skipped. Raises MalformedLine for a line that
+    is not one JSON object, and for a field ``build`` reads by subscription
+    that is missing.
+    """
     for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(line_no, f"invalid JSON: {exc.msg}") from exc
-        except RecursionError:
-            raise MalformedLine(line_no, "JSON nesting too deep") from None
-        except ValueError:  # an integer past the interpreter's digit limit
-            raise MalformedLine(line_no, "integer too long") from None
+        try:  # a clean line decodes once; any other goes through json.loads, which words the error
+            obj, end = _raw_decode(raw)
+            clean = not raw[end:].strip(" \t\n\r")
+        except (ValueError, RecursionError):
+            clean = False
+        if not clean:
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise MalformedLine(line_no, f"invalid JSON: {exc.msg}") from exc
+            except RecursionError:
+                raise MalformedLine(line_no, "JSON nesting too deep") from None
+            except ValueError:  # an integer past the interpreter's digit limit
+                raise MalformedLine(line_no, "integer too long") from None
         if not isinstance(obj, dict):
             raise MalformedLine(line_no, "expected a JSON object")
-        yield line_no, obj
+        try:
+            record = build(obj, line_no)
+        except KeyError as exc:
+            raise MalformedLine(line_no, f"missing field {exc.args[0]!r}") from None
+        yield line_no, record
 
 
 @dataclass(frozen=True)
@@ -138,11 +159,15 @@ class Dialogue:
 
 
 def _utterance_from_obj(obj: dict, line_no: int) -> tuple[Utterance, str]:
+    """(utterance, language) of one JSONL object; every ``obj[key]`` must be a required field.
+
+    ``_json_lines`` reports a KeyError raised here or in ``_id_fields`` as that field missing.
+    """
     dialogue_id, turn_index = _id_fields(obj, line_no)
-    speaker = _require(obj, "speaker", line_no)
+    speaker = obj["speaker"]
     if not isinstance(speaker, str):
         raise MalformedLine(line_no, "speaker must be a string")
-    text = _require(obj, "text", line_no)
+    text = obj["text"]
     if not isinstance(text, str) or not text.strip():
         raise MalformedLine(line_no, "text must be a non-empty string")
     interrupted = obj.get("interrupted", False)
@@ -162,8 +187,7 @@ def parse_dialogue_jsonl(lines: Iterable[str]) -> list[Dialogue]:
     """
     by_dialogue: dict[str, dict[int, Utterance]] = {}
     languages: dict[str, str] = {}
-    for line_no, obj in _json_lines(lines):
-        utt, language = _utterance_from_obj(obj, line_no)
+    for line_no, (utt, language) in _json_lines(lines, _utterance_from_obj):
         turns = by_dialogue.setdefault(utt.dialogue_id, {})
         if utt.turn_index in turns:
             raise DuplicateTurn(utt.dialogue_id, utt.turn_index)
@@ -307,19 +331,53 @@ def write_dialogues(dialogues: Iterable[Dialogue], stream: IO[str]) -> None:
             stream.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _require(obj: dict, key: str, line_no: int) -> object:
-    if key not in obj:
-        raise MalformedLine(line_no, f"missing field {key!r}")
-    return obj[key]
+# tag value -> member for each closed tagset of the annotation records; only a
+# string is looked up, since a list or dict value is unhashable (and unknown too)
+_QUESTION_TYPES, _FEATURES, _ANSWER_TYPES = (
+    {member.value: member for member in tags} for tags in (QuestionType, Feature, AnswerType)
+)
 
 
-def _tag(enum_cls, value: object, line_no: int):
-    if isinstance(value, str):
-        try:
-            return enum_cls(value)
-        except ValueError:
-            pass
-    raise UnknownTag(value, line_no)
+def _annotation_from_obj(obj: dict, line_no: int) -> Union[QuestionAnnotation, AnswerAnnotation]:
+    """The record of one JSONL object; every ``obj[key]`` must be a required field.
+
+    ``_json_lines`` reports a KeyError raised here or in ``_id_fields`` as that field missing.
+    """
+    kind = obj["kind"]
+    if kind != "q" and kind != "a":
+        raise UnknownTag(kind, line_no)
+    dialogue_id, turn_index = _id_fields(obj, line_no)
+    if kind == "a":
+        value = obj["a_type"]
+        a_type = _ANSWER_TYPES.get(value) if type(value) is str else None
+        if a_type is None:
+            raise UnknownTag(value, line_no)
+        question_ref = obj["question_ref"]
+        if type(question_ref) is not str or not question_ref:
+            raise MalformedLine(line_no, "question_ref must be a non-empty string")
+        annotator_id = obj["annotator_id"]
+        if type(annotator_id) is not str:
+            raise MalformedLine(line_no, "annotator_id must be a string")
+        return AnswerAnnotation(dialogue_id, turn_index, a_type, question_ref, annotator_id)
+    span = obj["span_start"], obj["span_end"]
+    for name, value in zip(("span_start", "span_end"), span):
+        if type(value) is not int:
+            raise MalformedLine(line_no, f"{name} must be an integer")
+    value = obj["q_type"]
+    q_type = _QUESTION_TYPES.get(value) if type(value) is str else None
+    if q_type is None:
+        raise UnknownTag(value, line_no)
+    value = obj.get("feature")
+    feature = _FEATURES.get(value) if type(value) is str else None
+    if feature is None and value is not None:
+        raise UnknownTag(value, line_no)
+    annotator_id = obj["annotator_id"]
+    if type(annotator_id) is not str:
+        raise MalformedLine(line_no, "annotator_id must be a string")
+    try:
+        return QuestionAnnotation(dialogue_id, turn_index, span, q_type, feature, annotator_id)
+    except ValueError as exc:
+        raise MalformedLine(line_no, str(exc)) from exc
 
 
 def read_annotations(lines: Iterable[str]) -> list[Union[QuestionAnnotation, AnswerAnnotation]]:
@@ -328,62 +386,17 @@ def read_annotations(lines: Iterable[str]) -> list[Union[QuestionAnnotation, Ans
     Each line is an object whose ``kind`` is "q" or "a". Unknown kinds and
     tag values raise UnknownTag; structural problems raise MalformedLine.
     """
-    records: list[Union[QuestionAnnotation, AnswerAnnotation]] = []
-    for line_no, obj in _json_lines(lines):
-        kind = _require(obj, "kind", line_no)
-
-        if kind == "q":
-            dialogue_id, turn_index = _id_fields(obj, line_no)
-            span_start = _require(obj, "span_start", line_no)
-            span_end = _require(obj, "span_end", line_no)
-            for name, value in (("span_start", span_start), ("span_end", span_end)):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise MalformedLine(line_no, f"{name} must be an integer")
-            q_type = _tag(QuestionType, _require(obj, "q_type", line_no), line_no)
-            raw_feature = obj.get("feature")
-            feature = None if raw_feature is None else _tag(Feature, raw_feature, line_no)
-            try:
-                records.append(
-                    QuestionAnnotation(
-                        dialogue_id,
-                        turn_index,
-                        (span_start, span_end),
-                        q_type,
-                        feature,
-                        _annotator(obj, line_no),
-                    )
-                )
-            except ValueError as exc:
-                raise MalformedLine(line_no, str(exc)) from exc
-        elif kind == "a":
-            dialogue_id, turn_index = _id_fields(obj, line_no)
-            a_type = _tag(AnswerType, _require(obj, "a_type", line_no), line_no)
-            question_ref = _require(obj, "question_ref", line_no)
-            if not isinstance(question_ref, str) or not question_ref:
-                raise MalformedLine(line_no, "question_ref must be a non-empty string")
-            records.append(
-                AnswerAnnotation(dialogue_id, turn_index, a_type, question_ref, _annotator(obj, line_no))
-            )
-        else:
-            raise UnknownTag(kind, line_no)
-    return records
+    return [record for _, record in _json_lines(lines, _annotation_from_obj)]
 
 
 def _id_fields(obj: dict, line_no: int) -> tuple[str, int]:
-    dialogue_id = _require(obj, "dialogue_id", line_no)
-    if not isinstance(dialogue_id, str) or not dialogue_id:
+    dialogue_id = obj["dialogue_id"]
+    if type(dialogue_id) is not str or not dialogue_id:
         raise MalformedLine(line_no, "dialogue_id must be a non-empty string")
-    turn_index = _require(obj, "turn_index", line_no)
-    if isinstance(turn_index, bool) or not isinstance(turn_index, int) or turn_index < 0:
+    turn_index = obj["turn_index"]
+    if type(turn_index) is not int or turn_index < 0:
         raise MalformedLine(line_no, "turn_index must be a non-negative integer")
     return dialogue_id, turn_index
-
-
-def _annotator(obj: dict, line_no: int) -> str:
-    annotator_id = _require(obj, "annotator_id", line_no)
-    if not isinstance(annotator_id, str):
-        raise MalformedLine(line_no, "annotator_id must be a string")
-    return annotator_id
 
 
 def write_annotations(

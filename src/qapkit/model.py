@@ -89,7 +89,7 @@ def feature_applicable(q_type: QuestionType) -> bool:
     return q_type in FEATURE_BEARING
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
     """One turn of a dialogue."""
 
@@ -113,7 +113,7 @@ def question_ref(dialogue_id: str, turn_index: int, span: tuple[int, int]) -> st
     return f"{dialogue_id}:{turn_index}:{span[0]}-{span[1]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuestionAnnotation:
     """A question occurrence with its type and optional semantic-role feature.
 
@@ -144,7 +144,7 @@ class QuestionAnnotation:
         return question_ref(self.dialogue_id, self.turn_index, self.span)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnswerAnnotation:
     """An answer turn, typed and linked to the question it responds to."""
 

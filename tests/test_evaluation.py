@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -392,6 +393,61 @@ class TestPairwiseAgreement:
 
         for layer in ("questions", "features", "answers"):
             assert reports(permuted, layer) == reports(records, layer)
+
+    def test_one_label_pair_and_an_annotator_sharing_nothing(self):
+        records = {
+            "A": [q_ann("A", t, YN) for t in range(3)],
+            "B": [q_ann("B", t, YN) for t in range(3)],
+            "C": [q_ann("C", t, WH, dialogue="other") for t in range(3)],
+        }
+        pair, mean = pairwise_agreement(indexed(records), "questions")
+        assert (pair.annotators, pair.observed, pair.kappa, pair.n_items) == (("A", "B"), 1.0, 1.0, 3)
+        assert mean.is_mean and mean.annotators == ("A", "B", "C")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_each_pair_matches_the_formulas_on_its_sorted_shared_items(self, data):
+        # a one-label pool gives pairs labelled alike throughout (kappa 1.0); an
+        # annotator in a dialogue of their own shares no item with anyone
+        q_types = data.draw(st.sampled_from([[YN], [YN, WH], [YN, WH, DQ, PQ, CS]]))
+        items = st.tuples(
+            st.integers(0, 7), st.sampled_from(q_types), st.sampled_from([None, *Feature]), st.sampled_from(AnswerType)
+        )
+        records = {}
+        for name in data.draw(st.sampled_from([("A", "B"), ("A", "B", "C"), ("A", "B", "C", "D")])):
+            dialogue = data.draw(st.sampled_from(["d1", "d1", name]))
+            drawn = data.draw(st.lists(items, max_size=8, unique_by=lambda item: item[0]))
+            records[name] = [q_ann(name, t, q_type, feature, dialogue=dialogue) for t, q_type, feature, _ in drawn]
+            records[name] += [
+                a_ann(name, t + 1, a_type, f"{dialogue}:{t}:0-4", dialogue=dialogue) for t, _, _, a_type in drawn
+            ]
+        indexes = indexed(records)
+
+        def labels(index, layer):
+            questions, answers = index
+            if layer == "answers":
+                return {ref: ann.a_type.value for ref, ann in answers.items()}
+            if layer == "questions":
+                return {key: ann.q_type.value for key, ann in questions.items()}
+            feature_bearing = {key: ann for key, ann in questions.items() if ann.q_type in (WH, DQ)}
+            return {key: ann.feature.value if ann.feature else "-" for key, ann in feature_bearing.items()}
+
+        for layer in ("questions", "features", "answers"):
+            expected = {}
+            for id_a, id_b in itertools.combinations(sorted(indexes), 2):
+                map_a, map_b = labels(indexes[id_a], layer), labels(indexes[id_b], layer)
+                shared = sorted(map_a.keys() & map_b.keys())
+                if shared:
+                    labels_a, labels_b = [map_a[k] for k in shared], [map_b[k] for k in shared]
+                    expected[id_a, id_b] = (
+                        observed_agreement(labels_a, labels_b), cohen_kappa(labels_a, labels_b), len(shared)
+                    )
+            try:
+                reports = pairwise_agreement(indexes, layer)
+            except NoAlignedItems:
+                reports = []
+            got = {r.annotators: (r.observed, r.kappa, r.n_items) for r in reports if not r.is_mean}
+            assert got == expected
 
 
 class TestDisagreementReport:

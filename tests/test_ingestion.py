@@ -1,8 +1,9 @@
 import io
 import json
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qapkit import (
@@ -26,6 +27,8 @@ from qapkit import (
     write_annotations,
     write_dialogues,
 )
+
+import reference_readers
 
 
 def jsonl(*objs):
@@ -437,3 +440,82 @@ class TestAnnotations:
     def test_write_rejects_foreign_objects(self):
         with pytest.raises(TypeError):
             write_annotations([object()], io.StringIO())
+
+    def test_question_annotator_fault_names_line_once(self):
+        broken = dict(Q_LINE)
+        del broken["annotator_id"]
+        for obj, message in (
+            (broken, "line 1: missing field 'annotator_id'"),
+            (dict(Q_LINE, annotator_id=7), "line 1: annotator_id must be a string"),
+        ):
+            with pytest.raises(MalformedLine) as exc:
+                read_annotations(jsonl(obj))
+            assert str(exc.value) == message
+
+
+U_LINE = utt_obj(0)
+
+# field values that break a record: wrong type, a boolean for an integer,
+# unknown tags, NaN
+BAD_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 2.5, float("nan"), "", "ZZ", "q", "a", "WH", "FA", "d2"]),
+    st.integers(-2, 14),
+)
+
+# lines that hold no record: blank, whitespace only (JSON whitespace or not),
+# not JSON, not an object, nested past the recursion limit, an over-long integer
+ODD_LINES = st.sampled_from(
+    [
+        "\n", "", "   \n", "\t\r\n", "\r\n", "\x0c\n", " \x0c \n", "\u00a0\n",
+        "NaN\n", '{"kind": NaN}\n', "{broken\n", "[1, 2]\n", "\ufeff{}\n", "{} {}\n",
+        "[" * 3000 + "]" * 3000 + "\n",
+        '{"kind": ' + "[" * 3000 + "]" * 3000 + "}\n",
+        '{"turn_index": ' + "9" * 5000 + "}\n",
+    ]
+)
+
+
+@st.composite
+def record_lines(draw, bases):
+    """One JSONL line from a base record, maybe with one field mutated, in some line form."""
+    obj = dict(draw(st.sampled_from(bases)), turn_index=draw(st.integers(0, 3)))
+    mutation = draw(st.sampled_from(["none"] * 4 + ["missing", "set", "container", "reversed span"]))
+    field = draw(st.sampled_from(sorted(obj)))
+    if mutation == "missing":
+        del obj[field]
+    elif mutation == "set":
+        obj[field] = draw(BAD_VALUES)
+    elif mutation == "container":  # a list or dict where a tag (or any field) belongs
+        tags = [name for name in ("kind", "q_type", "feature", "a_type") if name in obj]
+        obj[draw(st.sampled_from(tags or [field]))] = draw(st.sampled_from([[], ["WH"], {}, {"q_type": "WH"}]))
+    elif mutation == "reversed span":
+        obj["span_start"], obj["span_end"] = 9, 2
+    prefix = draw(st.sampled_from(["", "", " ", "\t", "\x0c"]))
+    suffix = draw(st.sampled_from(["", "", " ", "\t ", "\r", "\x0c", " \x0c", "\u00a0"]))
+    return prefix + json.dumps(obj) + suffix + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+def outcome(reader, lines):
+    """("ok", records) or ("error", exception type, message)."""
+    try:
+        return "ok", reader(lines)
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+
+
+class TestReaderEquivalence:
+    """The readers give what the reference readers give, on any list of lines."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(record_lines([Q_LINE, A_LINE]), ODD_LINES), max_size=6))
+    def test_annotations(self, lines):
+        expected = outcome(reference_readers.read_annotations, lines)
+        if expected[0] == "error":
+            # the reference stated the line twice for a question's annotator_id fault
+            expected = (*expected[:2], re.sub(r"^(line \d+: )\1", r"\1", expected[2]))
+        assert outcome(read_annotations, lines) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(record_lines([U_LINE, dict(U_LINE, dialogue_id="d2")]), ODD_LINES), max_size=6))
+    def test_dialogues(self, lines):
+        assert outcome(parse_dialogue_jsonl, lines) == outcome(reference_readers.parse_dialogue_jsonl, lines)
