@@ -8,6 +8,7 @@ and parse errors. Report documents carry a generated_at timestamp unless
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import logging
@@ -492,11 +493,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if not logging.getLogger().handlers:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
+    thresholds = gc.get_threshold()
+    # a command builds its records in bulk and holds them until exit: young collections only rescan them
+    gc.set_threshold(100_000)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

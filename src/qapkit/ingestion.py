@@ -107,8 +107,9 @@ def _json_lines(lines: Iterable[str], build: Callable[[dict, int], T]) -> Iterat
 
     A line may carry JSON whitespace (space, tab, CR, LF) around its object;
     a line of only whitespace is skipped. Raises MalformedLine for a line that
-    is not one JSON object, and for a field ``build`` reads by subscription
-    that is missing.
+    is not one JSON object, for a field name or string value holding a lone
+    surrogate (UTF-8 cannot write it), and for a field ``build`` reads by
+    subscription that is missing.
     """
     for line_no, raw in enumerate(lines, start=1):
         try:  # a clean line decodes once; any other goes through json.loads, which words the error
@@ -129,6 +130,11 @@ def _json_lines(lines: Iterable[str], build: Callable[[dict, int], T]) -> Iterat
                 raise MalformedLine(line_no, "integer too long") from None
         if not isinstance(obj, dict):
             raise MalformedLine(line_no, "expected a JSON object")
+        if "\\u" in raw:  # in text decoded from UTF-8, only a \u escape can spell a surrogate
+            try:
+                "".join(s for item in obj.items() for s in item if type(s) is str).encode()
+            except UnicodeEncodeError:
+                raise MalformedLine(line_no, "string holds a lone surrogate") from None
         try:
             record = build(obj, line_no)
         except KeyError as exc:
@@ -316,19 +322,20 @@ def parse_eaf(
         return [Dialogue(dialogue_id, language, tuple(utterances))]
 
 
+# the C escaper json.dumps(..., ensure_ascii=False) uses: the quoted JSON string
+_quote = json.encoder.encode_basestring
+
+
 def write_dialogues(dialogues: Iterable[Dialogue], stream: IO[str]) -> None:
-    """Write dialogues as canonical JSONL, one utterance per line."""
+    """Write dialogues as canonical JSONL, one utterance per line, in README's layout."""
     for dialogue in dialogues:
+        language = _quote(dialogue.language)
         for u in dialogue.utterances:
-            obj = {
-                "dialogue_id": u.dialogue_id,
-                "turn_index": u.turn_index,
-                "speaker": u.speaker,
-                "text": u.text,
-                "interrupted": u.interrupted,
-                "language": dialogue.language,
-            }
-            stream.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            stream.write(
+                f'{{"dialogue_id": {_quote(u.dialogue_id)}, "turn_index": {u.turn_index!r}, '
+                f'"speaker": {_quote(u.speaker)}, "text": {_quote(u.text)}, '
+                f'"interrupted": {"true" if u.interrupted else "false"}, "language": {language}}}\n'
+            )
 
 
 # tag value -> member for each closed tagset of the annotation records; only a
@@ -402,28 +409,21 @@ def _id_fields(obj: dict, line_no: int) -> tuple[str, int]:
 def write_annotations(
     records: Iterable[Union[QuestionAnnotation, AnswerAnnotation]], stream: IO[str]
 ) -> None:
-    """Write annotation records as JSONL with a fixed key order."""
+    """Write annotation records as JSONL, one per line, in README's layout."""
     for rec in records:
         if isinstance(rec, QuestionAnnotation):
-            obj = {
-                "kind": "q",
-                "dialogue_id": rec.dialogue_id,
-                "turn_index": rec.turn_index,
-                "span_start": rec.span[0],
-                "span_end": rec.span[1],
-                "q_type": rec.q_type.value,
-                "feature": rec.feature.value if rec.feature is not None else None,
-                "annotator_id": rec.annotator_id,
-            }
+            feature = _quote(rec.feature.value) if rec.feature is not None else "null"
+            line = (
+                f'{{"kind": "q", "dialogue_id": {_quote(rec.dialogue_id)}, "turn_index": {rec.turn_index!r}, '
+                f'"span_start": {rec.span[0]!r}, "span_end": {rec.span[1]!r}, "q_type": {_quote(rec.q_type.value)}, '
+                f'"feature": {feature}, "annotator_id": {_quote(rec.annotator_id)}}}\n'
+            )
         elif isinstance(rec, AnswerAnnotation):
-            obj = {
-                "kind": "a",
-                "dialogue_id": rec.dialogue_id,
-                "turn_index": rec.turn_index,
-                "a_type": rec.a_type.value,
-                "question_ref": rec.question_ref,
-                "annotator_id": rec.annotator_id,
-            }
+            line = (
+                f'{{"kind": "a", "dialogue_id": {_quote(rec.dialogue_id)}, "turn_index": {rec.turn_index!r}, '
+                f'"a_type": {_quote(rec.a_type.value)}, "question_ref": {_quote(rec.question_ref)}, '
+                f'"annotator_id": {_quote(rec.annotator_id)}}}\n'
+            )
         else:
             raise TypeError(f"not an annotation record: {rec!r}")
-        stream.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        stream.write(line)

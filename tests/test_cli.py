@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import logging
@@ -841,6 +842,25 @@ class TestTopLevel:
         code, _, err = run_cli()
         assert code == 2
 
+    def test_gc_thresholds_restored_after_each_exit_code(self, run_cli, tmp_path, monkeypatch):
+        corpus = write_jsonl(tmp_path / "raw.jsonl", [utt_obj(0, "Where?")])
+        violating = write_jsonl(tmp_path / "v.jsonl", [q_obj(0, "Where?", "YN"), a_obj(1, "FA", "d1:0:0-6")])
+        seen = []
+        monkeypatch.setattr(cli_module, "write_dialogues", lambda *a: seen.append(gc.get_threshold()))
+        saved = gc.get_threshold()
+        gc.set_threshold(500, 7, 3)
+        try:
+            for argv, expected in (
+                (("ingest", "--input", corpus, "--output", tmp_path / "out.jsonl"), 0),
+                (("validate", "--input", violating, "--deterministic"), 1),
+                (("validate", "--input", tmp_path / "missing.jsonl"), 2),
+            ):
+                assert run_cli(*argv)[0] == expected
+                assert gc.get_threshold() == (500, 7, 3)
+        finally:
+            gc.set_threshold(*saved)
+        assert seen == [(100_000, 7, 3)]  # raised only while the command ran
+
     def test_invalid_annotation_json_names_the_file(self, run_cli, tmp_path):
         bad = tmp_path / "broken.jsonl"
         bad.write_text("{not json\n", encoding="utf-8")
@@ -1036,6 +1056,15 @@ class TestInputErrorsNameTheFile:
         code, _, err = run_cli(*argv)
         assert code == 2
         assert err.startswith(f"error: {big}: line 2:")
+
+    @pytest.mark.parametrize("command", ["ingest", "classify", "evaluate", "validate"])
+    def test_lone_surrogate_exits_two(self, run_cli, tmp_path, command):
+        argv, bad = _bad_second_line(tmp_path, command, '{"dialogue_id": "d\\udc00"}\n')
+        out = tmp_path / "out.jsonl"
+        code, _, err = run_cli(*argv, "--output", out)
+        assert code == 2
+        assert err == f"error: {bad}: line 2: string holds a lone surrogate\n"
+        assert not out.exists()
 
     def test_deep_extractor_config_exits_two(self, run_cli, tmp_path):
         corpus = _file(tmp_path / "c.jsonl", CORPUS_LINE)

@@ -174,6 +174,15 @@ class TestDialogueJsonl:
         write_dialogues(dialogues, buf)
         assert parse_dialogue_jsonl(io.StringIO(buf.getvalue())) == dialogues
 
+    def test_lone_surrogate_escape_is_a_malformed_line(self):
+        # valid JSON, but UTF-8 cannot write it; an escaped surrogate pair is one character
+        lines = [*jsonl(utt_obj(0, "\U0001f600 ok?")), *jsonl(utt_obj(1, "hi \ud800 there?"))]
+        with pytest.raises(MalformedLine) as exc:
+            parse_dialogue_jsonl(lines)
+        assert str(exc.value) == "line 2: string holds a lone surrogate"
+        (d,) = parse_dialogue_jsonl(lines[:1])
+        assert d.utterances[0].text == "\U0001f600 ok?"
+
 
 class TestTsv:
     def test_three_columns(self):
@@ -437,6 +446,13 @@ class TestAnnotations:
         write_annotations(read_annotations(io.StringIO(once.getvalue())), twice)
         assert once.getvalue() == twice.getvalue()
 
+    def test_lone_surrogate_escape_is_a_malformed_line(self):
+        lines = [*jsonl(dict(Q_LINE, annotator_id="Zo\u00eb")), *jsonl(dict(A_LINE, dialogue_id="d\udc00"))]
+        with pytest.raises(MalformedLine) as exc:
+            read_annotations(lines)
+        assert str(exc.value) == "line 2: string holds a lone surrogate"
+        assert read_annotations(lines[:1])[0].annotator_id == "Zo\u00eb"
+
     def test_write_rejects_foreign_objects(self):
         with pytest.raises(TypeError):
             write_annotations([object()], io.StringIO())
@@ -451,6 +467,73 @@ class TestAnnotations:
             with pytest.raises(MalformedLine) as exc:
                 read_annotations(jsonl(obj))
             assert str(exc.value) == message
+
+
+# any text UTF-8 can write, often with a quote, a backslash, a control character,
+# U+2028 (which JSON leaves raw) or a non-BMP character
+TEXT = st.text(
+    st.one_of(st.characters(blacklist_categories=("Cs",)), st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001f600'))
+)
+
+
+@st.composite
+def annotation_records(draw):
+    dialogue_id, turn, annotator = draw(TEXT.filter(bool)), draw(st.integers(0, 10**6)), draw(TEXT)
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 10**6))
+        span = (start, draw(st.integers(start, 2 * 10**6)))
+        q_type, feature = draw(st.sampled_from(QuestionType)), draw(st.none() | st.sampled_from(Feature))
+        return QuestionAnnotation(dialogue_id, turn, span, q_type, feature, annotator)
+    a_type, ref = draw(st.sampled_from(AnswerType)), draw(TEXT.filter(bool))
+    return AnswerAnnotation(dialogue_id, turn, a_type, ref, annotator)
+
+
+def readme_layout(rec):
+    """The dict json.dumps turns into a record's line, keys in README order."""
+    if isinstance(rec, QuestionAnnotation):
+        return {
+            "kind": "q", "dialogue_id": rec.dialogue_id, "turn_index": rec.turn_index,
+            "span_start": rec.span[0], "span_end": rec.span[1], "q_type": rec.q_type.value,
+            "feature": rec.feature.value if rec.feature is not None else None, "annotator_id": rec.annotator_id,
+        }
+    return {
+        "kind": "a", "dialogue_id": rec.dialogue_id, "turn_index": rec.turn_index, "a_type": rec.a_type.value,
+        "question_ref": rec.question_ref, "annotator_id": rec.annotator_id,
+    }
+
+
+class TestWriters:
+    """Each written line is json.dumps(..., ensure_ascii=False) of README's layout, and reads back."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        TEXT.filter(bool),
+        TEXT.filter(bool),
+        st.integers(0, 10**6),
+        st.lists(st.tuples(TEXT, TEXT.filter(str.strip), st.booleans()), min_size=1, max_size=4),
+    )
+    def test_dialogue_lines(self, dialogue_id, language, base, turns):
+        utterances = tuple(
+            Utterance(dialogue_id, base + i, speaker, text, flag) for i, (speaker, text, flag) in enumerate(turns)
+        )
+        dialogues = [Dialogue(dialogue_id, language, utterances)]
+        buf = io.StringIO()
+        write_dialogues(dialogues, buf)
+        expected = [
+            {"dialogue_id": u.dialogue_id, "turn_index": u.turn_index, "speaker": u.speaker, "text": u.text,
+             "interrupted": u.interrupted, "language": language}
+            for u in utterances
+        ]
+        assert buf.getvalue() == "".join(json.dumps(d, ensure_ascii=False) + "\n" for d in expected)
+        assert parse_dialogue_jsonl(io.StringIO(buf.getvalue())) == dialogues
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(annotation_records(), min_size=1, max_size=4))
+    def test_annotation_lines(self, records):
+        buf = io.StringIO()
+        write_annotations(records, buf)
+        assert buf.getvalue() == "".join(json.dumps(readme_layout(r), ensure_ascii=False) + "\n" for r in records)
+        assert read_annotations(io.StringIO(buf.getvalue())) == records
 
 
 U_LINE = utt_obj(0)
