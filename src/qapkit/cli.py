@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
-import json
 import logging
 import sys
 from contextlib import contextmanager
@@ -47,6 +46,7 @@ from .ingestion import (
     read_annotations,
     write_annotations,
     write_dialogues,
+    write_json,
 )
 from .lexicon import load_lexicon
 from .model import (
@@ -94,7 +94,7 @@ def _write_report(doc: dict, path: Optional[str], deterministic: bool) -> None:
     if not deterministic:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     with _open_out(path) as out:
-        json.dump(doc, out, indent=2, sort_keys=True, default=vars)
+        write_json(doc, out)
         out.write("\n")
 
 
@@ -155,26 +155,37 @@ def _wh_feature_map(path: Optional[str], cfg: ExtractorConfig) -> Optional[dict]
     return wh_map
 
 
+def _check_utf8(value: Optional[str], message: str) -> None:
+    """Raise ValueError(message) if ``value`` cannot be written as UTF-8.
+
+    Command-line bytes that are not UTF-8 reach Python as lone surrogates,
+    which no output file can hold; checked before any output is opened.
+    """
+    try:
+        if value:
+            value.encode()
+    except UnicodeEncodeError:
+        raise ValueError(message) from None
+
+
 def cmd_ingest(args) -> int:
     path = Path(args.input)
-    if args.format == "eaf":
-        dialogues = parse_eaf(
-            path,
-            dialogue_id=args.dialogue_id or path.stem,
-            language=args.language,
-            interruption_marker=args.interruption_marker,
-        )
-    else:
+    _check_utf8(args.dialogue_id, "--dialogue-id is not valid UTF-8")
+    _check_utf8(args.language, "--language is not valid UTF-8")
+    if args.format == "jsonl":
         with open_input(path) as f:
-            if args.format == "tsv":
-                dialogues = parse_tsv_transcript(
-                    f,
-                    dialogue_id=args.dialogue_id or path.stem,
-                    language=args.language,
-                    interruption_marker=args.interruption_marker,
-                )
-            else:
-                dialogues = parse_dialogue_jsonl(f)
+            dialogues = parse_dialogue_jsonl(f)
+    else:
+        dialogue_id = args.dialogue_id or path.stem
+        _check_utf8(dialogue_id, f"file name {path.name!r} is not valid UTF-8; name the dialogue with --dialogue-id")
+        options = dict(
+            dialogue_id=dialogue_id, language=args.language, interruption_marker=args.interruption_marker
+        )
+        if args.format == "eaf":
+            dialogues = parse_eaf(path, **options)
+        else:
+            with open_input(path) as f:
+                dialogues = parse_tsv_transcript(f, **options)
     with _open_out(args.output) as out:
         write_dialogues(dialogues, out)
     for dialogue in dialogues:
@@ -247,6 +258,7 @@ def _question_features(
 
 
 def cmd_classify(args) -> int:
+    _check_utf8(args.annotator_id, "--annotator-id is not valid UTF-8")
     cfg = _extraction_setup(args)
     wh_map = _wh_feature_map(args.wh_map, cfg)
     dialogues = _load_corpus([args.input])

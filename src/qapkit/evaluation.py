@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
+    FEATURE_BEARING,
     AnswerAnnotation,
     QuestionAnnotation,
     Tag,
-    feature_applicable,
 )
 
 AnnotationRecord = Union[QuestionAnnotation, AnswerAnnotation]
@@ -225,20 +225,22 @@ def index_by_item(records: Iterable[AnnotationRecord]) -> ItemIndex:
     return questions, answers
 
 
+# The loops below read a tag's string as ``member._value_``: it is what
+# ``member.value`` returns, but ``value`` is a property, several times slower to read.
 def _feature_tag(ann: QuestionAnnotation) -> str:
-    return ann.feature.value if ann.feature is not None else "-"
+    return ann.feature._value_ if ann.feature is not None else "-"
 
 
 def _layer_labels(index: ItemIndex, layer: str) -> Iterator[tuple[Hashable, str]]:
     """(item key, label) for each item of one annotator's index on a layer."""
     questions, answers = index
     if layer == "answers":
-        return ((ref, ann.a_type.value) for ref, ann in answers.items())
+        return ((ref, ann.a_type._value_) for ref, ann in answers.items())
     if layer == "questions":
-        return ((key, ann.q_type.value) for key, ann in questions.items())
+        return ((key, ann.q_type._value_) for key, ann in questions.items())
     # feature tags are undefined outside feature-bearing types, so the
     # comparison covers only items both annotators typed as such
-    return ((key, _feature_tag(ann)) for key, ann in questions.items() if feature_applicable(ann.q_type))
+    return ((key, _feature_tag(ann)) for key, ann in questions.items() if ann.q_type in FEATURE_BEARING)
 
 
 def pairwise_agreement(indexes: Mapping[str, ItemIndex], layer: str) -> list[AgreementReport]:
@@ -321,36 +323,34 @@ def disagreement_report(indexes: Mapping[str, ItemIndex]) -> list[DisagreementRe
     ``indexes`` maps each annotator to the index_by_item of their records.
     """
     ids = sorted(indexes)
-    q_maps = {annotator: indexes[annotator][0] for annotator in ids}
-    a_maps = {annotator: indexes[annotator][1] for annotator in ids}
+    q_maps = [(annotator, indexes[annotator][0]) for annotator in ids]
+    a_maps = [(annotator, indexes[annotator][1]) for annotator in ids]
 
     records: list[DisagreementRecord] = []
 
-    q_keys = sorted({key for mapping in q_maps.values() for key in mapping})
-    for key in q_keys:
-        present = {annotator: q_maps[annotator][key] for annotator in ids if key in q_maps[annotator]}
+    for key in sorted({key for _, mapping in q_maps for key in mapping}):
+        present = [(annotator, ann) for annotator, mapping in q_maps if (ann := mapping.get(key)) is not None]
         if len(present) < 2:
             continue
-        ref = next(iter(present.values())).ref
-        q_tags = {annotator: ann.q_type.value for annotator, ann in present.items()}
+        ref = present[0][1].ref
+        q_tags = {annotator: ann.q_type._value_ for annotator, ann in present}
         q_disagree = len(set(q_tags.values())) > 1
         if q_disagree:
             records.append(
                 DisagreementRecord("questions", ref, q_tags, DisagreementCategory.UNCATEGORIZED)
             )
-        f_tags = {annotator: _feature_tag(ann) for annotator, ann in present.items()}
+        f_tags = {annotator: _feature_tag(ann) for annotator, ann in present}
         if len(set(f_tags.values())) > 1:
             category = (
                 DisagreementCategory.CASCADE if q_disagree else DisagreementCategory.UNCATEGORIZED
             )
             records.append(DisagreementRecord("features", ref, f_tags, category))
 
-    a_keys = sorted({ref for mapping in a_maps.values() for ref in mapping})
-    for ref in a_keys:
-        present = {annotator: a_maps[annotator][ref] for annotator in ids if ref in a_maps[annotator]}
+    for ref in sorted({ref for _, mapping in a_maps for ref in mapping}):
+        present = [(annotator, ann) for annotator, mapping in a_maps if (ann := mapping.get(ref)) is not None]
         if len(present) < 2:
             continue
-        a_tags = {annotator: ann.a_type.value for annotator, ann in present.items()}
+        a_tags = {annotator: ann.a_type._value_ for annotator, ann in present}
         if len(set(a_tags.values())) > 1:
             records.append(
                 DisagreementRecord("answers", ref, a_tags, DisagreementCategory.UNCATEGORIZED)

@@ -9,11 +9,12 @@ run but need not start at zero, so source line numbering survives ingestion.
 from __future__ import annotations
 
 import json
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import IO, Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .model import (
     AnswerAnnotation,
@@ -171,8 +172,9 @@ def _utterance_from_obj(obj: dict, line_no: int) -> tuple[Utterance, str]:
     """
     dialogue_id, turn_index = _id_fields(obj, line_no)
     speaker = obj["speaker"]
-    if not isinstance(speaker, str):
+    if type(speaker) is not str:
         raise MalformedLine(line_no, "speaker must be a string")
+    speaker = sys.intern(speaker)
     text = obj["text"]
     if not isinstance(text, str) or not text.strip():
         raise MalformedLine(line_no, "text must be a non-empty string")
@@ -189,7 +191,8 @@ def parse_dialogue_jsonl(lines: Iterable[str]) -> list[Dialogue]:
     """Parse canonical dialogue JSONL into dialogues sorted by id.
 
     Blank lines are skipped. Raises MalformedLine (with the 1-based line
-    number), DuplicateTurn, or NonDenseTurns.
+    number), DuplicateTurn, or NonDenseTurns. Utterances with the same
+    dialogue id or speaker share one string object.
     """
     by_dialogue: dict[str, dict[int, Utterance]] = {}
     languages: dict[str, str] = {}
@@ -324,6 +327,52 @@ def parse_eaf(
 
 # the C escaper json.dumps(..., ensure_ascii=False) uses: the quoted JSON string
 _quote = json.encoder.encode_basestring
+# the C escaper of json.dumps' default (ensure_ascii=True): non-ASCII as \u escapes
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def write_json(doc: Any, stream: IO[str]) -> None:
+    """Write ``doc`` exactly as ``json.dump(doc, stream, indent=2, sort_keys=True, default=vars)`` does.
+
+    Dict keys must be strings. Strings go through the C escaper, other
+    scalars through ``json.dumps``. Lists, tuples and dicts are written one
+    element at a time, so a long document is never held as one string; any
+    other object is a record, written as its ``vars()`` and built as one
+    string first.
+    """
+    _write_json(doc, "", stream.write)
+
+
+def _write_json(o: Any, pad: str, write: Callable[[str], object]) -> None:
+    """Write ``o`` where the stream stands; each line after its first is indented by ``pad``."""
+    if isinstance(o, str):
+        write(_ascii(o))
+    elif isinstance(o, (list, tuple, dict)):
+        if not o:
+            write("{}" if isinstance(o, dict) else "[]")
+            return
+        inner = pad + "  "
+        if isinstance(o, dict):
+            opener, closer = "{\n", f"\n{pad}}}"
+            items = ((f"{_ascii(key)}: ", value) for key, value in sorted(o.items()))
+        else:
+            opener, closer = "[\n", f"\n{pad}]"
+            items = (("", value) for value in o)
+        lead = opener + inner
+        for prefix, value in items:
+            if isinstance(value, str):
+                write(lead + prefix + _ascii(value))
+            else:
+                write(lead + prefix)
+                _write_json(value, inner, write)
+            lead = ",\n" + inner
+        write(closer)
+    elif o is None or isinstance(o, (int, float)):
+        write(json.dumps(o))
+    else:
+        parts: list[str] = []
+        _write_json(vars(o), pad, parts.append)
+        write("".join(parts))
 
 
 def write_dialogues(dialogues: Iterable[Dialogue], stream: IO[str]) -> None:
@@ -365,7 +414,7 @@ def _annotation_from_obj(obj: dict, line_no: int) -> Union[QuestionAnnotation, A
         annotator_id = obj["annotator_id"]
         if type(annotator_id) is not str:
             raise MalformedLine(line_no, "annotator_id must be a string")
-        return AnswerAnnotation(dialogue_id, turn_index, a_type, question_ref, annotator_id)
+        return AnswerAnnotation(dialogue_id, turn_index, a_type, question_ref, sys.intern(annotator_id))
     span = obj["span_start"], obj["span_end"]
     for name, value in zip(("span_start", "span_end"), span):
         if type(value) is not int:
@@ -382,7 +431,7 @@ def _annotation_from_obj(obj: dict, line_no: int) -> Union[QuestionAnnotation, A
     if type(annotator_id) is not str:
         raise MalformedLine(line_no, "annotator_id must be a string")
     try:
-        return QuestionAnnotation(dialogue_id, turn_index, span, q_type, feature, annotator_id)
+        return QuestionAnnotation(dialogue_id, turn_index, span, q_type, feature, sys.intern(annotator_id))
     except ValueError as exc:
         raise MalformedLine(line_no, str(exc)) from exc
 
@@ -392,18 +441,20 @@ def read_annotations(lines: Iterable[str]) -> list[Union[QuestionAnnotation, Ans
 
     Each line is an object whose ``kind`` is "q" or "a". Unknown kinds and
     tag values raise UnknownTag; structural problems raise MalformedLine.
+    Records with the same dialogue or annotator id share one string object.
     """
     return [record for _, record in _json_lines(lines, _annotation_from_obj)]
 
 
 def _id_fields(obj: dict, line_no: int) -> tuple[str, int]:
+    """(dialogue id, turn index) of one JSONL object; the id is interned, so a dialogue's records share it."""
     dialogue_id = obj["dialogue_id"]
     if type(dialogue_id) is not str or not dialogue_id:
         raise MalformedLine(line_no, "dialogue_id must be a non-empty string")
     turn_index = obj["turn_index"]
     if type(turn_index) is not int or turn_index < 0:
         raise MalformedLine(line_no, "turn_index must be a non-negative integer")
-    return dialogue_id, turn_index
+    return sys.intern(dialogue_id), turn_index
 
 
 def write_annotations(

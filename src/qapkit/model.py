@@ -183,15 +183,15 @@ def validate_corpus(
     order. Answers naming no question of their annotator come last, as
     dangling references. Violations are returned as data, never raised.
     """
-    kept: dict[tuple[str, str], tuple[QuestionAnnotation, list[AnswerAnnotation]]] = {}
+    kept: dict[tuple[str, str], QuestionAnnotation] = {}
     for q in questions:
-        kept.setdefault((q.annotator_id, q.ref), (q, []))
+        kept.setdefault((q.annotator_id, q.ref), q)
+    illegal: dict[tuple[str, str], list[Violation]] = {}  # filled only for answers that break the table
     dangling: list[Violation] = []
     for a in answers:
-        question = kept.get((a.annotator_id, a.question_ref))
-        if question is not None:
-            question[1].append(a)
-        else:
+        key = (a.annotator_id, a.question_ref)
+        q = kept.get(key)
+        if q is None:
             dangling.append(
                 Violation(
                     ViolationKind.DANGLING_REFERENCE,
@@ -199,25 +199,25 @@ def validate_corpus(
                     f"answer references unknown question {a.question_ref!r}",
                 )
             )
+        elif a.a_type not in _ANSWER_TABLE[q.q_type]:
+            illegal.setdefault(key, []).append(
+                Violation(
+                    ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION,
+                    a.question_ref,
+                    f"{a.a_type} answers are not allowed for {q.q_type} questions",
+                )
+            )
 
     out: list[Violation] = []
-    for (_, ref), (q, answered) in kept.items():
-        if q.feature is not None and not feature_applicable(q.q_type):
+    for key, q in kept.items():
+        if q.feature is not None and q.q_type not in FEATURE_BEARING:
             out.append(
                 Violation(
                     ViolationKind.FEATURE_NOT_APPLICABLE,
-                    ref,
+                    key[1],
                     f"{q.q_type} questions do not take a feature (got {q.feature})",
                 )
             )
-        allowed = allowed_answer_types(q.q_type)
-        out.extend(
-            Violation(
-                ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION,
-                ref,
-                f"{a.a_type} answers are not allowed for {q.q_type} questions",
-            )
-            for a in answered
-            if a.a_type not in allowed
-        )
+        if key in illegal:
+            out.extend(illegal[key])
     return out + dangling

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
 from .features import FEATURE_NAMES, FeatureVector
+from .ingestion import write_json
 from .model import QuestionType
 
 
@@ -237,7 +238,7 @@ def _node_to_obj(node: Node) -> dict:
 def save_model(model: TreeModel, stream: IO[str]) -> None:
     """Serialize as versioned JSON with deterministic key order."""
     doc = {"version": MODEL_FORMAT_VERSION, "root": _node_to_obj(model.root)}
-    json.dump(doc, stream, sort_keys=True, indent=2)
+    write_json(doc, stream)
     stream.write("\n")
 
 

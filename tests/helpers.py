@@ -1,6 +1,16 @@
 """Small builders shared across test modules."""
 
-from qapkit import FeatureVector, Utterance
+from hypothesis import strategies as st
+
+from qapkit import (
+    AnswerAnnotation,
+    AnswerType,
+    Feature,
+    FeatureVector,
+    QuestionAnnotation,
+    QuestionType,
+    Utterance,
+)
 
 FV_DEFAULTS = dict(
     has_wh=False,
@@ -22,3 +32,34 @@ def make_fv(**overrides) -> FeatureVector:
 
 def utt(text, turn=0, dialogue="d", speaker="A", interrupted=False) -> Utterance:
     return Utterance(dialogue, turn, speaker, text, interrupted)
+
+
+
+ANNOTATORS = st.sampled_from(["A1", "A2", "A3"])
+QUESTIONS = st.builds(
+    QuestionAnnotation,
+    dialogue_id=st.just("d"),
+    turn_index=st.integers(min_value=0, max_value=1),
+    span=st.sampled_from([(0, 1), (0, 4)]),
+    q_type=st.sampled_from(QuestionType),
+    feature=st.none() | st.sampled_from(Feature),
+    annotator_id=ANNOTATORS,
+)
+
+
+@st.composite
+def annotation_records(draw):
+    """(questions, answers): interleaved annotators, repeated question records, several answers per
+    question, dangling refs, and features on question types that take none."""
+    questions = draw(st.lists(QUESTIONS, max_size=10))
+    # the refs of the drawn questions, plus refs that no question can have
+    refs = st.sampled_from([x.ref for x in questions] + ["d:2:0-1", "x:0:0-1"])
+    answer = st.builds(
+        AnswerAnnotation,
+        dialogue_id=st.just("d"),
+        turn_index=st.integers(min_value=0, max_value=5),
+        a_type=st.sampled_from(AnswerType),
+        question_ref=refs,
+        annotator_id=ANNOTATORS,
+    )
+    return questions, draw(st.lists(answer, max_size=10))

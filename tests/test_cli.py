@@ -832,6 +832,62 @@ class TestValidate:
         assert json.loads(out)["violations"][0]["kind"] == "dangling-reference"
 
 
+ONE_TURN_EAF = """<?xml version="1.0" encoding="UTF-8"?>
+<ANNOTATION_DOCUMENT>
+  <TIME_ORDER><TIME_SLOT TIME_SLOT_ID="ts1" TIME_VALUE="0"/></TIME_ORDER>
+  <TIER TIER_ID="spkA" PARTICIPANT="AMY">
+    <ANNOTATION>
+      <ALIGNABLE_ANNOTATION ANNOTATION_ID="a1" TIME_SLOT_REF1="ts1">
+        <ANNOTATION_VALUE>Water?</ANNOTATION_VALUE>
+      </ALIGNABLE_ANNOTATION>
+    </ANNOTATION>
+  </TIER>
+</ANNOTATION_DOCUMENT>
+"""
+
+
+class TestCommandLineStrings:
+    """A command-line string that is written out must be UTF-8.
+
+    Argument bytes that are not UTF-8 reach Python as lone surrogates ("\\udcff"
+    for the byte 0xff); the command exits 2 naming the flag or file name, and
+    never opens --output.
+    """
+
+    def test_classify_annotator_id(self, run_cli, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "Where did you go?")])
+        out = tmp_path / "p.jsonl"
+        code, _, err = run_cli("classify", "--input", corpus, "--annotator-id", "\udcff", "--output", out)
+        assert (code, err) == (2, "error: --annotator-id is not valid UTF-8\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--dialogue-id", "--language"])
+    def test_ingest_flag(self, run_cli, tmp_path, flag):
+        src = tmp_path / "amy.tsv"
+        src.write_text("0\tAMY\tWater?\n", encoding="utf-8")
+        out = tmp_path / "amy.jsonl"
+        code, _, err = run_cli("ingest", "--input", src, "--format", "tsv", flag, "d\udcff", "--output", out)
+        assert (code, err) == (2, f"error: {flag} is not valid UTF-8\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fmt, content", [("tsv", "0\tAMY\tWater?\n"), ("eaf", ONE_TURN_EAF)], ids=["tsv", "eaf"]
+    )
+    def test_file_name_as_default_dialogue_id(self, run_cli, tmp_path, fmt, content):
+        src = tmp_path / f"amy\udcff.{fmt}"  # the file name holds the byte 0xff
+        src.write_text(content, encoding="utf-8")
+        out = tmp_path / "amy.jsonl"
+        code, _, err = run_cli("ingest", "--input", src, "--format", fmt, "--output", out)
+        assert code == 2
+        assert err == (
+            f"error: file name 'amy\\udcff.{fmt}' is not valid UTF-8; name the dialogue with --dialogue-id\n"
+        )
+        assert not out.exists()
+        code, _, _ = run_cli("ingest", "--input", src, "--format", fmt, "--dialogue-id", "amy", "--output", out)
+        assert code == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["dialogue_id"] == "amy"
+
+
 class TestTopLevel:
     def test_version(self, run_cli):
         code, out, _ = run_cli("--version")

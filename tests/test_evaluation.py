@@ -27,6 +27,9 @@ from qapkit import (
     write_annotations,
 )
 
+import reference_reports
+from helpers import annotation_records
+
 YN, WH, DQ, CS, PQ = QuestionType.YN, QuestionType.WH, QuestionType.DQ, QuestionType.CS, QuestionType.PQ
 
 # five-class reference grid: rows gold, columns predicted
@@ -518,6 +521,21 @@ class TestDisagreementReport:
         }
         report = disagreement_report(indexed(records))
         assert [r.item for r in report] == ["d1:1:0-4", "d1:3:0-4", "d1:5:0-4"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(annotation_records())
+    def test_matches_the_reference(self, records):
+        questions, answers = records
+        by_annotator = {}
+        for rec in [*questions, *answers]:
+            by_annotator.setdefault(rec.annotator_id, []).append(rec)
+        indexes = indexed(by_annotator)
+        got, expected = disagreement_report(indexes), reference_reports.disagreement_report(indexes)
+        assert got == expected
+        # tags in the same order, with plain strings, as the reference gives them
+        assert [[(who, type(tag), tag) for who, tag in r.tags.items()] for r in got] == [
+            [(who, type(tag), tag) for who, tag in r.tags.items()] for r in expected
+        ]
 
     def test_record_serializes(self, run_cli, tmp_path):
         records = {"A": [q_ann("A", 0, WH, Feature.LOC)], "B": [q_ann("B", 0, PQ)]}

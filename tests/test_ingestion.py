@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qapkit import (
+    AgreementReport,
     AnswerAnnotation,
     AnswerType,
     Dialogue,
+    DisagreementCategory,
+    DisagreementRecord,
     DuplicateTurn,
     EmptyTranscript,
     Feature,
@@ -20,6 +23,8 @@ from qapkit import (
     QuestionType,
     UnknownTag,
     Utterance,
+    Violation,
+    ViolationKind,
     parse_dialogue_jsonl,
     parse_eaf,
     parse_tsv_transcript,
@@ -27,6 +32,7 @@ from qapkit import (
     write_annotations,
     write_dialogues,
 )
+from qapkit.ingestion import write_json
 
 import reference_readers
 
@@ -534,6 +540,90 @@ class TestWriters:
         write_annotations(records, buf)
         assert buf.getvalue() == "".join(json.dumps(readme_layout(r), ensure_ascii=False) + "\n" for r in records)
         assert read_annotations(io.StringIO(buf.getvalue())) == records
+
+
+# any string, with extra weight on what JSON escapes: quotes, backslashes,
+# control characters, non-ASCII and lone surrogates
+ANY_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udcff\U0001f600')), max_size=8
+)
+TAGS = st.sampled_from([*QuestionType, *Feature, *AnswerType])
+NUMBERS = st.one_of(
+    st.integers(), st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 10**400])
+)
+REPORT_RECORDS = st.one_of(
+    st.builds(
+        AgreementReport, ANY_TEXT, st.lists(ANY_TEXT, max_size=3).map(tuple), st.floats(), st.floats(),
+        st.integers(0, 10**6), st.booleans(),
+    ),
+    st.builds(
+        DisagreementRecord, ANY_TEXT, ANY_TEXT, st.dictionaries(ANY_TEXT, TAGS | ANY_TEXT, max_size=3),
+        st.sampled_from(DisagreementCategory),
+    ),
+    st.builds(Violation, st.sampled_from(ViolationKind), ANY_TEXT, ANY_TEXT),
+)
+DOCUMENTS = st.recursive(
+    st.one_of(ANY_TEXT, TAGS, NUMBERS, st.booleans(), st.none(), REPORT_RECORDS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(ANY_TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """write_json gives the bytes of json.dump(..., indent=2, sort_keys=True, default=vars), streamed."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(DOCUMENTS)
+    def test_matches_json_dumps(self, doc):
+        buf = io.StringIO()
+        write_json(doc, buf)
+        assert buf.getvalue() == json.dumps(doc, indent=2, sort_keys=True, default=vars)
+
+    def test_records_are_written_one_at_a_time(self):
+        records = [
+            Violation(ViolationKind.DANGLING_REFERENCE, f"d:{i}", f"answer references unknown question 'x:{i}:0-1'")
+            for i in range(1000)
+        ]
+        doc = {"count": len(records), "violations": records}
+        sizes = []
+
+        class Recording(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        buf = Recording()
+        write_json(doc, buf)
+        assert buf.getvalue() == json.dumps(doc, indent=2, sort_keys=True, default=vars)
+        one_record = max(len(json.dumps(vars(r), indent=2, sort_keys=True)) for r in records)
+        assert max(sizes) <= 3 * one_record
+
+
+class TestSharedIds:
+    """Records read from different lines share one string per id."""
+
+    def test_annotation_ids(self):
+        lines = jsonl(
+            dict(Q_LINE, dialogue_id="dialogue-one", annotator_id="annotator-anna"),
+            dict(A_LINE, dialogue_id="dialogue-one", annotator_id="annotator-anna"),
+        )
+        question, answer = read_annotations(lines)
+        assert question.dialogue_id is answer.dialogue_id
+        assert question.annotator_id is answer.annotator_id
+
+    def test_utterance_ids(self):
+        lines = jsonl(
+            utt_obj(0, dialogue_id="dialogue-one", speaker="speaker-amy"),
+            utt_obj(1, dialogue_id="dialogue-one", speaker="speaker-amy"),
+        )
+        [dialogue] = parse_dialogue_jsonl(lines)
+        first, second = dialogue.utterances
+        assert first.dialogue_id is second.dialogue_id
+        assert first.speaker is second.speaker
 
 
 U_LINE = utt_obj(0)

@@ -2,7 +2,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qapkit import (
@@ -18,6 +18,9 @@ from qapkit import (
     feature_applicable,
     validate_corpus,
 )
+
+import reference_reports
+from helpers import annotation_records
 
 
 def q(turn=0, span=(0, 5), q_type=QuestionType.YN, feature=None, annotator="A1", dialogue="d"):
@@ -238,35 +241,13 @@ def validate_by_scan(questions, answers):
     return out
 
 
-ANNOTATORS = st.sampled_from(["A1", "A2"])
-QUESTIONS = st.builds(
-    q,
-    turn=st.integers(min_value=0, max_value=1),
-    span=st.sampled_from([(0, 1), (0, 4)]),
-    q_type=st.sampled_from(QuestionType),
-    feature=st.none() | st.sampled_from(Feature),
-    annotator=ANNOTATORS,
-)
-
-
-@st.composite
-def annotation_records(draw):
-    """Interleaved annotators, repeated question records, several answers per question, dangling refs."""
-    questions = draw(st.lists(QUESTIONS, max_size=10))
-    # the refs of the drawn questions, plus refs that no question can have
-    refs = st.sampled_from([x.ref for x in questions] + ["d:2:0-1", "x:0:0-1"])
-    answer = st.builds(
-        a,
-        turn=st.integers(min_value=0, max_value=5),
-        a_type=st.sampled_from(AnswerType),
-        ref=refs,
-        annotator=ANNOTATORS,
-    )
-    return questions, draw(st.lists(answer, max_size=10))
-
-
 class TestValidateCorpusProperty:
     @given(annotation_records())
     def test_matches_a_quadratic_scan(self, records):
         questions, answers = records
         assert validate_corpus(questions, answers) == validate_by_scan(questions, answers)
+
+    @settings(max_examples=300)
+    @given(annotation_records())
+    def test_matches_the_reference(self, records):
+        assert validate_corpus(*records) == reference_reports.validate_corpus(*records)
