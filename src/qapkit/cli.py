@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from . import __version__
 from .evaluation import (
@@ -39,6 +39,7 @@ from .features import (
 )
 from .ingestion import (
     Dialogue,
+    MalformedLine,
     open_input,
     parse_dialogue_jsonl,
     parse_eaf,
@@ -170,17 +171,23 @@ def _check_utf8(value: Optional[str], message: str) -> None:
 
 def cmd_ingest(args) -> int:
     path = Path(args.input)
-    _check_utf8(args.dialogue_id, "--dialogue-id is not valid UTF-8")
-    _check_utf8(args.language, "--language is not valid UTF-8")
+    # the flags a TSV or EAF file is read with; a flag left out keeps the reader's default
+    options = {
+        name: getattr(args, name)
+        for name in ("dialogue_id", "language", "interruption_marker")
+        if getattr(args, name) is not None
+    }
     if args.format == "jsonl":
+        if options:
+            flag = "--" + next(iter(options)).replace("_", "-")
+            raise ValueError(f"{flag} applies only to --format tsv and eaf")
         with open_input(path) as f:
             dialogues = parse_dialogue_jsonl(f)
     else:
-        dialogue_id = args.dialogue_id or path.stem
+        _check_utf8(args.dialogue_id, "--dialogue-id is not valid UTF-8")
+        _check_utf8(args.language, "--language is not valid UTF-8")
+        options["dialogue_id"] = dialogue_id = args.dialogue_id or path.stem
         _check_utf8(dialogue_id, f"file name {path.name!r} is not valid UTF-8; name the dialogue with --dialogue-id")
-        options = dict(
-            dialogue_id=dialogue_id, language=args.language, interruption_marker=args.interruption_marker
-        )
         if args.format == "eaf":
             dialogues = parse_eaf(path, **options)
         else:
@@ -196,8 +203,8 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _unresolved(key: tuple, problem: str, sources: Sequence[str]) -> ValueError:
-    """The error for a question span naming no utterance, or running past its text.
+def _unresolved(key: tuple, problem: str, sources: Sequence[str]) -> NoReturn:
+    """Raise the error for a question span naming no utterance, or running past its text.
 
     It names the first line of the annotation files ``sources`` that holds
     the span; the files are read again only now that the error is raised.
@@ -207,8 +214,8 @@ def _unresolved(key: tuple, problem: str, sources: Sequence[str]) -> ValueError:
         with open_input(path) as f:
             for line_no, line in enumerate(f, 1):
                 if any(isinstance(r, QuestionAnnotation) and r.key == key for r in read_annotations([line])):
-                    return ValueError(f"{path}: line {line_no}: {message}")
-    return ValueError(message)
+                    raise MalformedLine(line_no, message)
+    raise ValueError(message)
 
 
 def _question_features(
@@ -242,10 +249,10 @@ def _question_features(
         utterances = dialogue.utterances if dialogue is not None else ()
         i = turn_index - utterances[0].turn_index if utterances else -1
         if not 0 <= i < len(utterances):
-            raise _unresolved(key, " has no matching utterance", sources)
+            _unresolved(key, " has no matching utterance", sources)
         utt = utterances[i]
         if span[1] > len(utt.text):
-            raise _unresolved(key, f": span exceeds utterance length {len(utt.text)}", sources)
+            _unresolved(key, f": span exceeds utterance length {len(utt.text)}", sources)
         previous = utterances[i - 1] if i > 0 else None
         tokens = tokenize(utt.text[span[0] : span[1]])
         if previous is not last_prev:
@@ -440,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="normalize a transcript into canonical dialogue JSONL")
     p.add_argument("--input", required=True, help="transcript file")
     p.add_argument("--format", choices=("jsonl", "tsv", "eaf"), default="jsonl")
-    p.add_argument("--dialogue-id", help="dialogue id for single-dialogue formats (default: file stem)")
-    p.add_argument("--language", default="en", help="language code attached to ingested dialogues")
-    p.add_argument("--interruption-marker", default="--", help="trailing marker flagging a cut-off turn")
+    p.add_argument("--dialogue-id", help="tsv and eaf only: the dialogue id (default: file stem)")
+    p.add_argument("--language", help="tsv and eaf only: the dialogue's language code (default en)")
+    p.add_argument("--interruption-marker", help="tsv and eaf only: trailing marker of a cut-off turn (default --)")
     _add_common_flags(p)
     p.set_defaults(func=cmd_ingest)
 

@@ -9,12 +9,11 @@ left context. No parser, no POS tags.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .ingestion import MalformedLine, open_input
+from .ingestion import decode_json, open_input
 from .lexicon import DEFAULT_AUX, DEFAULT_CLICHE, DEFAULT_TAG, DEFAULT_WH, Lexicon, load_lexicon
 from .model import Utterance
 from .text import overlap_ratio, tokenize
@@ -133,17 +132,7 @@ def load_extractor_config(path: Union[str, Path]) -> ExtractorConfig:
     """
     path = Path(path)
     with open_input(path) as f:
-        text = f.read()  # outside the try: a decoding error is not a JSON error
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(exc.lineno, f"invalid JSON: {exc.msg}") from exc
-        except RecursionError:
-            raise ValueError("JSON nesting too deep") from None
-        except ValueError:  # an integer past the interpreter's digit limit
-            raise ValueError("integer too long") from None
-        if not isinstance(doc, dict):
-            raise ValueError("expected a JSON object")
+        doc = decode_json(f.read())
 
         known = {f.name for f in fields(ExtractorConfig)}
         for key in doc:

@@ -40,9 +40,11 @@ class MalformedLine(IngestError):
         self.line_no = line_no
 
 
-class DuplicateTurn(IngestError):
-    def __init__(self, dialogue_id: str, turn_index: int):
-        super().__init__(f"duplicate turn {turn_index} in dialogue {dialogue_id!r}")
+class DuplicateTurn(MalformedLine):
+    """A record repeating a turn of its dialogue; ``line_no`` is the repeat's line."""
+
+    def __init__(self, dialogue_id: str, turn_index: int, line_no: int):
+        super().__init__(line_no, f"duplicate turn {turn_index} in dialogue {dialogue_id!r}")
 
 
 class NonDenseTurns(IngestError):
@@ -60,14 +62,12 @@ class EmptyTranscript(IngestError):
     """A transcript source yielded no utterances."""
 
 
-class UnknownTag(IngestError):
+class UnknownTag(MalformedLine):
     """A tag value outside its closed set."""
 
-    def __init__(self, value: object, line_no: Optional[int] = None):
-        where = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(f"{where}unknown tag {value!r}")
+    def __init__(self, value: object, line_no: int):
+        super().__init__(line_no, f"unknown tag {value!r}")
         self.value = value
-        self.line_no = line_no
 
 
 @contextmanager
@@ -100,6 +100,27 @@ def open_input(path: Union[str, Path]) -> Iterator[IO[str]]:
         yield f
 
 
+def decode_json(text: str, line_no: Optional[int] = None) -> dict:
+    """The JSON object in ``text``: a whole document, or the JSONL line ``line_no``.
+
+    A fault is a MalformedLine at ``line_no``. In a whole document, invalid
+    JSON is a MalformedLine at the error's line; any other fault is an IngestError.
+    """
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedLine(line_no or exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        reason = "JSON nesting too deep"
+    except ValueError:  # an integer past the interpreter's digit limit
+        reason = "integer too long"
+    else:
+        if isinstance(obj, dict):
+            return obj
+        reason = "expected a JSON object"
+    raise IngestError(reason) if line_no is None else MalformedLine(line_no, reason)
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -108,29 +129,20 @@ def _json_lines(lines: Iterable[str], build: Callable[[dict, int], T]) -> Iterat
 
     A line may carry JSON whitespace (space, tab, CR, LF) around its object;
     a line of only whitespace is skipped. Raises MalformedLine for a line that
-    is not one JSON object, for a field name or string value holding a lone
-    surrogate (UTF-8 cannot write it), and for a field ``build`` reads by
-    subscription that is missing.
+    is not one JSON object (see decode_json), for a field name or string value
+    holding a lone surrogate (UTF-8 cannot write it), and for a field ``build``
+    reads by subscription that is missing.
     """
     for line_no, raw in enumerate(lines, start=1):
-        try:  # a clean line decodes once; any other goes through json.loads, which words the error
+        try:  # a clean line decodes once; any other goes through decode_json, which words the fault
             obj, end = _raw_decode(raw)
-            clean = not raw[end:].strip(" \t\n\r")
+            clean = type(obj) is dict and not raw[end:].strip(" \t\n\r")
         except (ValueError, RecursionError):
             clean = False
         if not clean:
             if not raw.strip():
                 continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(line_no, f"invalid JSON: {exc.msg}") from exc
-            except RecursionError:
-                raise MalformedLine(line_no, "JSON nesting too deep") from None
-            except ValueError:  # an integer past the interpreter's digit limit
-                raise MalformedLine(line_no, "integer too long") from None
-        if not isinstance(obj, dict):
-            raise MalformedLine(line_no, "expected a JSON object")
+            obj = decode_json(raw, line_no)
         if "\\u" in raw:  # in text decoded from UTF-8, only a \u escape can spell a surrogate
             try:
                 "".join(s for item in obj.items() for s in item if type(s) is str).encode()
@@ -191,7 +203,7 @@ def parse_dialogue_jsonl(lines: Iterable[str]) -> list[Dialogue]:
     """Parse canonical dialogue JSONL into dialogues sorted by id.
 
     Blank lines are skipped. Raises MalformedLine (with the 1-based line
-    number), DuplicateTurn, or NonDenseTurns. Utterances with the same
+    number; DuplicateTurn is one) or NonDenseTurns. Utterances with the same
     dialogue id or speaker share one string object.
     """
     by_dialogue: dict[str, dict[int, Utterance]] = {}
@@ -199,7 +211,7 @@ def parse_dialogue_jsonl(lines: Iterable[str]) -> list[Dialogue]:
     for line_no, (utt, language) in _json_lines(lines, _utterance_from_obj):
         turns = by_dialogue.setdefault(utt.dialogue_id, {})
         if utt.turn_index in turns:
-            raise DuplicateTurn(utt.dialogue_id, utt.turn_index)
+            raise DuplicateTurn(utt.dialogue_id, utt.turn_index, line_no)
         turns[utt.turn_index] = utt
         known = languages.setdefault(utt.dialogue_id, language)
         if known != language:
@@ -210,6 +222,17 @@ def parse_dialogue_jsonl(lines: Iterable[str]) -> list[Dialogue]:
     return [
         Dialogue(d, languages[d], tuple(turns[i] for i in sorted(turns))) for d, turns in sorted(by_dialogue.items())
     ]
+
+
+def _whole_number(text: str) -> int:
+    """The integer ``text`` spells as an optional ``-`` and the digits 0-9, spaces around allowed.
+
+    Raises ValueError for anything else ``int`` would take: ``+``, ``_``, non-ASCII digits.
+    """
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a whole number: {text!r}")
+    return int(text)
 
 
 def _strip_interruption(text: str, marker: str) -> tuple[str, bool]:
@@ -240,7 +263,7 @@ def parse_tsv_transcript(
         if len(parts) != 3:
             raise MalformedLine(line_no, f"expected 3 tab-separated columns, got {len(parts)}")
         try:
-            turn_index = int(parts[0])
+            turn_index = _whole_number(parts[0])
         except ValueError:
             raise MalformedLine(line_no, f"first column must be an integer, got {parts[0]!r}") from None
         if turn_index < 0:
@@ -249,7 +272,7 @@ def parse_tsv_transcript(
         if not text:
             raise MalformedLine(line_no, "empty text")
         if turn_index in turns:
-            raise DuplicateTurn(dialogue_id, turn_index)
+            raise DuplicateTurn(dialogue_id, turn_index, line_no)
         turns[turn_index] = Utterance(dialogue_id, turn_index, parts[1].strip(), text, interrupted)
 
     if not turns:
@@ -291,7 +314,7 @@ def parse_eaf(
             value = slot.get("TIME_VALUE")
             if value is not None:
                 try:
-                    time = int(value)
+                    time = _whole_number(value)
                 except ValueError:
                     raise IngestError(
                         f"time slot {slot_id!r} has a non-integer TIME_VALUE {value!r}"

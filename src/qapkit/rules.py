@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .features import DEFAULT_EXTRACTOR, ExtractorConfig, FeatureVector
-from .ingestion import UnknownTag, open_input
+from .ingestion import MalformedLine, UnknownTag, open_input
 from .model import Feature, QuestionType
 
 
@@ -78,7 +78,8 @@ def load_wh_feature_map(source: Union[str, Path, Iterable[str]]) -> dict[str, Fe
     """Read a two-column file: wh-token, feature tag.
 
     Blank lines and "#" comments are skipped. Raises UnknownTag for a tag
-    outside the feature set and ValueError for structural problems.
+    outside the feature set, MalformedLine for a line without two columns
+    and ValueError for a map with no entries.
     """
     if isinstance(source, (str, Path)):
         with open_input(source) as f:
@@ -91,7 +92,7 @@ def load_wh_feature_map(source: Union[str, Path, Iterable[str]]) -> dict[str, Fe
             continue
         columns = line.split()
         if len(columns) != 2:
-            raise ValueError(f"line {line_no}: expected two columns, got {len(columns)}")
+            raise MalformedLine(line_no, f"expected two columns, got {len(columns)}")
         token, tag = columns
         try:
             feature = Feature(tag)

@@ -12,7 +12,6 @@ instances, and the learned tree does not depend on the training file's order.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import Counter
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
 from .features import FEATURE_NAMES, FeatureVector
-from .ingestion import write_json
+from .ingestion import IngestError, decode_json, write_json
 from .model import QuestionType
 
 
@@ -284,17 +283,10 @@ def _node_from_obj(obj: object) -> Node:
 
 def load_model(stream: IO[str]) -> TreeModel:
     """Decode a model document; reject damage and future versions."""
-    text = stream.read()  # outside the try: a decoding error is not a JSON error
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedModel(f"line {exc.lineno}: invalid JSON: {exc.msg}") from exc
-    except RecursionError:
-        raise MalformedModel("model nesting too deep") from None
-    except ValueError:  # an integer past the interpreter's digit limit
-        raise MalformedModel("integer too long") from None
-    if not isinstance(doc, dict):
-        raise MalformedModel("model document must be a JSON object")
+        doc = decode_json(stream.read())
+    except IngestError as exc:  # not a UTF-8 decoding error, which names its own line
+        raise MalformedModel(str(exc)) from exc
     version = doc.get("version")
     if isinstance(version, bool) or not isinstance(version, int) or version < 1:
         raise MalformedModel(f"missing or invalid version field: {version!r}")

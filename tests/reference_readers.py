@@ -72,7 +72,7 @@ def parse_dialogue_jsonl(lines: Iterable[str]) -> list[Dialogue]:
         utt, language = _utterance_from_obj(obj, line_no)
         turns = by_dialogue.setdefault(utt.dialogue_id, {})
         if utt.turn_index in turns:
-            raise DuplicateTurn(utt.dialogue_id, utt.turn_index)
+            raise DuplicateTurn(utt.dialogue_id, utt.turn_index, line_no)
         turns[utt.turn_index] = utt
         known = languages.setdefault(utt.dialogue_id, language)
         if known != language:

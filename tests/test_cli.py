@@ -187,6 +187,30 @@ class TestIngest:
         info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
         assert info == ["ingested 4 utterances in 3 dialogues"]
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("dup.jsonl", "".join(json.dumps(utt_obj(t, "hi", dialogue="d")) + "\n" for t in (0, 1, 0))),
+            ("d.tsv", "0\tA\thi\n1\tB\thi\n0\tA\thi\n"),
+        ],
+        ids=["jsonl", "tsv"],
+    )
+    def test_duplicate_turn_names_its_line(self, run_cli, tmp_path, name, content):
+        src = tmp_path / name
+        src.write_text(content, encoding="utf-8")
+        code, _, err = run_cli("ingest", "--input", src, "--format", src.suffix[1:])
+        assert (code, err) == (2, f"error: {src}: line 3: duplicate turn 0 in dialogue 'd'\n")
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--dialogue-id", "zz"), ("--language", "es"), ("--interruption-marker", "##")]
+    )
+    def test_jsonl_input_rejects_the_tsv_and_eaf_flags(self, run_cli, tmp_path, flag, value):
+        src = write_jsonl(tmp_path / "in.jsonl", [utt_obj(0, "hi ##")])
+        out = tmp_path / "out.jsonl"
+        code, _, err = run_cli("ingest", "--input", src, flag, value, "--output", out)
+        assert (code, err) == (2, f"error: {flag} applies only to --format tsv and eaf\n")
+        assert not out.exists()
+
     def test_invalid_utf8_names_file_and_line(self, run_cli, tmp_path):
         src = tmp_path / "bad.jsonl"
         write_jsonl(src, [utt_obj(0, "hello?"), utt_obj(1, "cafe")])
@@ -301,7 +325,7 @@ class TestClassify:
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "Where to?")])
         code, _, err = run_cli("classify", "--input", corpus, "--mode", "tree", "--model", model)
         assert code == 2
-        assert "model nesting too deep" in err
+        assert "JSON nesting too deep" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -1121,6 +1145,32 @@ class TestInputErrorsNameTheFile:
         assert code == 2
         assert err == f"error: {bad}: line 2: string holds a lone surrogate\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, document, reason",
+        [
+            ("[1]", "[1]", "expected a JSON object"),
+            ('{"version": }', '{\n"version": }', "line 2: invalid JSON: Expecting value"),
+            ("[" * 3000 + "]" * 3000, "[" * 3000 + "]" * 3000, "JSON nesting too deep"),
+            pytest.param(
+                "[" + "9" * 5000 + "]", "[" + "9" * 5000 + "]", "integer too long",
+                marks=pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="this interpreter has no integer digit limit"),
+            ),
+        ],
+        ids=["not-an-object", "syntax", "nesting", "long-integer"],
+    )
+    def test_every_json_input_words_a_fault_alike(self, run_cli, tmp_path, line, document, reason):
+        corpus = _file(tmp_path / "c.jsonl", CORPUS_LINE)
+        annotations = _file(tmp_path / "gold.jsonl", GOLD_LINE + line + "\n")
+        doc = _file(tmp_path / "doc.json", document + "\n")
+        where = "" if reason.startswith("line 2: ") else "line 2: "  # a JSONL fault is on its line
+        for argv, path, expected in [
+            (("validate", "--input", annotations), annotations, where + reason),
+            (("classify", "--input", corpus, "--extractor-config", doc), doc, reason),
+            (("classify", "--input", corpus, "--mode", "tree", "--model", doc), doc, reason),
+        ]:
+            code, _, err = run_cli(*argv)
+            assert (code, err) == (2, f"error: {path}: {expected}\n")
 
     def test_deep_extractor_config_exits_two(self, run_cli, tmp_path):
         corpus = _file(tmp_path / "c.jsonl", CORPUS_LINE)

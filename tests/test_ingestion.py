@@ -234,6 +234,17 @@ class TestTsv:
         with pytest.raises(DuplicateTurn):
             parse_tsv_transcript(["1\tA\ta\n", "1\tB\tb\n"])
 
+    def test_line_number_takes_only_ascii_digits(self):
+        (d,) = parse_tsv_transcript([" 7 \tA\thello\n", "8\tB\tworld\n"])
+        assert [u.turn_index for u in d.utterances] == [7, 8]
+        with pytest.raises(MalformedLine, match="^line 1: turn number must be non-negative$"):
+            parse_tsv_transcript([" -3\tA\thello\n"])
+        # int() would read each of these: an underscore, a plus sign, non-ASCII digits
+        for number in ["1_0", "+1", "\u0663", "\uff11", "1\u0660"]:
+            expected = f"^line 2: first column must be an integer, got {re.escape(repr(number))}$"
+            with pytest.raises(MalformedLine, match=expected):
+                parse_tsv_transcript(["0\tA\thello\n", f"{number}\tB\tworld\n"])
+
     def test_gap_rejected(self):
         with pytest.raises(NonDenseTurns):
             parse_tsv_transcript(["1\tA\ta\n", "3\tB\tb\n"])
@@ -366,6 +377,13 @@ class TestEaf:
         path.write_text(doc, encoding="utf-8")
         with pytest.raises(IngestError, match="'ts2'.*'1.2s'"):
             parse_eaf(path)
+
+    def test_time_value_takes_only_ascii_digits(self, tmp_path):
+        path = tmp_path / "bad.eaf"
+        for value in ["2_000", "+1200", "\u0661200"]:
+            path.write_text(EAF_DOC.replace('TIME_VALUE="1200"', f'TIME_VALUE="{value}"'), encoding="utf-8")
+            with pytest.raises(IngestError, match=f"'ts2' has a non-integer TIME_VALUE {re.escape(repr(value))}$"):
+                parse_eaf(path)
 
 
 Q_LINE = {
