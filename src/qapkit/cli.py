@@ -13,7 +13,6 @@ import itertools
 import logging
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
@@ -33,6 +32,7 @@ from .features import (
     LEXICON_NAMES,
     ExtractorConfig,
     FeatureVector,
+    apply_settings,
     extract_features,  # noqa: F401  (the one-question API; bench/tracer.py wraps it here)
     load_extractor_config,
     token_features,
@@ -49,7 +49,6 @@ from .ingestion import (
     write_dialogues,
     write_json,
 )
-from .lexicon import load_lexicon
 from .model import (
     QUESTION_TYPE_ORDER,
     AnswerAnnotation,
@@ -131,12 +130,12 @@ def _extraction_setup(args) -> ExtractorConfig:
             raise ValueError(f"--lexicon expects NAME=PATH, got {item!r}")
         if name not in LEXICON_NAMES:
             raise ValueError(f"unknown lexicon name {name!r} (use one of {', '.join(LEXICON_NAMES)})")
-        overrides[f"{name}_lexicon"] = load_lexicon(path, name=name)
+        overrides[f"{name}_lexicon"] = path
     if args.threshold is not None:
         overrides["similarity_threshold"] = args.threshold
     if getattr(args, "cliche_length_cap", None) is not None:
         overrides["cliche_length_cap"] = args.cliche_length_cap
-    cfg = replace(cfg, **overrides)
+    cfg = apply_settings(cfg, overrides)
     # wh-words and auxiliaries are looked up one token at a time
     for name in ("wh", "aux"):
         phrases = sorted(" ".join(e) for e in getattr(cfg, f"{name}_lexicon").entries if len(e) > 1)
@@ -265,6 +264,12 @@ def _question_features(
 
 
 def cmd_classify(args) -> int:
+    if args.mode == "tree" and not args.model:
+        raise MissingModel("tree mode requires --model")
+    if args.model and args.mode != "tree":
+        raise ValueError("--model applies only to --mode tree")
+    if args.cliche_length_cap is not None and args.mode != "rule":
+        raise ValueError("--cliche-length-cap applies only to --mode rule")
     _check_utf8(args.annotator_id, "--annotator-id is not valid UTF-8")
     cfg = _extraction_setup(args)
     wh_map = _wh_feature_map(args.wh_map, cfg)
@@ -272,8 +277,6 @@ def cmd_classify(args) -> int:
 
     model = None
     if args.mode == "tree":
-        if not args.model:
-            raise MissingModel("tree mode requires --model")
         with open_input(args.model) as f:
             model = load_model(f)
 
@@ -456,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="annotate question types over a canonical corpus")
     p.add_argument("--input", required=True, help="canonical dialogue JSONL")
     p.add_argument("--mode", choices=("rule", "tree"), default="rule")
-    p.add_argument("--model", help="model file (required for tree mode)")
+    p.add_argument("--model", help="tree mode only: model file (required there)")
     p.add_argument(
         "--questions",
         help="annotation JSONL whose question spans override ?-based detection",
@@ -468,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cliche-length-cap",
         type=int,
-        help="maximum token length still counting as short (default 5)",
+        help="rule mode only: maximum token length still counting as short (default 5)",
     )
     _add_common_flags(p)
     p.set_defaults(func=cmd_classify)

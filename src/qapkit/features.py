@@ -9,7 +9,7 @@ left context. No parser, no POS tags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -58,10 +58,17 @@ class ExtractorConfig:
     cliche_length_cap: int = 5
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.similarity_threshold <= 1.0:
-            raise ValueError(f"similarity_threshold must be in [0,1], got {self.similarity_threshold}")
-        if self.cliche_length_cap < 0:
-            raise ValueError("cliche_length_cap must be non-negative")
+        for name in LEXICON_NAMES:
+            if not isinstance(getattr(self, f"{name}_lexicon"), Lexicon):
+                raise ValueError(f"{name}_lexicon must be a Lexicon")
+        threshold = self.similarity_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+            raise ValueError("similarity_threshold must be a number")
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"similarity_threshold must be in [0,1], got {threshold}")
+        cap = self.cliche_length_cap
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+            raise ValueError("cliche_length_cap must be a non-negative integer")
 
 
 DEFAULT_EXTRACTOR = ExtractorConfig()
@@ -122,47 +129,38 @@ def extract_features(
     return token_features(tokenize(text), tokenize(previous.text), previous.interrupted, cfg)
 
 
-def load_extractor_config(path: Union[str, Path]) -> ExtractorConfig:
-    """Read extractor settings from a JSON document.
+def apply_settings(cfg: ExtractorConfig, doc: dict, base: Optional[Path] = None) -> ExtractorConfig:
+    """``cfg`` with each field the settings document ``doc`` (an extractor-config file's fields) sets.
 
-    Each field of the document sets the ExtractorConfig field of the same
-    name. A lexicon is either an inline list of phrases or a path to a
-    lexicon file, resolved relative to the document. Missing fields keep
-    their defaults.
+    A lexicon is an inline list of phrases or a file path, resolved against
+    ``base`` (used as spelled when None); ExtractorConfig checks every value.
+    """
+    known = {f.name for f in fields(ExtractorConfig)}
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown extractor config field {key!r}")
+    changes = dict(doc)
+    for key, value in doc.items():
+        if not key.endswith("_lexicon"):
+            continue
+        name = key.removesuffix("_lexicon")
+        if isinstance(value, str):
+            changes[key] = load_lexicon(value if base is None else base / value, name=name)
+        elif isinstance(value, list) and all(isinstance(p, str) for p in value):
+            for phrase in value:
+                if not tokenize(phrase):
+                    raise ValueError(f"{key}: entry {phrase!r} has no word tokens")
+            changes[key] = Lexicon.from_phrases(name, value)
+        else:
+            raise ValueError(f"{key} must be a list of phrases or a file path")
+    return replace(cfg, **changes)
+
+
+def load_extractor_config(path: Union[str, Path]) -> ExtractorConfig:
+    """The defaults with the settings of a JSON extractor-config file applied (see apply_settings).
+
+    Lexicon file paths are relative to the file; missing fields keep their defaults.
     """
     path = Path(path)
     with open_input(path) as f:
-        doc = decode_json(f.read())
-
-        known = {f.name for f in fields(ExtractorConfig)}
-        for key in doc:
-            if key not in known:
-                raise ValueError(f"unknown extractor config field {key!r}")
-
-        kwargs = {}
-        for name in LEXICON_NAMES:
-            field_name = f"{name}_lexicon"
-            if field_name not in doc:
-                continue
-            value = doc[field_name]
-            if isinstance(value, str):
-                kwargs[field_name] = load_lexicon(path.parent / value, name=name)
-            elif isinstance(value, list) and all(isinstance(p, str) for p in value):
-                for phrase in value:
-                    if not tokenize(phrase):
-                        raise ValueError(f"{field_name}: entry {phrase!r} has no word tokens")
-                kwargs[field_name] = Lexicon.from_phrases(name, value)
-            else:
-                raise ValueError(f"{field_name} must be a list of phrases or a file path")
-        if "similarity_threshold" in doc:
-            threshold = doc["similarity_threshold"]
-            if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-                raise ValueError("similarity_threshold must be a number")
-            kwargs["similarity_threshold"] = threshold
-
-        cap = doc.get("cliche_length_cap")
-        if cap is not None:
-            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
-                raise ValueError("cliche_length_cap must be a non-negative integer")
-            kwargs["cliche_length_cap"] = cap
-        return ExtractorConfig(**kwargs)
+        return apply_settings(DEFAULT_EXTRACTOR, decode_json(f.read()), path.parent)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 import xml.etree.ElementTree as ET
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
@@ -228,11 +228,22 @@ def _whole_number(text: str) -> int:
     """The integer ``text`` spells as an optional ``-`` and the digits 0-9, spaces around allowed.
 
     Raises ValueError for anything else ``int`` would take: ``+``, ``_``, non-ASCII digits.
+    Digits past the interpreter's limit raise OverflowError("integer too long").
     """
     digits = text.strip().removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a whole number: {text!r}")
-    return int(text)
+        raise ValueError("not a whole number")
+    try:
+        return int(text)
+    except ValueError:
+        raise OverflowError("integer too long") from None
+
+
+def _shown(value: str) -> str:
+    """``repr(value)``; a value of more than 40 characters shows its first 40 and its length."""
+    if len(value) <= 40:
+        return repr(value)
+    return f"{value[:40]!r}... ({len(value)} characters)"
 
 
 def _strip_interruption(text: str, marker: str) -> tuple[str, bool]:
@@ -264,8 +275,10 @@ def parse_tsv_transcript(
             raise MalformedLine(line_no, f"expected 3 tab-separated columns, got {len(parts)}")
         try:
             turn_index = _whole_number(parts[0])
+        except OverflowError as exc:
+            raise MalformedLine(line_no, f"first column: {exc}") from None
         except ValueError:
-            raise MalformedLine(line_no, f"first column must be an integer, got {parts[0]!r}") from None
+            raise MalformedLine(line_no, f"first column must be an integer, got {_shown(parts[0])}") from None
         if turn_index < 0:
             raise MalformedLine(line_no, "turn number must be non-negative")
         text, interrupted = _strip_interruption(parts[2].strip(), interruption_marker)
@@ -281,7 +294,7 @@ def parse_tsv_transcript(
 
 
 def parse_eaf(
-    source: Union[str, Path, IO[bytes], IO[str]],
+    path: Union[str, Path],
     dialogue_id: Optional[str] = None,
     language: str = "en",
     interruption_marker: str = "--",
@@ -294,14 +307,14 @@ def parse_eaf(
     The tier's PARTICIPANT attribute, falling back to TIER_ID, names the
     speaker. An annotation left empty once the interruption marker is
     stripped is dropped, and the kept ones get turn indices 0..n-1 in
-    temporal order. The XML declaration's encoding is honoured; given a
-    path, errors name it.
+    temporal order. The XML declaration's encoding is honoured; errors name
+    the file.
     """
     if dialogue_id is None:
-        dialogue_id = Path(source).stem if isinstance(source, (str, Path)) else "eaf"
-    with _naming(source) if isinstance(source, (str, Path)) else nullcontext():
+        dialogue_id = Path(path).stem
+    with _naming(path):
         try:
-            root = ET.parse(source).getroot()
+            root = ET.parse(path).getroot()
         except ET.ParseError as exc:
             raise IngestError(f"invalid .eaf XML: {exc}") from exc
 
@@ -315,9 +328,11 @@ def parse_eaf(
             if value is not None:
                 try:
                     time = _whole_number(value)
+                except OverflowError as exc:
+                    raise IngestError(f"time slot {_shown(slot_id)} TIME_VALUE: {exc}") from None
                 except ValueError:
                     raise IngestError(
-                        f"time slot {slot_id!r} has a non-integer TIME_VALUE {value!r}"
+                        f"time slot {_shown(slot_id)} has a non-integer TIME_VALUE {_shown(value)}"
                     ) from None
             slot_key[slot_id] = (time, i)
 

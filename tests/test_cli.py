@@ -537,6 +537,74 @@ class TestExtractionSettings:
         )
         assert code == 0, err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--model", "m.json"), "--model applies only to --mode tree"),
+            (("--mode", "rule", "--model", "m.json"), "--model applies only to --mode tree"),
+            (("--mode", "tree", "--model", "m.json", "--cliche-length-cap", "3"),
+             "--cliche-length-cap applies only to --mode rule"),
+            (("--mode", "tree"), "tree mode requires --model"),
+        ],
+        ids=["model-default-mode", "model-rule-mode", "cap-tree-mode", "tree-mode-without-model"],
+    )
+    def test_classify_checks_its_mode_flags_first(self, run_cli, tmp_path, flags, message):
+        # no input file exists: the flags are checked before any input is read
+        code, _, err = run_cli("classify", "--input", tmp_path / "missing.jsonl", *flags)
+        assert (code, err) == (2, f"error: {message}\n")
+
+    def test_flags_and_config_values_give_the_same_message(self, run_cli, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "really?")])
+        message = "cliche_length_cap must be a non-negative integer"
+        code, _, err = run_cli("classify", "--input", corpus, "--cliche-length-cap", "-1")
+        assert (code, err) == (2, f"error: {message}\n")
+        config = self.config(tmp_path, cliche_length_cap=-1)
+        code, _, err = run_cli("classify", "--input", corpus, "--extractor-config", config)
+        assert (code, err) == (2, f"error: {config}: {message}\n")
+
+    def test_lexicon_flag_file_is_named_as_spelled(self, run_cli, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "who?")])
+        (tmp_path / "wh.txt").write_text("who\n?!\n", encoding="utf-8")
+        code, _, err = run_cli("classify", "--input", "c.jsonl", "--lexicon", "wh=./wh.txt")
+        assert (code, err) == (2, "error: ./wh.txt: line 2: entry '?!' has no word tokens\n")
+
+    def test_repeated_lexicon_flag_reads_only_the_last_file(self, run_cli, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "you know?")])
+        lex = tmp_path / "cliche.txt"
+        lex.write_text("you know\n", encoding="utf-8")
+        flags = ("--lexicon", f"cliche={tmp_path / 'missing.txt'}", "--lexicon", f"cliche={lex}")
+        assert _verdict(run_cli, tmp_path, corpus, *flags) == "PQ"
+
+
+PHRASES = st.lists(st.sampled_from(["you know", "okay", "who", "is it", "right"]), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lexicons=st.dictionaries(st.sampled_from(features_module.LEXICON_NAMES), st.tuples(PHRASES, st.booleans())),
+    threshold=st.none() | st.floats(0.0, 1.0),
+    cap=st.none() | st.integers(0, 50),
+)
+def test_config_file_and_flags_give_equal_configs(tmp_path_factory, lexicons, threshold, cap):
+    d = tmp_path_factory.mktemp("settings")
+    doc, argv = {}, ["classify", "--input", "c.jsonl"]
+    for name, (phrases, inline) in lexicons.items():
+        path = d / f"{name}.txt"
+        path.write_text("".join(p + "\n" for p in phrases), encoding="utf-8")
+        doc[f"{name}_lexicon"] = phrases if inline else path.name
+        argv += ["--lexicon", f"{name}={path}"]
+    if threshold is not None:
+        doc["similarity_threshold"] = threshold
+        argv += ["--threshold", repr(threshold)]
+    if cap is not None:
+        doc["cliche_length_cap"] = cap
+        argv += ["--cliche-length-cap", str(cap)]
+    config = d / "ext.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    from_flags = cli_module._extraction_setup(cli_module.build_parser().parse_args(argv))
+    assert features_module.load_extractor_config(config) == from_flags
+
 
 class TestTrain:
     def test_model_file_and_summary(self, run_cli, tmp_path, train_corpus):

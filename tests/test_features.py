@@ -255,6 +255,23 @@ class TestExtract:
         with pytest.raises(ValueError):
             ExtractorConfig(similarity_threshold=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("similarity_threshold", True, "similarity_threshold must be a number"),
+            ("similarity_threshold", "0.5", "similarity_threshold must be a number"),
+            ("similarity_threshold", None, "similarity_threshold must be a number"),
+            ("cliche_length_cap", 2.5, "cliche_length_cap must be a non-negative integer"),
+            ("cliche_length_cap", True, "cliche_length_cap must be a non-negative integer"),
+            ("cliche_length_cap", None, "cliche_length_cap must be a non-negative integer"),
+            ("wh_lexicon", ["who"], "wh_lexicon must be a Lexicon"),
+        ],
+        ids=["threshold-bool", "threshold-str", "threshold-none", "cap-float", "cap-bool", "cap-none", "lexicon-list"],
+    )
+    def test_every_field_is_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExtractorConfig(**{field: value})
+
 
 class TestConfigFile:
     def test_inline_and_file_lexicons(self, tmp_path):
@@ -301,7 +318,7 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"similarity_threshold must be in \[0,1\]"):
             load_extractor_config(path)
 
-    @pytest.mark.parametrize("cap", ["-1", "true", "2.5", '"5"'])
+    @pytest.mark.parametrize("cap", ["-1", "true", "2.5", '"5"', "null"])
     def test_bad_length_cap(self, tmp_path, cap):
         path = tmp_path / "extractor.json"
         path.write_text(f'{{"cliche_length_cap": {cap}}}', encoding="utf-8")

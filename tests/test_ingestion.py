@@ -245,6 +245,13 @@ class TestTsv:
             with pytest.raises(MalformedLine, match=expected):
                 parse_tsv_transcript(["0\tA\thello\n", f"{number}\tB\tworld\n"])
 
+    def test_over_long_first_column_is_worded_and_cut(self):
+        with pytest.raises(MalformedLine, match="^line 1: first column: integer too long$"):
+            parse_tsv_transcript(["9" * 5000 + "\tA\thello\n"])
+        with pytest.raises(MalformedLine) as info:
+            parse_tsv_transcript(["x" * 5000 + "\tA\thello\n"])
+        assert str(info.value) == f"line 1: first column must be an integer, got {'x' * 40!r}... (5000 characters)"
+
     def test_gap_rejected(self):
         with pytest.raises(NonDenseTurns):
             parse_tsv_transcript(["1\tA\ta\n", "3\tB\tb\n"])
@@ -384,6 +391,15 @@ class TestEaf:
             path.write_text(EAF_DOC.replace('TIME_VALUE="1200"', f'TIME_VALUE="{value}"'), encoding="utf-8")
             with pytest.raises(IngestError, match=f"'ts2' has a non-integer TIME_VALUE {re.escape(repr(value))}$"):
                 parse_eaf(path)
+
+    def test_over_long_time_value_is_worded_and_cut(self, tmp_path):
+        path = tmp_path / "bad.eaf"
+        path.write_text(EAF_DOC.replace('TIME_VALUE="1200"', f'TIME_VALUE="{"9" * 5000}"'), encoding="utf-8")
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: time slot 'ts2' TIME_VALUE: integer too long$"):
+            parse_eaf(path)
+        path.write_text(EAF_DOC.replace('TIME_VALUE="1200"', f'TIME_VALUE="{"x" * 5000}"'), encoding="utf-8")
+        with pytest.raises(IngestError, match=r"'ts2' has a non-integer TIME_VALUE 'x{40}'\.\.\. \(5000 characters\)$"):
+            parse_eaf(path)
 
 
 Q_LINE = {

@@ -87,7 +87,7 @@ class TestPrecedence:
         assert rule_classify(fv, ExtractorConfig(cliche_length_cap=8)) is QuestionType.CS
 
     def test_cap_validation(self):
-        with pytest.raises(ValueError, match="cliche_length_cap must be non-negative"):
+        with pytest.raises(ValueError, match="cliche_length_cap must be a non-negative integer"):
             ExtractorConfig(cliche_length_cap=-1)
 
 
