@@ -73,10 +73,6 @@ from .tree import (
 log = logging.getLogger("qapkit")
 
 
-class MissingModel(ValueError):
-    """Tree mode invoked without a model file."""
-
-
 @contextmanager
 def _open_out(path: Optional[str]):
     if path:
@@ -265,7 +261,7 @@ def _question_features(
 
 def cmd_classify(args) -> int:
     if args.mode == "tree" and not args.model:
-        raise MissingModel("tree mode requires --model")
+        raise ValueError("tree mode requires --model")
     if args.model and args.mode != "tree":
         raise ValueError("--model applies only to --mode tree")
     if args.cliche_length_cap is not None and args.mode != "rule":

@@ -145,7 +145,11 @@ def apply_settings(cfg: ExtractorConfig, doc: dict, base: Optional[Path] = None)
             continue
         name = key.removesuffix("_lexicon")
         if isinstance(value, str):
-            changes[key] = load_lexicon(value if base is None else base / value, name=name)
+            path = value if base is None else base / value
+            try:
+                changes[key] = load_lexicon(path, name=name)
+            except OSError as exc:
+                raise ValueError(f"{key}: cannot read {str(path)!r}: {exc.strerror or exc}") from None
         elif isinstance(value, list) and all(isinstance(p, str) for p in value):
             for phrase in value:
                 if not tokenize(phrase):

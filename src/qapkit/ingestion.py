@@ -9,6 +9,7 @@ run but need not start at zero, so source line numbering survives ingestion.
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
@@ -66,7 +67,7 @@ class UnknownTag(MalformedLine):
     """A tag value outside its closed set."""
 
     def __init__(self, value: object, line_no: int):
-        super().__init__(line_no, f"unknown tag {value!r}")
+        super().__init__(line_no, f"unknown tag {_shown(value)}")
         self.value = value
 
 
@@ -239,11 +240,15 @@ def _whole_number(text: str) -> int:
         raise OverflowError("integer too long") from None
 
 
-def _shown(value: str) -> str:
-    """``repr(value)``; a value of more than 40 characters shows its first 40 and its length."""
-    if len(value) <= 40:
-        return repr(value)
-    return f"{value[:40]!r}... ({len(value)} characters)"
+def _shown(value: object) -> str:
+    """``repr(value)``; a string (or another value's repr) past 40 characters shows its first 40 and its length."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
+    try:
+        text = repr(value)
+    except RecursionError:  # a JSON value nested almost as deep as the decoder takes
+        return reprlib.repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def _strip_interruption(text: str, marker: str) -> tuple[str, bool]:

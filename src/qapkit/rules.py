@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .features import DEFAULT_EXTRACTOR, ExtractorConfig, FeatureVector
 from .ingestion import MalformedLine, UnknownTag, open_input
@@ -24,35 +24,25 @@ DEFAULT_WH_FEATURE_MAP: Mapping[str, Feature] = {
 }
 
 
+#: The rule cascade, in README's numbered order: rule N is ``RULES[N - 1]``, a
+#: test of the feature vector and the cliché length cap, and the type it gives.
+#: The last test always holds.
+RULES: tuple[tuple[Callable[[FeatureVector, int], bool], QuestionType], ...] = (
+    (lambda fv, cap: fv.has_wh and not fv.has_cliche, QuestionType.WH),
+    (lambda fv, cap: fv.has_or, QuestionType.DQ),
+    (lambda fv, cap: fv.has_inversion or (fv.has_tag and not fv.has_cliche), QuestionType.YN),
+    (lambda fv, cap: fv.last_utt_incomplete and (fv.last_utt_similar or fv.length <= cap), QuestionType.CS),
+    (lambda fv, cap: fv.has_cliche, QuestionType.PQ),
+    (lambda fv, cap: True, QuestionType.YN),
+)
+
+
 def rule_classify(fv: FeatureVector, cfg: ExtractorConfig = DEFAULT_EXTRACTOR) -> QuestionType:
-    """Assign a question type from surface predictors.
-
-    Cues are tried from most to least specific; the first hit wins:
-
-    1. wh-word present and no phatic cliché -> WH. Cliché phrases
-       containing wh-words ("you know?") outrank the wh cue.
-    2. the word "or" -> DQ
-    3. subject-aux inversion, or a final tag that is not itself a
-       cliché -> YN
-    4. previous turn cut off, and the question either overlaps it or is
-       short -> CS
-    5. phatic cliché -> PQ
-    6. anything left -> YN (covers inversion-less propositional
-       questions like "You saw him?")
-
-    Total and deterministic: every vector maps to exactly one type.
-    """
-    if fv.has_wh and not fv.has_cliche:
-        return QuestionType.WH
-    if fv.has_or:
-        return QuestionType.DQ
-    if fv.has_inversion or (fv.has_tag and not fv.has_cliche):
-        return QuestionType.YN
-    if fv.last_utt_incomplete and (fv.last_utt_similar or fv.length <= cfg.cliche_length_cap):
-        return QuestionType.CS
-    if fv.has_cliche:
-        return QuestionType.PQ
-    return QuestionType.YN
+    """The type of the first rule in RULES (README's numbered list) that ``fv`` meets."""
+    cap = cfg.cliche_length_cap
+    for test, q_type in RULES:
+        if test(fv, cap):
+            return q_type
 
 
 def map_wh_feature(

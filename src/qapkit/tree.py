@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
 from .features import FEATURE_NAMES, FeatureVector
-from .ingestion import IngestError, decode_json, write_json
+from .ingestion import IngestError, _shown, decode_json, write_json
 from .model import QuestionType
 
 
@@ -248,7 +248,7 @@ def _node_from_obj(obj: object) -> Node:
         try:
             label = QuestionType(obj["label"])
         except (ValueError, TypeError):
-            raise MalformedModel(f"bad leaf label {obj.get('label')!r}") from None
+            raise MalformedModel(f"bad leaf label {_shown(obj.get('label'))}") from None
         distribution = obj.get("distribution")
         if not isinstance(distribution, dict):
             raise MalformedModel("leaf distribution must be an object")
@@ -257,7 +257,7 @@ def _node_from_obj(obj: object) -> Node:
             try:
                 decoded_key = QuestionType(key)
             except ValueError:
-                raise MalformedModel(f"bad distribution label {key!r}") from None
+                raise MalformedModel(f"bad distribution label {_shown(key)}") from None
             if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                 raise MalformedModel(f"bad distribution count for {key!r}")
             decoded[decoded_key] = count
@@ -265,7 +265,7 @@ def _node_from_obj(obj: object) -> Node:
 
     feature = obj.get("feature")
     if feature not in FEATURE_NAMES:
-        raise MalformedModel(f"unknown split feature {feature!r}")
+        raise MalformedModel(f"unknown split feature {_shown(feature)}")
     threshold = obj.get("threshold")
     if feature == "length":
         if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
@@ -289,9 +289,11 @@ def load_model(stream: IO[str]) -> TreeModel:
         raise MalformedModel(str(exc)) from exc
     version = doc.get("version")
     if isinstance(version, bool) or not isinstance(version, int) or version < 1:
-        raise MalformedModel(f"missing or invalid version field: {version!r}")
+        raise MalformedModel(f"missing or invalid version field: {_shown(version)}")
     if version > MODEL_FORMAT_VERSION:
-        raise UnsupportedVersion(f"model format version {version} is newer than supported {MODEL_FORMAT_VERSION}")
+        raise UnsupportedVersion(
+            f"model format version {_shown(version)} is newer than supported {MODEL_FORMAT_VERSION}"
+        )
     if "root" not in doc:
         raise MalformedModel("model document has no root node")
     try:

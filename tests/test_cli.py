@@ -569,6 +569,14 @@ class TestExtractionSettings:
         code, _, err = run_cli("classify", "--input", "c.jsonl", "--lexicon", "wh=./wh.txt")
         assert (code, err) == (2, "error: ./wh.txt: line 2: entry '?!' has no word tokens\n")
 
+    def test_unreadable_lexicon_flag_file_names_its_field_and_path(self, run_cli, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "who?")])
+        code, _, err = run_cli("classify", "--input", "c.jsonl", "--lexicon", "wh=missing.txt")
+        assert (code, err) == (2, "error: wh_lexicon: cannot read 'missing.txt': No such file or directory\n")
+        code, _, err = run_cli("classify", "--input", "c.jsonl", "--lexicon", f"wh={tmp_path}")
+        assert (code, err) == (2, f"error: wh_lexicon: cannot read {str(tmp_path)!r}: Is a directory\n")
+
     def test_repeated_lexicon_flag_reads_only_the_last_file(self, run_cli, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "you know?")])
         lex = tmp_path / "cliche.txt"
@@ -1113,6 +1121,13 @@ def _config_lexicon(d):
     return argv, config, f"{lexicon}:2: invalid UTF-8"
 
 
+def _missing_config_lexicon(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    config = _file(d / "ext.json", json.dumps({"aux_lexicon": "nope.txt"}))
+    argv = ("classify", "--input", corpus, "--extractor-config", config)
+    return argv, config, f"aux_lexicon: cannot read {str(d / 'nope.txt')!r}: No such file or directory"
+
+
 def _extractor_config(d):
     corpus = _file(d / "c.jsonl", CORPUS_LINE)
     bad = _file(d / "ext.json", '{\n  "similarity_threshold": 0.5,\n  oops\n}\n')
@@ -1178,8 +1193,8 @@ class TestInputErrorsNameTheFile:
         "make",
         [
             _corpus_input, _tsv, _eaf, _wh_map, _lexicon, _wordless_lexicon_entry, _wordless_inline_entry,
-            _config_lexicon, _extractor_config, _utf8_extractor_config, _model, _utf8_model, _annotations,
-            _question_spans, _training_annotations,
+            _config_lexicon, _missing_config_lexicon, _extractor_config, _utf8_extractor_config, _model,
+            _utf8_model, _annotations, _question_spans, _training_annotations,
         ],
     )
     def test_every_input_kind(self, run_cli, tmp_path, make):

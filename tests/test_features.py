@@ -148,6 +148,10 @@ class TestLexicon:
         with pytest.raises(EmptyLexicon):
             load_lexicon(path)
 
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_lexicon(tmp_path / "missing.txt")
+
 
 class TestInversion:
     def test_aux_then_non_aux(self):

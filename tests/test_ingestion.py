@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -442,6 +443,22 @@ class TestAnnotations:
             read_annotations([*jsonl(Q_LINE), *jsonl(dict(Q_LINE, q_type="ZZ"))])
         assert exc.value.line_no == 2
         assert exc.value.value == "ZZ"
+
+    def test_long_unknown_tags_are_cut_in_the_message(self):
+        tags = ["X" * 40, "X" * 5000, ["WH"] * 3000]
+        shown = [repr("X" * 40), f"{'X' * 40!r}... (5000 characters)", f"{str(tags[2])[:40]}... (18000 characters)"]
+        for tag, text in zip(tags, shown):
+            with pytest.raises(UnknownTag) as exc:
+                read_annotations(jsonl(dict(Q_LINE, q_type=tag)))
+            assert str(exc.value) == f"line 1: unknown tag {text}"
+            assert exc.value.value == tag
+
+    def test_tag_nested_near_the_decoder_limit_is_shown(self):
+        # the deepest lists that decode are too deep for repr a few frames further down
+        for depth in range(800, sys.getrecursionlimit()):
+            line = json.dumps(dict(Q_LINE, q_type="@")).replace('"@"', "[" * depth + "]" * depth)
+            with pytest.raises(MalformedLine):  # UnknownTag, or JSON nesting too deep
+                read_annotations([line])
 
     def test_unknown_feature(self):
         with pytest.raises(UnknownTag):

@@ -1,3 +1,7 @@
+import itertools
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,8 +19,24 @@ from qapkit import (
     rule_classify,
     tokenize,
 )
+from qapkit.rules import RULES
 
+import reference_rules
 from helpers import make_fv, utt
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the word README's rule list uses for each feature a rule's test reads
+README_WORDS = {
+    "has_wh": "wh-word",
+    "has_or": '"or"',
+    "has_inversion": "inversion",
+    "has_tag": "tag",
+    "last_utt_similar": "overlaps",
+    "last_utt_incomplete": "cut",
+    "has_cliche": "cliche",
+    "length": "short",
+}
 
 
 def classify_text(text, previous=None, cfg=ExtractorConfig()):
@@ -89,6 +109,27 @@ class TestPrecedence:
     def test_cap_validation(self):
         with pytest.raises(ValueError, match="cliche_length_cap must be a non-negative integer"):
             ExtractorConfig(cliche_length_cap=-1)
+
+
+class TestRuleTable:
+    def test_table_types_every_vector_as_the_if_chain_did(self):
+        for cap in (0, 5):
+            cfg = ExtractorConfig(cliche_length_cap=cap)
+            for flags in itertools.product((False, True), repeat=7):
+                for length in range(9):
+                    fv = FeatureVector(*flags, length)
+                    assert rule_classify(fv, cfg) is reference_rules.rule_classify(fv, cfg), (fv, cap)
+
+    def test_readme_numbers_the_rules_in_table_order(self):
+        text = README.read_text(encoding="utf-8")
+        listing = text.split("The rule classifier applies the first matching rule:\n\n", 1)[1].split("\n\n", 1)[0]
+        items = re.findall(r"^(\d+)\. (.*(?:\n   .*)*)", listing, re.M)
+        assert [int(number) for number, _ in items] == list(range(1, len(RULES) + 1))
+        assert [re.search(r"→ `(\w+)`$", item)[1] for _, item in items] == [q_type.value for _, q_type in RULES]
+        for (test, _), (number, item) in zip(RULES, items):
+            words = set(re.findall(r'[\w"-]+', item))
+            named = {name for name, word in README_WORDS.items() if word in words}
+            assert named == set(test.__code__.co_names) & set(README_WORDS), f"rule {number}"
 
 
 FV_STRATEGY = st.builds(
@@ -169,6 +210,11 @@ class TestWhMapLoading:
     def test_unknown_feature_tag(self):
         with pytest.raises(UnknownTag):
             load_wh_feature_map(["where PLACE\n"])
+
+    def test_long_unknown_tag_is_cut(self):
+        with pytest.raises(UnknownTag) as exc:
+            load_wh_feature_map(["where " + "P" * 3000 + "\n"])
+        assert str(exc.value) == f"line 1: unknown tag {'P' * 40!r}... (3000 characters)"
 
     def test_wrong_column_count(self):
         with pytest.raises(ValueError, match="two columns"):

@@ -402,6 +402,23 @@ class TestSerialization:
         with pytest.raises(MalformedModel):
             load_model(io.StringIO(json.dumps(doc)))
 
+    def test_long_values_are_cut_in_messages(self):
+        long, shown = "Z" * 5000, f"{'Z' * 40!r}... (5000 characters)"
+        leaf = {"label": "YN", "distribution": {"YN": 1}}
+        for doc, message in [
+            ({"version": 1, "root": {"label": long}}, f"bad leaf label {shown}"),
+            ({"version": 1, "root": {"label": "YN", "distribution": {long: 1}}}, f"bad distribution label {shown}"),
+            (
+                {"version": 1, "root": {"feature": long, "threshold": None, "left": leaf, "right": leaf}},
+                f"unknown split feature {shown}",
+            ),
+            ({"version": long, "root": leaf}, f"missing or invalid version field: {shown}"),
+            ({"version": 10**99, "root": leaf}, f"model format version {'1' + '0' * 39}... (100 characters) is newer"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                load_model(io.StringIO(json.dumps(doc)))
+            assert str(info.value).startswith(message)
+
     def test_boolean_split_rejects_threshold(self):
         doc = {
             "version": 1,
