@@ -13,7 +13,6 @@ import itertools
 import logging
 import sys
 from contextlib import contextmanager
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
@@ -40,6 +39,7 @@ from .features import (
 from .ingestion import (
     Dialogue,
     MalformedLine,
+    _cannot,
     open_input,
     parse_dialogue_jsonl,
     parse_eaf,
@@ -76,7 +76,7 @@ log = logging.getLogger("qapkit")
 @contextmanager
 def _open_out(path: Optional[str]):
     if path:
-        with open(path, "w", encoding="utf-8") as f:
+        with _cannot("write", "--output", path), open(path, "w", encoding="utf-8") as f:
             yield f
     else:
         yield sys.stdout
@@ -88,6 +88,7 @@ def _write_report(doc: dict, path: Optional[str], deterministic: bool) -> None:
     Report records (dataclasses) are written as their own fields.
     """
     if not deterministic:
+        from datetime import datetime, timezone  # here, not at the top: only this branch needs it
         doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     with _open_out(path) as out:
         write_json(doc, out)
@@ -98,7 +99,7 @@ def _load_corpus(paths: Sequence[str]) -> list[Dialogue]:
     dialogues: list[Dialogue] = []
     seen: set[str] = set()
     for path in paths:
-        with open_input(path) as f:
+        with _cannot("read", "--input", path), open_input(path) as f:
             for dialogue in parse_dialogue_jsonl(f):
                 if dialogue.dialogue_id in seen:
                     raise ValueError(f"dialogue {dialogue.dialogue_id!r} appears in more than one input")
@@ -108,17 +109,18 @@ def _load_corpus(paths: Sequence[str]) -> list[Dialogue]:
     return dialogues
 
 
-def _read_annotation_files(paths: Sequence[str]) -> list:
+def _read_annotation_files(flag: str, paths: Sequence[str]) -> list:
     records = []
     for path in paths:
-        with open_input(path) as f:
+        with _cannot("read", flag, path), open_input(path) as f:
             records.extend(read_annotations(f))
     return records
 
 
 def _extraction_setup(args) -> ExtractorConfig:
     """The extractor config file's settings, or the defaults, with each flag given on top."""
-    cfg = load_extractor_config(args.extractor_config) if args.extractor_config else DEFAULT_EXTRACTOR
+    with _cannot("read", "--extractor-config", args.extractor_config):
+        cfg = load_extractor_config(args.extractor_config) if args.extractor_config else DEFAULT_EXTRACTOR
     overrides = {}
     for item in args.lexicon:
         name, sep, path = item.partition("=")
@@ -144,7 +146,8 @@ def _wh_feature_map(path: Optional[str], cfg: ExtractorConfig) -> Optional[dict]
     """The --wh-map mapping (None for the built-in one); warns about wh tokens it misses."""
     if not path:
         return None
-    wh_map = load_wh_feature_map(path)
+    with _cannot("read", "--wh-map", path):
+        wh_map = load_wh_feature_map(path)
     missing = sorted(cfg.wh_lexicon.words - set(wh_map))
     if missing:
         log.warning("wh-feature map misses wh tokens: %s", ", ".join(missing))
@@ -176,18 +179,19 @@ def cmd_ingest(args) -> int:
         if options:
             flag = "--" + next(iter(options)).replace("_", "-")
             raise ValueError(f"{flag} applies only to --format tsv and eaf")
-        with open_input(path) as f:
+        with _cannot("read", "--input", path), open_input(path) as f:
             dialogues = parse_dialogue_jsonl(f)
     else:
         _check_utf8(args.dialogue_id, "--dialogue-id is not valid UTF-8")
         _check_utf8(args.language, "--language is not valid UTF-8")
         options["dialogue_id"] = dialogue_id = args.dialogue_id or path.stem
         _check_utf8(dialogue_id, f"file name {path.name!r} is not valid UTF-8; name the dialogue with --dialogue-id")
-        if args.format == "eaf":
-            dialogues = parse_eaf(path, **options)
-        else:
-            with open_input(path) as f:
-                dialogues = parse_tsv_transcript(f, **options)
+        with _cannot("read", "--input", path):
+            if args.format == "eaf":
+                dialogues = parse_eaf(path, **options)
+            else:
+                with open_input(path) as f:
+                    dialogues = parse_tsv_transcript(f, **options)
     with _open_out(args.output) as out:
         write_dialogues(dialogues, out)
     for dialogue in dialogues:
@@ -273,11 +277,11 @@ def cmd_classify(args) -> int:
 
     model = None
     if args.mode == "tree":
-        with open_input(args.model) as f:
+        with _cannot("read", "--model", args.model), open_input(args.model) as f:
             model = load_model(f)
 
     if args.questions:
-        given = _read_annotation_files([args.questions])
+        given = _read_annotation_files("--questions", [args.questions])
         keys = sorted({r.key for r in given if isinstance(r, QuestionAnnotation)})
     else:
         keys = [
@@ -307,7 +311,7 @@ def cmd_train(args) -> int:
     cfg = _extraction_setup(args)
     dialogues = _load_corpus(args.input)
     questions = sorted(
-        (r for r in _read_annotation_files(args.annotations) if isinstance(r, QuestionAnnotation)),
+        (r for r in _read_annotation_files("--annotations", args.annotations) if isinstance(r, QuestionAnnotation)),
         key=lambda q: q.key,
     )
     passed = _question_features(dialogues, (q.key for q in questions), cfg, args.annotations)
@@ -348,8 +352,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    gold, _ = index_by_item(_read_annotation_files([args.gold]))
-    pred, _ = index_by_item(_read_annotation_files([args.pred]))
+    gold, _ = index_by_item(_read_annotation_files("--gold", [args.gold]))
+    pred, _ = index_by_item(_read_annotation_files("--pred", [args.pred]))
     keys = sorted(gold.keys() & pred.keys())
     if not keys:
         raise NoAlignedItems("gold and prediction files share no question annotations")
@@ -371,7 +375,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_agree(args) -> int:
     by_annotator: dict[str, list] = {}
-    for rec in _read_annotation_files(args.input):
+    for rec in _read_annotation_files("--input", args.input):
         by_annotator.setdefault(rec.annotator_id, []).append(rec)
     indexes = {annotator: index_by_item(records) for annotator, records in by_annotator.items()}
 
@@ -400,7 +404,7 @@ def cmd_agree(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    records = _read_annotation_files(args.input)
+    records = _read_annotation_files("--input", args.input)
     questions = [r for r in records if isinstance(r, QuestionAnnotation)]
     answers = [r for r in records if isinstance(r, AnswerAnnotation)]
     violations = validate_corpus(questions, answers)

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .ingestion import decode_json, open_input
+from .ingestion import _cannot, decode_json, open_input
 from .lexicon import DEFAULT_AUX, DEFAULT_CLICHE, DEFAULT_TAG, DEFAULT_WH, Lexicon, load_lexicon
 from .model import Utterance
 from .text import overlap_ratio, tokenize
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     has_wh: bool
     has_or: bool
     has_inversion: bool
@@ -31,11 +30,11 @@ class FeatureVector:
 
     def as_tuple(self) -> tuple:
         """Values in canonical field order."""
-        return tuple(getattr(self, name) for name in FEATURE_NAMES)
+        return tuple(self)
 
 
 #: Canonical field order; split tie-breaking and reports rely on it.
-FEATURE_NAMES: tuple[str, ...] = tuple(f.name for f in fields(FeatureVector))
+FEATURE_NAMES: tuple[str, ...] = FeatureVector._fields
 
 
 #: Names of the four lexicons; each is the ``NAME_lexicon`` field of ExtractorConfig.
@@ -146,10 +145,8 @@ def apply_settings(cfg: ExtractorConfig, doc: dict, base: Optional[Path] = None)
         name = key.removesuffix("_lexicon")
         if isinstance(value, str):
             path = value if base is None else base / value
-            try:
+            with _cannot("read", key, path):
                 changes[key] = load_lexicon(path, name=name)
-            except OSError as exc:
-                raise ValueError(f"{key}: cannot read {str(path)!r}: {exc.strerror or exc}") from None
         elif isinstance(value, list) and all(isinstance(p, str) for p in value):
             for phrase in value:
                 if not tokenize(phrase):

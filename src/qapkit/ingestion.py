@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import reprlib
 import sys
-import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,6 +91,15 @@ def _naming(path: Union[str, Path]) -> Iterator[None]:
     except ValueError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+@contextmanager
+def _cannot(verb: str, name: str, path: Union[str, Path]) -> Iterator[None]:
+    """Turn an OSError raised inside into the ValueError ``NAME: cannot VERB 'PATH': REASON``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"{name}: cannot {verb} {str(path)!r}: {exc.strerror or exc}") from None
 
 
 @contextmanager
@@ -315,6 +323,7 @@ def parse_eaf(
     temporal order. The XML declaration's encoding is honoured; errors name
     the file.
     """
+    import xml.etree.ElementTree as ET  # here, not at the top: no other command reads XML
     if dialogue_id is None:
         dialogue_id = Path(path).stem
     with _naming(path):
@@ -379,9 +388,9 @@ def write_json(doc: Any, stream: IO[str]) -> None:
 
     Dict keys must be strings. Strings go through the C escaper, other
     scalars through ``json.dumps``. Lists, tuples and dicts are written one
-    element at a time, so a long document is never held as one string; any
-    other object is a record, written as its ``vars()`` and built as one
-    string first.
+    element at a time, so a long document is never held as one string. A
+    named-tuple record is a tuple, written as an array as ``json.dump`` does;
+    any other object is a record, written as its ``vars()`` in one string.
     """
     _write_json(doc, "", stream.write)
 

@@ -9,9 +9,10 @@ corpus can be checked end to end in one pass.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 
 class Tag(str, Enum):
@@ -89,23 +90,21 @@ def feature_applicable(q_type: QuestionType) -> bool:
     return q_type in FEATURE_BEARING
 
 
-@dataclass(frozen=True, slots=True)
-class Utterance:
+class Utterance(namedtuple("Utterance", "dialogue_id turn_index speaker text interrupted")):
     """One turn of a dialogue."""
 
-    dialogue_id: str
-    turn_index: int
-    speaker: str
-    text: str
-    interrupted: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.dialogue_id:
+    def __new__(cls, dialogue_id: str, turn_index: int, speaker: str, text: str, interrupted: bool = False):
+        if not dialogue_id:
             raise ValueError("dialogue_id must be non-empty")
-        if self.turn_index < 0:
+        if turn_index < 0:
             raise ValueError("turn_index must be non-negative")
-        if not self.text.strip():
+        if not text.strip():
             raise ValueError("text must be non-empty")
+        return tuple.__new__(cls, (dialogue_id, turn_index, speaker, text, interrupted))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its values too
 
 
 def question_ref(dialogue_id: str, turn_index: int, span: tuple[int, int]) -> str:
@@ -113,25 +112,23 @@ def question_ref(dialogue_id: str, turn_index: int, span: tuple[int, int]) -> st
     return f"{dialogue_id}:{turn_index}:{span[0]}-{span[1]}"
 
 
-@dataclass(frozen=True, slots=True)
-class QuestionAnnotation:
+class QuestionAnnotation(namedtuple("QuestionAnnotation", "dialogue_id turn_index span q_type feature annotator_id")):
     """A question occurrence with its type and optional semantic-role feature.
 
     ``span`` is a half-open character range into the utterance text, so a
     turn holding several questions yields several annotations.
     """
 
-    dialogue_id: str
-    turn_index: int
-    span: tuple[int, int]
-    q_type: QuestionType
-    feature: Optional[Feature] = None
-    annotator_id: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        start, end = self.span
+    def __new__(cls, dialogue_id: str, turn_index: int, span: tuple[int, int], q_type: QuestionType,
+                feature: Optional[Feature] = None, annotator_id: str = ""):
+        start, end = span
         if start < 0 or end < start:
-            raise ValueError(f"bad span {self.span}: need 0 <= start <= end")
+            raise ValueError(f"bad span {span}: need 0 <= start <= end")
+        return tuple.__new__(cls, (dialogue_id, turn_index, span, q_type, feature, annotator_id))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its values too
 
     @property
     def key(self) -> tuple[str, int, tuple[int, int]]:
@@ -144,8 +141,7 @@ class QuestionAnnotation:
         return question_ref(self.dialogue_id, self.turn_index, self.span)
 
 
-@dataclass(frozen=True, slots=True)
-class AnswerAnnotation:
+class AnswerAnnotation(NamedTuple):
     """An answer turn, typed and linked to the question it responds to."""
 
     dialogue_id: str

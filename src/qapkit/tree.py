@@ -16,7 +16,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Optional, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .features import FEATURE_NAMES, FeatureVector
 from .ingestion import IngestError, _shown, decode_json, write_json
@@ -46,12 +46,11 @@ _BOOLEAN_FEATURES = tuple(n for n in FEATURE_NAMES if n != "length")
 _BOOLEAN_INDEXES = tuple(FEATURE_NAMES.index(n) for n in _BOOLEAN_FEATURES)
 _LENGTH_INDEX = FEATURE_NAMES.index("length")
 
-#: A distinct feature vector (``as_tuple`` order) with its label counts.
-_Group = tuple[tuple, Counter]
+#: A distinct feature vector with its label counts.
+_Group = tuple[FeatureVector, Counter]
 
 
-@dataclass(frozen=True)
-class LabeledInstance:
+class LabeledInstance(NamedTuple):
     fv: FeatureVector
     label: QuestionType
 
@@ -165,10 +164,10 @@ def train_tree(data: Iterable[LabeledInstance], cfg: TrainConfig = TrainConfig()
     achieves positive gain. Leaf label ties break by count at the leaf,
     then count in the whole training set, then a fixed label order.
     """
-    pairs = Counter((inst.fv.as_tuple(), inst.label.value) for inst in data)
+    pairs = Counter((fv, label.value) for fv, label in data)
     if not pairs:
         raise EmptyTrainingSet("no training instances")
-    by_vector: dict[tuple, Counter] = {}
+    by_vector: dict[FeatureVector, Counter] = {}
     for (vec, value), count in sorted(pairs.items()):  # canonical order
         by_vector.setdefault(vec, Counter())[QuestionType(value)] = count
     global_counts = _add_counts(Counter(), by_vector.items())

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qapkit import load_model, map_wh_feature, predict, tokenize
+from qapkit import load_lexicon, load_model, load_wh_feature_map, map_wh_feature, predict, tokenize
 from qapkit import cli as cli_module
 from qapkit import evaluation as evaluation_module
 from qapkit import features as features_module
 from qapkit.cli import main
 from qapkit.features import FEATURE_NAMES
+from qapkit.ingestion import open_input
 from helpers import make_fv
 
 
@@ -1322,6 +1323,65 @@ class TestInputErrorsNameTheFile:
         code, _, _ = run_cli("ingest", "--input", src, "--format", "eaf", "--output", out)
         assert code == 0
         assert json.loads(out.read_text(encoding="utf-8"))["text"] == "Tu es allé où ?"
+
+
+class TestUnopenableFiles:
+    """A file that cannot be opened is named by its flag: ``FLAG: cannot read 'PATH': REASON``."""
+
+    @pytest.fixture(autouse=True)
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _file(tmp_path / "c.jsonl", CORPUS_LINE)
+        _file(tmp_path / "gold.jsonl", GOLD_LINE)
+        (tmp_path / "adir").mkdir()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("evaluate", "--gold", "nope.jsonl", "--pred", "gold.jsonl"),
+             "--gold: cannot read 'nope.jsonl': No such file or directory"),
+            (("evaluate", "--gold", "gold.jsonl", "--pred", "nope.jsonl"),
+             "--pred: cannot read 'nope.jsonl': No such file or directory"),
+            (("classify", "--input", "c.jsonl", "--wh-map", "missing.txt"),
+             "--wh-map: cannot read 'missing.txt': No such file or directory"),
+            (("classify", "--input", "c.jsonl", "--mode", "tree", "--model", "missing.json"),
+             "--model: cannot read 'missing.json': No such file or directory"),
+            (("classify", "--input", "c.jsonl", "--extractor-config", "missing.json"),
+             "--extractor-config: cannot read 'missing.json': No such file or directory"),
+            (("classify", "--input", "c.jsonl", "--questions", "adir"), "--questions: cannot read 'adir': Is a directory"),
+            (("classify", "--input", "adir"), "--input: cannot read 'adir': Is a directory"),
+            (("ingest", "--input", "adir"), "--input: cannot read 'adir': Is a directory"),
+            (("ingest", "--input", "adir", "--format", "tsv"), "--input: cannot read 'adir': Is a directory"),
+            (("ingest", "--input", "adir", "--format", "eaf"), "--input: cannot read 'adir': Is a directory"),
+            (("train", "--input", "c.jsonl", "adir", "--annotations", "gold.jsonl", "--output", "m.json"),
+             "--input: cannot read 'adir': Is a directory"),
+            (("train", "--input", "c.jsonl", "--annotations", "gold.jsonl", "adir", "--output", "m.json"),
+             "--annotations: cannot read 'adir': Is a directory"),
+            (("agree", "--input", "gold.jsonl", "adir"), "--input: cannot read 'adir': Is a directory"),
+            (("validate", "--input", "missing.jsonl"), "--input: cannot read 'missing.jsonl': No such file or directory"),
+            (("validate", "--input", "gold.jsonl", "--output", "nodir/x.json"),
+             "--output: cannot write 'nodir/x.json': No such file or directory"),
+            (("validate", "--input", "gold.jsonl", "--output", "adir"), "--output: cannot write 'adir': Is a directory"),
+        ],
+        ids=[
+            "evaluate-gold", "evaluate-pred", "classify-wh-map", "classify-model", "classify-extractor-config",
+            "classify-questions", "classify-input-dir", "ingest-jsonl-dir", "ingest-tsv-dir", "ingest-eaf-dir",
+            "train-input-dir", "train-annotations-dir", "agree-input-dir", "validate-input", "output-no-dir",
+            "output-is-dir",
+        ],
+    )
+    def test_names_flag_path_and_reason(self, run_cli, argv, message):
+        code, _, err = run_cli(*argv)
+        assert (code, err) == (2, f"error: {message}\n")
+
+    def test_library_readers_still_raise_oserror(self, tmp_path):
+        missing = tmp_path / "missing.txt"
+        with pytest.raises(FileNotFoundError), open_input(missing):
+            pass
+        with pytest.raises(FileNotFoundError):
+            load_lexicon(missing)
+        with pytest.raises(FileNotFoundError):
+            load_wh_feature_map(missing)
 
 
 # Arbitrary input files for every file-reading command: broken JSON, wrong

@@ -9,6 +9,7 @@ from qapkit import (
     AnswerAnnotation,
     AnswerType,
     Feature,
+    LabeledInstance,
     QuestionAnnotation,
     QuestionType,
     Utterance,
@@ -20,7 +21,7 @@ from qapkit import (
 )
 
 import reference_reports
-from helpers import annotation_records
+from helpers import annotation_records, make_fv
 
 
 def q(turn=0, span=(0, 5), q_type=QuestionType.YN, feature=None, annotator="A1", dialogue="d"):
@@ -98,6 +99,79 @@ class TestRecords:
     def test_ref_format(self):
         ann = q(turn=747, span=(0, 6), dialogue="amy")
         assert ann.ref == "amy:747:0-6"
+
+
+# A maker for each record built in bulk; every call builds a new record equal to the last.
+RECORDS = {
+    "Utterance": lambda: Utterance("d", 3, "A", "Where to?", interrupted=True),
+    "QuestionAnnotation": lambda: QuestionAnnotation("d", 3, (0, 9), QuestionType.WH, Feature.LOC, "A1"),
+    "AnswerAnnotation": lambda: AnswerAnnotation("d", 4, AnswerType.FA, "d:3:0-9", annotator_id="A1"),
+    "FeatureVector": lambda: make_fv(has_wh=True, length=3),
+    "LabeledInstance": lambda: LabeledInstance(make_fv(has_or=True), QuestionType.DQ),
+}
+
+# Positional and keyword arguments of the two records that check their values, with the message each gives.
+BAD_VALUES = [
+    (Utterance, ("", 0, "A", "hi"), {}, "dialogue_id must be non-empty"),
+    (Utterance, ("d", -1, "A", "hi"), {}, "turn_index must be non-negative"),
+    (Utterance, ("d", 0, "A", "   "), {}, "text must be non-empty"),
+    (Utterance, (), {"dialogue_id": "d", "turn_index": -1, "speaker": "A", "text": "hi"},
+     "turn_index must be non-negative"),
+    (Utterance, ("d", 0), {"speaker": "A", "text": " ", "interrupted": True}, "text must be non-empty"),
+    (QuestionAnnotation, ("d", 0, (5, 2), QuestionType.YN), {}, r"bad span \(5, 2\): need 0 <= start <= end"),
+    (QuestionAnnotation, ("d", 0, (-1, 2), QuestionType.YN, None, "A1"), {},
+     r"bad span \(-1, 2\): need 0 <= start <= end"),
+    (QuestionAnnotation, (), {"dialogue_id": "d", "turn_index": 0, "span": (5, 2), "q_type": QuestionType.YN},
+     r"bad span \(5, 2\): need 0 <= start <= end"),
+]
+
+
+class TestRecordContract:
+    """The records built in bulk are immutable values: hashable, comparable, checked on construction."""
+
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+    def test_attributes_cannot_be_assigned(self, make):
+        record = make()
+        field = next(iter(record._fields))
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+    def test_equal_records_hash_equal_and_dedupe_in_a_set(self, make):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert second in {first}
+
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+    def test_fields_read_by_name_or_position_and_replace_copies(self, make):
+        record = make()
+        assert tuple(getattr(record, name) for name in record._fields) == tuple(record)
+        assert record == tuple(record)
+        changed = record._replace(**{record._fields[-1]: "x"})
+        assert type(changed) is type(record)
+        assert changed[:-1] == record[:-1] and changed[-1] == "x"
+
+    @pytest.mark.parametrize("cls, args, kwargs, message", BAD_VALUES)
+    def test_bad_values_raise_the_same_messages(self, cls, args, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(*args, **kwargs)
+
+    def test_replace_checks_values_too(self):
+        with pytest.raises(ValueError, match="^turn_index must be non-negative$"):
+            RECORDS["Utterance"]()._replace(turn_index=-1)
+        with pytest.raises(ValueError, match="^bad span"):
+            RECORDS["QuestionAnnotation"]()._replace(span=(4, 1))
+
+    def test_defaults_fill_the_trailing_fields(self):
+        assert Utterance("d", 0, "A", "hi").interrupted is False
+        question = QuestionAnnotation("d", 0, (0, 2), QuestionType.YN)
+        assert (question.feature, question.annotator_id) == (None, "")
+        assert AnswerAnnotation("d", 1, AnswerType.PA, "d:0:0-2").annotator_id == ""
+
 
 
 class TestValidateAnnotations:
