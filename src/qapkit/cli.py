@@ -11,6 +11,8 @@ import argparse
 import gc
 import itertools
 import logging
+import os
+import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -85,7 +87,7 @@ def _open_out(path: Optional[str]):
 def _write_report(doc: dict, path: Optional[str], deterministic: bool) -> None:
     """Write a JSON report, stamped with generated_at unless the run is deterministic.
 
-    Report records (dataclasses) are written as their own fields.
+    A report record is a named tuple: pass its ``_asdict()`` to write it as an object.
     """
     if not deterministic:
         from datetime import datetime, timezone  # here, not at the top: only this branch needs it
@@ -389,7 +391,7 @@ def cmd_agree(args) -> int:
                 raise
             log.warning("layer %s skipped: %s", layer, exc)
             continue
-        layer_reports[layer] = reports
+        layer_reports[layer] = [r._asdict() for r in reports]
         for r in reports:
             who = "mean" if r.is_mean else "~".join(r.annotators)
             log.info(
@@ -398,7 +400,7 @@ def cmd_agree(args) -> int:
     if not layer_reports:
         raise NoAlignedItems("no layer had items aligned across annotators")
 
-    doc = {"layers": layer_reports, "disagreements": disagreement_report(indexes)}
+    doc = {"layers": layer_reports, "disagreements": [r._asdict() for r in disagreement_report(indexes)]}
     _write_report(doc, args.output, args.deterministic)
     return 0
 
@@ -409,7 +411,8 @@ def cmd_validate(args) -> int:
     answers = [r for r in records if isinstance(r, AnswerAnnotation)]
     violations = validate_corpus(questions, answers)
 
-    _write_report({"count": len(violations), "violations": violations}, args.output, args.deterministic)
+    doc = {"count": len(violations), "violations": [v._asdict() for v in violations]}
+    _write_report(doc, args.output, args.deterministic)
     log.info("%d questions, %d answers, %d violations", len(questions), len(answers), len(violations))
     return 1 if violations else 0
 
@@ -515,17 +518,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if not logging.getLogger().handlers:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    thresholds = gc.get_threshold()
-    # a command builds its records in bulk and holds them until exit: young collections only rescan them
-    gc.set_threshold(100_000)
+    enabled = gc.isenabled()
+    # a command builds its records in bulk and holds them until exit: a collection would free nothing
+    gc.disable()
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        gc.set_threshold(*thresholds)
+        if enabled:
+            gc.enable()
+
+
+def run() -> NoReturn:
+    """The ``qapkit`` command: main(), then exit at once, without tearing down the heap."""
+    if hasattr(signal, "SIGPIPE"):  # a closed pipe ends the command as it does any Unix producer
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help, --version and usage errors
+        code = exc.code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

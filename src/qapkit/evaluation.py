@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .model import (
     FEATURE_BEARING,
@@ -48,8 +47,7 @@ def _check_aligned(a: Sequence, b: Sequence) -> None:
         raise EmptyInput("empty label sequences")
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple):
     """Rows are gold labels, columns are predictions."""
 
     labels: tuple[str, ...]
@@ -104,8 +102,7 @@ def confusion(
     return ConfusionMatrix(tuple(label_list), tuple(tuple(row) for row in grid))
 
 
-@dataclass(frozen=True)
-class ClassScores:
+class ClassScores(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -113,8 +110,7 @@ class ClassScores:
     undefined: bool  # a zero denominator was coerced to 0.0
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     accuracy: float
     per_class: Mapping[str, ClassScores]
     macro_f1: float
@@ -199,8 +195,7 @@ def _kappa(observed: float, a: Sequence, b: Sequence) -> float:
     return (observed - a_e) / (1.0 - a_e)
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     layer: str
     annotators: tuple[str, ...]
     observed: float
@@ -301,8 +296,7 @@ class DisagreementCategory(Tag):
     UNCATEGORIZED = "uncategorized"
 
 
-@dataclass(frozen=True)
-class DisagreementRecord:
+class DisagreementRecord(NamedTuple):
     layer: str
     item: str  # question reference string
     tags: Mapping[str, str]  # annotator id -> tag ("-" for no feature)

@@ -9,13 +9,12 @@ left context. No parser, no POS tags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .ingestion import _cannot, decode_json, open_input
 from .lexicon import DEFAULT_AUX, DEFAULT_CLICHE, DEFAULT_TAG, DEFAULT_WH, Lexicon, load_lexicon
-from .model import Utterance
+from .model import Utterance, checked_record
 from .text import overlap_ratio, tokenize
 
 class FeatureVector(NamedTuple):
@@ -41,33 +40,31 @@ FEATURE_NAMES: tuple[str, ...] = FeatureVector._fields
 LEXICON_NAMES = ("wh", "aux", "tag", "cliche")
 
 
-@dataclass(frozen=True)
-class ExtractorConfig:
+class ExtractorConfig(checked_record(
+    "ExtractorConfig", "wh_lexicon aux_lexicon tag_lexicon cliche_lexicon similarity_threshold cliche_length_cap"
+)):
     """Every setting that types a question: the lexicons, the overlap threshold and the length cap.
 
     ``cliche_length_cap`` bounds how long a question may be while still
     counting as "short" for the rule classifier's completion-suggestion cue.
     """
 
-    wh_lexicon: Lexicon = DEFAULT_WH
-    aux_lexicon: Lexicon = DEFAULT_AUX
-    tag_lexicon: Lexicon = DEFAULT_TAG
-    cliche_lexicon: Lexicon = DEFAULT_CLICHE
-    similarity_threshold: float = 0.5
-    cliche_length_cap: int = 5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in LEXICON_NAMES:
-            if not isinstance(getattr(self, f"{name}_lexicon"), Lexicon):
+    def __new__(cls, wh_lexicon: Lexicon = DEFAULT_WH, aux_lexicon: Lexicon = DEFAULT_AUX,
+                tag_lexicon: Lexicon = DEFAULT_TAG, cliche_lexicon: Lexicon = DEFAULT_CLICHE,
+                similarity_threshold: float = 0.5, cliche_length_cap: int = 5):
+        lexicons = (wh_lexicon, aux_lexicon, tag_lexicon, cliche_lexicon)
+        for name, lexicon in zip(LEXICON_NAMES, lexicons):
+            if not isinstance(lexicon, Lexicon):
                 raise ValueError(f"{name}_lexicon must be a Lexicon")
-        threshold = self.similarity_threshold
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+        if isinstance(similarity_threshold, bool) or not isinstance(similarity_threshold, (int, float)):
             raise ValueError("similarity_threshold must be a number")
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"similarity_threshold must be in [0,1], got {threshold}")
-        cap = self.cliche_length_cap
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+        if not 0.0 <= similarity_threshold <= 1.0:
+            raise ValueError(f"similarity_threshold must be in [0,1], got {similarity_threshold}")
+        if isinstance(cliche_length_cap, bool) or not isinstance(cliche_length_cap, int) or cliche_length_cap < 0:
             raise ValueError("cliche_length_cap must be a non-negative integer")
+        return tuple.__new__(cls, (*lexicons, similarity_threshold, cliche_length_cap))
 
 
 DEFAULT_EXTRACTOR = ExtractorConfig()
@@ -134,9 +131,8 @@ def apply_settings(cfg: ExtractorConfig, doc: dict, base: Optional[Path] = None)
     A lexicon is an inline list of phrases or a file path, resolved against
     ``base`` (used as spelled when None); ExtractorConfig checks every value.
     """
-    known = {f.name for f in fields(ExtractorConfig)}
     for key in doc:
-        if key not in known:
+        if key not in ExtractorConfig._fields:
             raise ValueError(f"unknown extractor config field {key!r}")
     changes = dict(doc)
     for key, value in doc.items():
@@ -154,7 +150,7 @@ def apply_settings(cfg: ExtractorConfig, doc: dict, base: Optional[Path] = None)
             changes[key] = Lexicon.from_phrases(name, value)
         else:
             raise ValueError(f"{key} must be a list of phrases or a file path")
-    return replace(cfg, **changes)
+    return cfg._replace(**changes)
 
 
 def load_extractor_config(path: Union[str, Path]) -> ExtractorConfig:

@@ -12,7 +12,6 @@ import json
 import reprlib
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -23,6 +22,7 @@ from .model import (
     QuestionAnnotation,
     QuestionType,
     Utterance,
+    checked_record,
 )
 
 T = TypeVar("T")
@@ -164,26 +164,24 @@ def _json_lines(lines: Iterable[str], build: Callable[[dict, int], T]) -> Iterat
         yield line_no, record
 
 
-@dataclass(frozen=True)
-class Dialogue:
+class Dialogue(checked_record("Dialogue", "dialogue_id language utterances")):
     """All turns of one conversation, sorted by turn index; the indices form a consecutive run."""
 
-    dialogue_id: str
-    language: str
-    utterances: tuple[Utterance, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.language:
+    def __new__(cls, dialogue_id: str, language: str, utterances: tuple[Utterance, ...]):
+        if not language:
             raise ValueError("language must be non-empty")
-        for u in self.utterances:
-            if u.dialogue_id != self.dialogue_id:
+        for u in utterances:
+            if u.dialogue_id != dialogue_id:
                 raise ValueError(f"utterance {u.turn_index} belongs to dialogue {u.dialogue_id!r}")
-        indices = [u.turn_index for u in self.utterances]
+        indices = [u.turn_index for u in utterances]
         if indices != sorted(indices) or len(set(indices)) != len(indices):
             raise ValueError("utterances must be sorted by distinct turn_index")
         # consecutive, not necessarily 0-based: t, t+1, ..., t+n-1
         if indices and indices[-1] - indices[0] != len(indices) - 1:
-            raise NonDenseTurns(self.dialogue_id, indices)
+            raise NonDenseTurns(dialogue_id, indices)
+        return tuple.__new__(cls, (dialogue_id, language, utterances))
 
 
 def _utterance_from_obj(obj: dict, line_no: int) -> tuple[Utterance, str]:
@@ -384,13 +382,13 @@ _ascii = json.encoder.encode_basestring_ascii
 
 
 def write_json(doc: Any, stream: IO[str]) -> None:
-    """Write ``doc`` exactly as ``json.dump(doc, stream, indent=2, sort_keys=True, default=vars)`` does.
+    """Write ``doc`` exactly as ``json.dump(doc, stream, indent=2, sort_keys=True)`` does.
 
     Dict keys must be strings. Strings go through the C escaper, other
     scalars through ``json.dumps``. Lists, tuples and dicts are written one
     element at a time, so a long document is never held as one string. A
     named-tuple record is a tuple, written as an array as ``json.dump`` does;
-    any other object is a record, written as its ``vars()`` in one string.
+    pass its ``_asdict()`` to write it as an object.
     """
     _write_json(doc, "", stream.write)
 
@@ -419,12 +417,8 @@ def _write_json(o: Any, pad: str, write: Callable[[str], object]) -> None:
                 _write_json(value, inner, write)
             lead = ",\n" + inner
         write(closer)
-    elif o is None or isinstance(o, (int, float)):
-        write(json.dumps(o))
     else:
-        parts: list[str] = []
-        _write_json(vars(o), pad, parts.append)
-        write("".join(parts))
+        write(json.dumps(o))
 
 
 def write_dialogues(dialogues: Iterable[Dialogue], stream: IO[str]) -> None:

@@ -8,12 +8,12 @@ line, blank lines and ``#`` comments ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from .ingestion import MalformedLine, open_input
+from .model import checked_record
 from .text import tokenize
 
 
@@ -21,14 +21,13 @@ class EmptyLexicon(ValueError):
     """A lexicon source contained no usable entries."""
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    name: str
-    entries: frozenset[tuple[str, ...]]
+class Lexicon(checked_record("Lexicon", "name entries")):
+    # no __slots__: each instance keeps its cached properties in its __dict__
 
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise EmptyLexicon(f"lexicon {self.name!r} has no entries")
+    def __new__(cls, name: str, entries: frozenset[tuple[str, ...]]):
+        if not entries:
+            raise EmptyLexicon(f"lexicon {name!r} has no entries")
+        return tuple.__new__(cls, (name, entries))
 
     @classmethod
     def from_phrases(cls, name: str, phrases: Iterable[str]) -> "Lexicon":

@@ -10,7 +10,6 @@ corpus can be checked end to end in one pass.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -90,7 +89,14 @@ def feature_applicable(q_type: QuestionType) -> bool:
     return q_type in FEATURE_BEARING
 
 
-class Utterance(namedtuple("Utterance", "dialogue_id turn_index speaker text interrupted")):
+def checked_record(typename: str, field_names: str) -> type:
+    """A namedtuple base whose ``_make``, and so ``_replace``, builds through the subclass's checking ``__new__``."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class Utterance(checked_record("Utterance", "dialogue_id turn_index speaker text interrupted")):
     """One turn of a dialogue."""
 
     __slots__ = ()
@@ -104,15 +110,15 @@ class Utterance(namedtuple("Utterance", "dialogue_id turn_index speaker text int
             raise ValueError("text must be non-empty")
         return tuple.__new__(cls, (dialogue_id, turn_index, speaker, text, interrupted))
 
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its values too
-
 
 def question_ref(dialogue_id: str, turn_index: int, span: tuple[int, int]) -> str:
     """The ``dialogue:turn:start-end`` string naming a question span."""
     return f"{dialogue_id}:{turn_index}:{span[0]}-{span[1]}"
 
 
-class QuestionAnnotation(namedtuple("QuestionAnnotation", "dialogue_id turn_index span q_type feature annotator_id")):
+class QuestionAnnotation(
+    checked_record("QuestionAnnotation", "dialogue_id turn_index span q_type feature annotator_id")
+):
     """A question occurrence with its type and optional semantic-role feature.
 
     ``span`` is a half-open character range into the utterance text, so a
@@ -127,8 +133,6 @@ class QuestionAnnotation(namedtuple("QuestionAnnotation", "dialogue_id turn_inde
         if start < 0 or end < start:
             raise ValueError(f"bad span {span}: need 0 <= start <= end")
         return tuple.__new__(cls, (dialogue_id, turn_index, span, q_type, feature, annotator_id))
-
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its values too
 
     @property
     def key(self) -> tuple[str, int, tuple[int, int]]:
@@ -157,8 +161,7 @@ class ViolationKind(Tag):
     DANGLING_REFERENCE = "dangling-reference"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One constraint breach. ``item`` locates the offending annotation."""
 
     kind: ViolationKind

@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .features import FEATURE_NAMES, FeatureVector
 from .ingestion import IngestError, _shown, decode_json, write_json
-from .model import QuestionType
+from .model import QuestionType, checked_record
 
 
 class EmptyTrainingSet(ValueError):
@@ -55,20 +54,18 @@ class LabeledInstance(NamedTuple):
     label: QuestionType
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    max_depth: Optional[int] = None
-    min_samples_leaf: int = 1
+class TrainConfig(checked_record("TrainConfig", "max_depth min_samples_leaf")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_depth is not None and self.max_depth < 1:
+    def __new__(cls, max_depth: Optional[int] = None, min_samples_leaf: int = 1):
+        if max_depth is not None and max_depth < 1:
             raise ValueError("max_depth must be >= 1 when set")
-        if self.min_samples_leaf < 1:
+        if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        return tuple.__new__(cls, (max_depth, min_samples_leaf))
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """Internal node (feature set, two children) or leaf (label set)."""
 
     feature: Optional[str] = None
@@ -83,8 +80,7 @@ class Node:
         return self.label is not None
 
 
-@dataclass(frozen=True)
-class TreeModel:
+class TreeModel(NamedTuple):
     root: Node
 
     def depth(self) -> int:

@@ -3,7 +3,11 @@ import gc
 import io
 import json
 import logging
+import os
+import signal
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -999,24 +1003,28 @@ class TestTopLevel:
         code, _, err = run_cli()
         assert code == 2
 
-    def test_gc_thresholds_restored_after_each_exit_code(self, run_cli, tmp_path, monkeypatch):
+    def test_collector_off_while_a_command_runs_and_restored_after_each_exit_code(
+        self, run_cli, tmp_path, monkeypatch
+    ):
         corpus = write_jsonl(tmp_path / "raw.jsonl", [utt_obj(0, "Where?")])
         violating = write_jsonl(tmp_path / "v.jsonl", [q_obj(0, "Where?", "YN"), a_obj(1, "FA", "d1:0:0-6")])
         seen = []
-        monkeypatch.setattr(cli_module, "write_dialogues", lambda *a: seen.append(gc.get_threshold()))
-        saved = gc.get_threshold()
-        gc.set_threshold(500, 7, 3)
+        monkeypatch.setattr(cli_module, "write_dialogues", lambda *a: seen.append(gc.isenabled()))
+        thresholds = gc.get_threshold()
         try:
-            for argv, expected in (
-                (("ingest", "--input", corpus, "--output", tmp_path / "out.jsonl"), 0),
-                (("validate", "--input", violating, "--deterministic"), 1),
-                (("validate", "--input", tmp_path / "missing.jsonl"), 2),
-            ):
-                assert run_cli(*argv)[0] == expected
-                assert gc.get_threshold() == (500, 7, 3)
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                for argv, expected in (
+                    (("ingest", "--input", corpus, "--output", tmp_path / "out.jsonl"), 0),
+                    (("validate", "--input", violating, "--deterministic"), 1),
+                    (("validate", "--input", tmp_path / "missing.jsonl"), 2),
+                ):
+                    assert run_cli(*argv)[0] == expected
+                    assert gc.isenabled() is enabled
+                    assert gc.get_threshold() == thresholds
         finally:
-            gc.set_threshold(*saved)
-        assert seen == [(100_000, 7, 3)]  # raised only while the command ran
+            gc.enable()
+        assert seen == [False, False]  # off while the command ran, whatever the state before
 
     def test_invalid_annotation_json_names_the_file(self, run_cli, tmp_path):
         bad = tmp_path / "broken.jsonl"
@@ -1024,6 +1032,82 @@ class TestTopLevel:
         code, _, err = run_cli("validate", "--input", bad)
         assert code == 2
         assert "broken.jsonl" in err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def qapkit_process(*argv, cwd, **kwargs):
+    """``python -m qapkit.cli ARGV`` as a child process, started with subprocess.Popen's keywords.
+
+    Its stdout is block-buffered, as it is by default, so output left in the buffer at exit would be lost.
+    """
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-m", "qapkit.cli", *map(str, argv)], cwd=cwd, env=env, **kwargs)
+
+
+def run_process(*argv, cwd):
+    """(exit code, stdout bytes, stderr text) of ``python -m qapkit.cli ARGV``."""
+    proc = qapkit_process(*argv, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err.decode()
+
+
+@pytest.fixture
+def big_agreement(tmp_path):
+    """Two annotators typing 1,500 questions differently: an agree report of about 230 KiB."""
+    for annotator, q_type in (("anna", "YN"), ("ben", "WH")):
+        records = [q_obj(i, "Where?", q_type, annotator=annotator) for i in range(1500)]
+        write_jsonl(tmp_path / f"{annotator}.jsonl", records)
+    return ("agree", "--input", "anna.jsonl", "ben.jsonl", "--deterministic")
+
+
+class TestCommandProcess:
+    """The command as a process: python -m qapkit.cli, which the installed qapkit script runs too."""
+
+    def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(self, tmp_path):
+        code = "import qapkit.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (0, "[]\n")
+
+    def test_installed_script_and_module_share_one_entry_function(self):
+        assert 'qapkit = "qapkit.cli:run"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+
+    def test_a_report_through_a_pipe_matches_the_output_file(self, tmp_path, big_agreement):
+        code, piped, _ = run_process(*big_agreement, cwd=tmp_path)
+        assert code == 0
+        assert run_process(*big_agreement, "--output", "agree.json", cwd=tmp_path)[:2] == (0, b"")
+        written = (tmp_path / "agree.json").read_bytes()
+        assert len(written) > 64 * 1024
+        assert piped == written
+
+    def test_exit_codes_pass_through_unchanged(self, tmp_path):
+        write_jsonl(tmp_path / "clean.jsonl", [q_obj(0, "Where?", "WH"), a_obj(1, "FA", "d1:0:0-6")])
+        write_jsonl(tmp_path / "violating.jsonl", [q_obj(0, "Where?", "YN"), a_obj(1, "FA", "d1:0:0-6")])
+        for argv, expected in (
+            (("validate", "--input", "clean.jsonl", "--deterministic"), 0),
+            (("validate", "--input", "violating.jsonl", "--deterministic"), 1),
+            (("validate", "--input", "missing.jsonl"), 2),
+            (("validate",), 2),  # a usage error, from argparse
+            (("--version",), 0),
+        ):
+            code, out, err = run_process(*argv, cwd=tmp_path)
+            assert code == expected, argv
+            assert "Traceback" not in err
+        assert out.decode().startswith("qapkit ")  # --version's output, flushed before the exit
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_a_closed_pipe_ends_the_command_by_sigpipe_without_a_message(self, tmp_path, big_agreement):
+        proc = qapkit_process(*big_agreement, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()  # as `| head -c 10` does
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == -signal.SIGPIPE
+        assert "error:" not in err and "Traceback" not in err
 
 
 class TestAnnotationIndex:

@@ -1,22 +1,38 @@
 import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qapkit import (
+    AgreementReport,
     AnswerAnnotation,
     AnswerType,
+    ClassScores,
+    Dialogue,
+    DisagreementCategory,
+    DisagreementRecord,
+    EmptyLexicon,
+    ExtractorConfig,
     Feature,
     LabeledInstance,
+    Lexicon,
+    Node,
+    NonDenseTurns,
     QuestionAnnotation,
     QuestionType,
+    TrainConfig,
     Utterance,
     Violation,
     ViolationKind,
     allowed_answer_types,
+    confusion,
     feature_applicable,
+    majority_baseline,
+    score,
     validate_corpus,
 )
 
@@ -126,8 +142,56 @@ BAD_VALUES = [
 ]
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# A maker for each report row, keyed by the report field that holds the rows.
+REPORT_ROWS = {
+    "layers": lambda: AgreementReport("questions", ("A1", "A2"), 0.5, 0.2, 4),
+    "disagreements": lambda: DisagreementRecord(
+        "questions", "d:0:0-5", {"A1": "YN", "A2": "WH"}, DisagreementCategory.UNCATEGORIZED
+    ),
+    "violations": lambda: Violation(ViolationKind.DANGLING_REFERENCE, "d:1", "answer references unknown question 'x'"),
+}
+
+DIALOGUE = lambda: Dialogue("d", "en", (Utterance("d", 0, "A", "Where?"), Utterance("d", 1, "B", "Home.")))
+LEXICON = lambda: Lexicon.from_phrases("wh", ["who", "where"])
+
+# A maker for each record not built in bulk: reports, configs, dialogues and model nodes.
+OTHER_RECORDS = {
+    "AgreementReport": REPORT_ROWS["layers"],
+    "DisagreementRecord": REPORT_ROWS["disagreements"],
+    "Violation": REPORT_ROWS["violations"],
+    "Dialogue": DIALOGUE,
+    "ConfusionMatrix": lambda: confusion(["YN", "WH"], ["YN", "YN"]),
+    "ClassScores": lambda: ClassScores(0.5, 1.0, 2 / 3, 1, False),
+    "EvalReport": lambda: score(confusion(["YN", "WH"], ["YN", "YN"])),
+    "ExtractorConfig": ExtractorConfig,
+    "Lexicon": LEXICON,
+    "TrainConfig": lambda: TrainConfig(max_depth=3),
+    "Node": lambda: Node(label=QuestionType.YN, distribution={QuestionType.YN: 2}),
+    "TreeModel": lambda: majority_baseline([QuestionType.YN, QuestionType.WH, QuestionType.YN]),
+}
+
+# (maker, the fields _replace changes, the error and message that construction gives for them too)
+REPLACE_CHECKS = [
+    (ExtractorConfig, {"similarity_threshold": 1.5}, ValueError, "similarity_threshold must be in [0,1], got 1.5"),
+    (ExtractorConfig, {"similarity_threshold": True}, ValueError, "similarity_threshold must be a number"),
+    (ExtractorConfig, {"cliche_length_cap": -1}, ValueError, "cliche_length_cap must be a non-negative integer"),
+    (ExtractorConfig, {"tag_lexicon": ["right"]}, ValueError, "tag_lexicon must be a Lexicon"),
+    (TrainConfig, {"max_depth": 0}, ValueError, "max_depth must be >= 1 when set"),
+    (TrainConfig, {"min_samples_leaf": 0}, ValueError, "min_samples_leaf must be >= 1"),
+    (DIALOGUE, {"language": ""}, ValueError, "language must be non-empty"),
+    (DIALOGUE, {"dialogue_id": "e"}, ValueError, "utterance 0 belongs to dialogue 'd'"),
+    (DIALOGUE, {"utterances": (Utterance("d", 1, "B", "Home."), Utterance("d", 0, "A", "Where?"))}, ValueError,
+     "utterances must be sorted by distinct turn_index"),
+    (DIALOGUE, {"utterances": (Utterance("d", 0, "A", "Where?"), Utterance("d", 2, "B", "Home."))}, NonDenseTurns,
+     "dialogue 'd': turn indices not consecutive (turn 1 missing between 0 and 2)"),
+    (LEXICON, {"entries": frozenset()}, EmptyLexicon, "lexicon 'wh' has no entries"),
+]
+
+
 class TestRecordContract:
-    """The records built in bulk are immutable values: hashable, comparable, checked on construction."""
+    """Records are immutable named tuples, checked when built and by _replace; bulk-built ones hash by value."""
 
     @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
     def test_attributes_cannot_be_assigned(self, make):
@@ -171,6 +235,47 @@ class TestRecordContract:
         question = QuestionAnnotation("d", 0, (0, 2), QuestionType.YN)
         assert (question.feature, question.annotator_id) == (None, "")
         assert AnswerAnnotation("d", 1, AnswerType.PA, "d:0:0-2").annotator_id == ""
+
+    @pytest.mark.parametrize("make", OTHER_RECORDS.values(), ids=OTHER_RECORDS.keys())
+    def test_every_other_record_is_a_named_tuple_with_read_only_fields(self, make):
+        record = make()
+        assert isinstance(record, tuple) and record == tuple(record) == make()
+        assert tuple(getattr(record, name) for name in record._fields) == tuple(record)
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    def test_configs_equal_plain_tuples_of_their_values(self):
+        assert TrainConfig() == (None, 1)
+        assert ExtractorConfig()[4:] == (0.5, 5)
+
+    @pytest.mark.parametrize("make, change, error, message", REPLACE_CHECKS)
+    def test_replace_raises_what_construction_raises(self, make, change, error, message):
+        record = make()
+        for build in (lambda: record._replace(**change), lambda: type(record)(**{**record._asdict(), **change})):
+            with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+                build()
+            assert type(caught.value) is error
+
+    def test_lexicon_words_are_computed_once_per_instance(self):
+        lexicon = Lexicon.from_phrases("wh", ["who", "how much"])
+        assert "words" not in vars(lexicon)
+        words = lexicon.words
+        assert words == {"who"}
+        assert lexicon.words is words and vars(lexicon)["words"] is words
+        assert lexicon == Lexicon.from_phrases("wh", ["how much", "who"])  # the cache is not a field
+        changed = lexicon._replace(entries=frozenset({("where",)}))
+        assert changed.words == {"where"} and lexicon.words is words
+
+    def test_report_rows_are_written_with_readmes_fields(self):
+        text = README.read_text(encoding="utf-8").split("Report rows, field by field:", 1)[1].split("\n## ", 1)[0]
+        readme = {
+            re.search(r"under `(\w+)", block)[1]: re.findall(r"^  - `(\w+)`:", block, flags=re.M)
+            for block in re.split(r"^- ", text, flags=re.M)[1:]
+        }
+        assert readme.keys() == REPORT_ROWS.keys()
+        for key, make in REPORT_ROWS.items():
+            assert list(make()._asdict()) == readme[key], key
 
 
 
