@@ -224,14 +224,11 @@ def _question_features(
     keys: Iterable[tuple],
     cfg: ExtractorConfig,
     sources: Sequence[str] = (),
-    language: Optional[str] = None,
 ) -> Iterator[tuple[Utterance, tuple[int, int], list[str], FeatureVector]]:
     """(utterance, span, span tokens, feature vector) of each (dialogue, turn, span) key, in key order.
 
     A key naming no utterance, or a span running past the utterance text,
-    raises a ValueError located in ``sources`` (see _unresolved). With
-    ``language`` set, keys in dialogues of another language are skipped and
-    the number skipped is logged once the keys are exhausted.
+    raises a ValueError located in ``sources`` (see _unresolved).
 
     Each span is tokenized once. A previous turn is tokenized once for the
     run of keys that follow it, which key order keeps together. Spans are
@@ -239,14 +236,10 @@ def _question_features(
     (the final-sigma rule), so those could differ from the span's own.
     """
     by_id = {d.dialogue_id: d for d in dialogues}
-    skipped = 0
     last_prev = prev_tokens = None
     for key in keys:
         dialogue_id, turn_index, span = key
         dialogue = by_id.get(dialogue_id)
-        if dialogue is not None and language and dialogue.language != language:
-            skipped += 1
-            continue
         utterances = dialogue.utterances if dialogue is not None else ()
         i = turn_index - utterances[0].turn_index if utterances else -1
         if not 0 <= i < len(utterances):
@@ -261,8 +254,6 @@ def _question_features(
             prev_tokens = tokenize(previous.text) if previous is not None else None
         interrupted = previous is not None and previous.interrupted
         yield utt, span, tokens, token_features(tokens, prev_tokens, interrupted, cfg)
-    if skipped:
-        log.info("skipped %d questions in dialogues not in language %s", skipped, language)
 
 
 def cmd_classify(args) -> int:
@@ -292,14 +283,21 @@ def cmd_classify(args) -> int:
             for u in d.utterances
             if u.text.rstrip().endswith("?")
         ]
+    skipped = 0
+    if args.language:  # a key naming no dialogue is kept, for the question pass to report
+        other = {d.dialogue_id for d in dialogues if d.language != args.language}
+        selected = [key for key in keys if key[0] not in other]
+        skipped, keys = len(keys) - len(selected), selected
 
     annotator = args.annotator_id or args.mode
     sources = [args.questions] if args.questions else ()
     records = []
-    for utt, span, tokens, fv in _question_features(dialogues, keys, cfg, sources, args.language):
+    for utt, span, tokens, fv in _question_features(dialogues, keys, cfg, sources):
         q_type = predict(model, fv) if model is not None else rule_classify(fv, cfg)
         feature = map_wh_feature(tokens, wh_map) if q_type is QuestionType.WH else None
         records.append(QuestionAnnotation(utt.dialogue_id, utt.turn_index, span, q_type, feature, annotator))
+    if skipped:
+        log.info("skipped %d questions in dialogues not in language %s", skipped, args.language)
 
     with _open_out(args.output) as out:
         write_annotations(records, out)

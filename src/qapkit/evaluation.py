@@ -122,16 +122,7 @@ class EvalReport(NamedTuple):
             "accuracy": self.accuracy,
             "macro_f1": self.macro_f1,
             "weighted_f1": self.weighted_f1,
-            "per_class": {
-                label: {
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                    "support": s.support,
-                    "undefined": s.undefined,
-                }
-                for label, s in self.per_class.items()
-            },
+            "per_class": {label: s._asdict() for label, s in self.per_class.items()},
             "labels": list(self.matrix.labels),
             "counts": [list(row) for row in self.matrix.counts],
         }

@@ -1,4 +1,4 @@
-"""Word and phrase lists used by the feature extractor.
+"""Word and phrase lists used by the feature extractor, and the wh-word role table.
 
 A lexicon is a set of token sequences: single words ("really") or short
 phrases ("you know"). Matching is case-insensitive because entries and
@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .ingestion import MalformedLine, open_input
-from .model import checked_record
+from .model import Feature, checked_record
 from .text import tokenize
 
 
@@ -78,6 +78,14 @@ class Lexicon(checked_record("Lexicon", "name entries")):
         return False
 
 
+def list_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line of a list file that is neither blank nor a ``#`` comment."""
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
 def load_lexicon(source: Union[str, Path, Iterable[str]], name: str | None = None) -> Lexicon:
     """Read a lexicon from a path or an iterable of lines.
 
@@ -88,20 +96,27 @@ def load_lexicon(source: Union[str, Path, Iterable[str]], name: str | None = Non
         with open_input(source) as f:
             return load_lexicon(f, Path(source).stem if name is None else name)
     phrases = []
-    for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in list_lines(source):
         if not tokenize(line):
             raise MalformedLine(line_no, f"entry {line!r} has no word tokens")
         phrases.append(line)
     return Lexicon.from_phrases("lexicon" if name is None else name, phrases)
 
 
-DEFAULT_WH = Lexicon.from_phrases(
-    "wh",
-    ["who", "whom", "whose", "what", "which", "where", "when", "why", "how"],
-)
+#: Wh-word to semantic role, shipped as overridable data; its words are the wh lexicon.
+DEFAULT_WH_FEATURE_MAP: Mapping[str, Feature] = {
+    "who": Feature.AG,
+    "whom": Feature.AG,
+    "whose": Feature.OW,
+    "where": Feature.LOC,
+    "when": Feature.TMP,
+    "why": Feature.RE,
+    "what": Feature.TH,
+    "which": Feature.CH,
+    "how": Feature.CH,
+}
+
+DEFAULT_WH = Lexicon.from_phrases("wh", DEFAULT_WH_FEATURE_MAP)
 
 DEFAULT_AUX = Lexicon.from_phrases(
     "aux",

@@ -7,21 +7,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .features import DEFAULT_EXTRACTOR, ExtractorConfig, FeatureVector
 from .ingestion import MalformedLine, UnknownTag, open_input
+from .lexicon import DEFAULT_WH_FEATURE_MAP, list_lines
 from .model import Feature, QuestionType
-
-
-#: Wh-word to semantic role. Shipped as overridable data.
-DEFAULT_WH_FEATURE_MAP: Mapping[str, Feature] = {
-    "who": Feature.AG,
-    "whom": Feature.AG,
-    "whose": Feature.OW,
-    "where": Feature.LOC,
-    "when": Feature.TMP,
-    "why": Feature.RE,
-    "what": Feature.TH,
-    "which": Feature.CH,
-    "how": Feature.CH,
-}
 
 
 #: The rule cascade, in README's numbered order: rule N is ``RULES[N - 1]``, a
@@ -67,19 +54,17 @@ def map_wh_feature(
 def load_wh_feature_map(source: Union[str, Path, Iterable[str]]) -> dict[str, Feature]:
     """Read a two-column file: wh-token, feature tag.
 
-    Blank lines and "#" comments are skipped. Raises UnknownTag for a tag
-    outside the feature set, MalformedLine for a line without two columns
-    and ValueError for a map with no entries.
+    Blank lines and "#" comments are skipped; tokens are lowercased. Raises
+    UnknownTag for a tag outside the feature set, MalformedLine for a line
+    without two columns or mapping a token to a second tag, and ValueError
+    for a map with no entries.
     """
     if isinstance(source, (str, Path)):
         with open_input(source) as f:
             return load_wh_feature_map(f)
 
-    mapping: dict[str, Feature] = {}
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    entries: dict[str, tuple[Feature, int]] = {}
+    for line_no, line in list_lines(source):
         columns = line.split()
         if len(columns) != 2:
             raise MalformedLine(line_no, f"expected two columns, got {len(columns)}")
@@ -88,7 +73,9 @@ def load_wh_feature_map(source: Union[str, Path, Iterable[str]]) -> dict[str, Fe
             feature = Feature(tag)
         except ValueError:
             raise UnknownTag(tag, line_no) from None
-        mapping[token.lower()] = feature
-    if not mapping:
+        first, first_line = entries.setdefault(token.lower(), (feature, line_no))
+        if first is not feature:
+            raise MalformedLine(line_no, f"{token.lower()!r} maps to {tag} here but to {first} at line {first_line}")
+    if not entries:
         raise ValueError("wh-feature map has no entries")
-    return mapping
+    return {token: feature for token, (feature, _) in entries.items()}

@@ -1,6 +1,18 @@
+import warnings
+
 import pytest
 
 from qapkit.cli import main
+
+# Hypothesis imports this module when a property fails. With some libcst and
+# mypy_extensions releases that import raises a DeprecationWarning, which
+# -W error would turn into an INTERNALERROR that hides the failing test.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 
 @pytest.fixture

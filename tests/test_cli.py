@@ -320,6 +320,36 @@ class TestClassify:
         assert [r["dialogue_id"] for r in recs] == ["fr1"]
         assert any("skipped 1 questions" in r.getMessage() for r in caplog.records)
 
+    def test_language_filter_skips_a_span_running_past_its_text(self, run_cli, tmp_path):
+        corpus = write_jsonl(
+            tmp_path / "c.jsonl",
+            [
+                utt_obj(0, "really?", dialogue="en1", language="en"),
+                utt_obj(0, "vraiment?", dialogue="fr1", language="fr"),
+            ],
+        )
+        spans = write_jsonl(
+            tmp_path / "spans.jsonl",
+            [q_obj(0, "x", "PQ", dialogue="en1", span=(0, 40)), q_obj(0, "vraiment?", "PQ", dialogue="fr1")],
+        )
+        out = tmp_path / "pred.jsonl"
+        code, _, err = run_cli(
+            "classify", "--input", corpus, "--language", "fr", "--questions", spans, "--output", out
+        )
+        assert code == 0
+        assert "error" not in err
+        assert [json.loads(line)["dialogue_id"] for line in out.read_text().splitlines()] == ["fr1"]
+
+    def test_language_filter_still_reports_a_span_of_an_unknown_dialogue(self, run_cli, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "vraiment?", dialogue="fr1", language="fr")])
+        spans = write_jsonl(
+            tmp_path / "spans.jsonl",
+            [q_obj(0, "vraiment?", "PQ", dialogue="fr1"), q_obj(9, "abc", "YN", dialogue="zzz")],
+        )
+        code, _, err = run_cli("classify", "--input", corpus, "--language", "fr", "--questions", spans)
+        assert code == 2
+        assert err == f"error: {spans}: line 2: question zzz:9:0-3 has no matching utterance\n"
+
     def test_too_deeply_nested_model_exits_two(self, run_cli, tmp_path):
         leaf = json.dumps({"label": "YN", "distribution": {"YN": 1}})
         node = leaf
@@ -1178,6 +1208,12 @@ def _wh_map(d):
     return ("classify", "--input", corpus, "--wh-map", bad), bad, "line 2: expected two columns"
 
 
+def _wh_map_conflict(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    bad = _file(d / "map.txt", "where LOC\nWHERE TMP\n")
+    return ("classify", "--input", corpus, "--wh-map", bad), bad, "line 2: 'where' maps to TMP here but to LOC at line 1"
+
+
 def _lexicon(d):
     corpus = _file(d / "c.jsonl", CORPUS_LINE)
     bad = _file(d / "wh.txt", BAD_UTF8_LINE2)
@@ -1277,9 +1313,9 @@ class TestInputErrorsNameTheFile:
     @pytest.mark.parametrize(
         "make",
         [
-            _corpus_input, _tsv, _eaf, _wh_map, _lexicon, _wordless_lexicon_entry, _wordless_inline_entry,
-            _config_lexicon, _missing_config_lexicon, _extractor_config, _utf8_extractor_config, _model,
-            _utf8_model, _annotations, _question_spans, _training_annotations,
+            _corpus_input, _tsv, _eaf, _wh_map, _wh_map_conflict, _lexicon, _wordless_lexicon_entry,
+            _wordless_inline_entry, _config_lexicon, _missing_config_lexicon, _extractor_config,
+            _utf8_extractor_config, _model, _utf8_model, _annotations, _question_spans, _training_annotations,
         ],
     )
     def test_every_input_kind(self, run_cli, tmp_path, make):

@@ -15,13 +15,14 @@ from qapkit import (
     detect_inversion,
     extract_features,
     load_lexicon,
+    load_wh_feature_map,
     map_wh_feature,
     overlap_ratio,
     tokenize,
 )
 from qapkit.cli import _question_features
 from qapkit.features import FEATURE_NAMES, load_extractor_config
-from qapkit.lexicon import DEFAULT_CLICHE
+from qapkit.lexicon import DEFAULT_CLICHE, DEFAULT_WH, DEFAULT_WH_FEATURE_MAP, list_lines
 
 from helpers import utt
 
@@ -151,6 +152,20 @@ class TestLexicon:
     def test_missing_file_is_an_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_lexicon(tmp_path / "missing.txt")
+
+    def test_default_wh_lexicon_is_the_wh_feature_table(self):
+        assert DEFAULT_WH.words == set(DEFAULT_WH_FEATURE_MAP)
+        assert DEFAULT_WH.entries == {(word,) for word in DEFAULT_WH_FEATURE_MAP}
+
+    def test_both_list_file_loaders_skip_and_number_lines_alike(self):
+        skipped = ["\n", "   \n", "# comment\n", "  # indented comment\n", "\t#tab\n"]
+        assert list(list_lines(skipped + ["  who AG \n"])) == [(6, "who AG")]
+        assert load_lexicon(skipped + ["who AG\n"]).entries == {("who", "ag")}
+        assert load_wh_feature_map(skipped + ["who AG\n"]) == {"who": Feature.AG}
+        for load in (load_lexicon, load_wh_feature_map):
+            with pytest.raises(MalformedLine) as exc:
+                load(skipped + ["who AG\n", "?!\n"])
+            assert exc.value.line_no == 7, load
 
 
 class TestInversion:

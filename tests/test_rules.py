@@ -11,6 +11,7 @@ from qapkit import (
     ExtractorConfig,
     Feature,
     FeatureVector,
+    MalformedLine,
     QuestionType,
     UnknownTag,
     extract_features,
@@ -223,3 +224,23 @@ class TestWhMapLoading:
     def test_empty_map_rejected(self):
         with pytest.raises(ValueError):
             load_wh_feature_map(["# nothing\n"])
+
+    @pytest.mark.parametrize("second", ["where TMP", "WHERE TMP"])
+    def test_token_mapped_to_a_second_tag_names_both_lines(self, second):
+        with pytest.raises(MalformedLine) as exc:
+            load_wh_feature_map(["# map\n", "where LOC\n", "who AG\n", second + "\n"])
+        assert exc.value.line_no == 4
+        assert str(exc.value) == "line 4: 'where' maps to TMP here but to LOC at line 2"
+
+    def test_same_tag_repeated_is_accepted(self):
+        assert load_wh_feature_map(["where LOC\n", "Where LOC\n"]) == {"where": Feature.LOC}
+
+    def test_readme_lists_the_table(self):
+        text = README.read_text(encoding="utf-8")
+        listing = text.split("Wh-questions get a semantic-role feature", 1)[1].split("; override", 1)[0]
+        listed = {
+            word: Feature(tag)
+            for words, tag in re.findall(r"((?:`\w+`/)*`\w+`) → `(\w+)`", listing)
+            for word in re.findall(r"\w+", words)
+        }
+        assert listed == DEFAULT_WH_FEATURE_MAP
