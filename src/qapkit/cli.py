@@ -119,6 +119,11 @@ def _read_annotation_files(flag: str, paths: Sequence[str]) -> list:
     return records
 
 
+def _warn_repeats(count: int) -> None:
+    if count:
+        log.warning("%d repeated annotation records set aside: the first record per annotator and item counts", count)
+
+
 def _extraction_setup(args) -> ExtractorConfig:
     """The extractor config file's settings, or the defaults, with each flag given on top."""
     with _cannot("read", "--extractor-config", args.extractor_config):
@@ -310,10 +315,10 @@ def cmd_train(args) -> int:
         raise ValueError("train requires --output for the model file")
     cfg = _extraction_setup(args)
     dialogues = _load_corpus(args.input)
-    questions = sorted(
-        (r for r in _read_annotation_files("--annotations", args.annotations) if isinstance(r, QuestionAnnotation)),
-        key=lambda q: q.key,
-    )
+    indexes, repeats = index_by_item(_read_annotation_files("--annotations", args.annotations))
+    _warn_repeats(len(repeats))
+    questions = sorted((q for kept, _ in indexes.values() for q in kept.values()), key=lambda q: q.key)
+    del indexes  # it holds the answers too, which training never reads
     passed = _question_features(dialogues, (q.key for q in questions), cfg, args.annotations)
     rows = [(q, utt, fv) for q, (utt, _, _, fv) in zip(questions, passed)]
 
@@ -351,9 +356,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _annotator_questions(flag: str, path: str) -> tuple[dict, int]:
+    """The kept questions, by key, of the one annotator with questions in a file; and the file's repeats."""
+    indexes, repeats = index_by_item(_read_annotation_files(flag, [path]))
+    annotators = sorted(annotator for annotator, (questions, _) in indexes.items() if questions)
+    if len(annotators) > 1:
+        raise ValueError(f"{flag}: {path} holds questions of more than one annotator ({', '.join(annotators)})")
+    return (indexes[annotators[0]][0] if annotators else {}), len(repeats)
+
+
 def cmd_evaluate(args) -> int:
-    gold, _ = index_by_item(_read_annotation_files("--gold", [args.gold]))
-    pred, _ = index_by_item(_read_annotation_files("--pred", [args.pred]))
+    gold, gold_repeats = _annotator_questions("--gold", args.gold)
+    pred, pred_repeats = _annotator_questions("--pred", args.pred)
+    _warn_repeats(gold_repeats + pred_repeats)
     keys = sorted(gold.keys() & pred.keys())
     if not keys:
         raise NoAlignedItems("gold and prediction files share no question annotations")
@@ -374,10 +389,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_agree(args) -> int:
-    by_annotator: dict[str, list] = {}
-    for rec in _read_annotation_files("--input", args.input):
-        by_annotator.setdefault(rec.annotator_id, []).append(rec)
-    indexes = {annotator: index_by_item(records) for annotator, records in by_annotator.items()}
+    indexes, repeats = index_by_item(_read_annotation_files("--input", args.input))
+    _warn_repeats(len(repeats))
 
     layers = LAYERS if args.layer == "all" else (args.layer,)
     layer_reports = {}

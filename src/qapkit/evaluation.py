@@ -11,19 +11,9 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .model import (
-    FEATURE_BEARING,
-    AnswerAnnotation,
-    QuestionAnnotation,
-    Tag,
-)
-
-AnnotationRecord = Union[QuestionAnnotation, AnswerAnnotation]
-
-#: One annotator's questions by (dialogue, turn, span) and answers by question reference.
-ItemIndex = tuple[dict[tuple, QuestionAnnotation], dict[str, AnswerAnnotation]]
+from .model import FEATURE_BEARING, ItemIndex, QuestionAnnotation, Tag, index_by_item  # noqa: F401  (re-exported)
 
 LAYERS = ("questions", "features", "answers")
 
@@ -195,22 +185,6 @@ class AgreementReport(NamedTuple):
     is_mean: bool = False
 
 
-def index_by_item(records: Iterable[AnnotationRecord]) -> ItemIndex:
-    """Index one annotator's records by item; the first record for an item wins.
-
-    Questions are keyed by position (dialogue, turn, span), answers by the
-    reference of the question they answer.
-    """
-    questions: dict[tuple, QuestionAnnotation] = {}
-    answers: dict[str, AnswerAnnotation] = {}
-    for rec in records:
-        if isinstance(rec, QuestionAnnotation):
-            questions.setdefault(rec.key, rec)
-        else:
-            answers.setdefault(rec.question_ref, rec)
-    return questions, answers
-
-
 # The loops below read a tag's string as ``member._value_``: it is what
 # ``member.value`` returns, but ``value`` is a property, several times slower to read.
 def _feature_tag(ann: QuestionAnnotation) -> str:
@@ -232,7 +206,7 @@ def _layer_labels(index: ItemIndex, layer: str) -> Iterator[tuple[Hashable, str]
 def pairwise_agreement(indexes: Mapping[str, ItemIndex], layer: str) -> list[AgreementReport]:
     """Observed agreement and kappa for every annotator pair on one layer.
 
-    ``indexes`` maps each annotator to the index_by_item of their records.
+    ``indexes`` is the annotator -> ItemIndex mapping of index_by_item.
     Items align by question position (dialogue, turn, span); answers align
     by the question they reference. A final report with ``is_mean=True``
     carries the unweighted mean over pairs; its n_items sums the pairwise
@@ -305,7 +279,7 @@ def disagreement_report(indexes: Mapping[str, ItemIndex]) -> list[DisagreementRe
 
     Unlike kappa scoring, the feature comparison here spans all
     co-annotated questions, so type-driven feature loss is visible.
-    ``indexes`` maps each annotator to the index_by_item of their records.
+    ``indexes`` is the annotator -> ItemIndex mapping of index_by_item.
     """
     ids = sorted(indexes)
     q_maps = [(annotator, indexes[annotator][0]) for annotator in ids]

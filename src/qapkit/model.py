@@ -1,4 +1,4 @@
-"""Closed tagsets, annotation records, and cross-record validation.
+"""Closed tagsets, annotation records, their index by item, and cross-record validation.
 
 Three tagsets cover the annotation scheme: question types, semantic-role
 features (carried only by wh and disjunctive questions), and answer types.
@@ -9,9 +9,10 @@ corpus can be checked end to end in one pass.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 
 class Tag(str, Enum):
@@ -155,10 +156,41 @@ class AnswerAnnotation(NamedTuple):
     annotator_id: str = ""
 
 
+AnnotationRecord = Union[QuestionAnnotation, AnswerAnnotation]
+
+#: One annotator's questions by (dialogue, turn, span) and answers by question reference.
+ItemIndex = tuple[dict[tuple, QuestionAnnotation], dict[str, AnswerAnnotation]]
+
+
+def index_by_item(records: Iterable[AnnotationRecord]) -> tuple[dict[str, ItemIndex], list[AnnotationRecord]]:
+    """Index records by annotator and item; the first record per (annotator, item) counts.
+
+    A question's item is its position (dialogue, turn, span), an answer's the
+    reference of the question it answers. Returns each annotator's ItemIndex
+    and, in input order, the records set aside as repeats.
+    """
+    indexes: dict[str, ItemIndex] = {}
+    repeats: list[AnnotationRecord] = []
+    for rec in records:
+        index = indexes.get(rec.annotator_id)
+        if index is None:
+            index = indexes[rec.annotator_id] = ({}, {})
+        if isinstance(rec, QuestionAnnotation):
+            mapping, item = index[0], rec.key
+        else:
+            mapping, item = index[1], rec.question_ref
+        if item in mapping:
+            repeats.append(rec)
+        else:
+            mapping[item] = rec
+    return indexes, repeats
+
+
 class ViolationKind(Tag):
     ILLEGAL_ANSWER_FOR_QUESTION = "illegal-answer-for-question"
     FEATURE_NOT_APPLICABLE = "feature-not-applicable"
     DANGLING_REFERENCE = "dangling-reference"
+    DUPLICATE_RECORD = "duplicate-record"
 
 
 class Violation(NamedTuple):
@@ -169,54 +201,49 @@ class Violation(NamedTuple):
     message: str
 
 
+def _duplicate(repeat: AnnotationRecord, index: ItemIndex) -> Violation:
+    """The duplicate-record violation of a record that its annotator's ``index`` set aside."""
+    if isinstance(repeat, QuestionAnnotation):
+        item, first, what = repeat.ref, index[0][repeat.key], "this question"
+        tags = [f"{q.q_type}/{q.feature}" if q.feature is not None else str(q.q_type) for q in (first, repeat)]
+    else:
+        item, first, what = repeat.question_ref, index[1][repeat.question_ref], "the answer to this question"
+        tags = [str(first.a_type), str(repeat.a_type)]
+    differ = "tags differ" if tags[0] != tags[1] else "same tags"
+    message = f"annotator {repeat.annotator_id!r} labels {what} again: {tags[0]}, then {tags[1]} ({differ})"
+    return Violation(ViolationKind.DUPLICATE_RECORD, item, message + "; the first record counts")
+
+
 def validate_corpus(
     questions: Sequence[QuestionAnnotation],
     answers: Sequence[AnswerAnnotation],
 ) -> list[Violation]:
     """Check question and answer records against the compatibility constraints.
 
-    Only the first question record per (annotator, span) counts, as in
-    evaluation. Each kept question, in input order, yields one violation if
-    it carries a feature its type does not take, then one for each answer of
-    its annotator that names it with a type it does not admit, in input
-    order. Answers naming no question of their annotator come last, as
-    dangling references. Violations are returned as data, never raised.
+    Only the first record per annotator and item counts (see index_by_item).
+    Violations, returned as data and never raised, come in README's order:
+    each kept question's feature violation, then its answer's, in input
+    order; the dangling answers; then one duplicate record per repeat.
     """
-    kept: dict[tuple[str, str], QuestionAnnotation] = {}
-    for q in questions:
-        kept.setdefault((q.annotator_id, q.ref), q)
-    illegal: dict[tuple[str, str], list[Violation]] = {}  # filled only for answers that break the table
-    dangling: list[Violation] = []
-    for a in answers:
-        key = (a.annotator_id, a.question_ref)
-        q = kept.get(key)
-        if q is None:
-            dangling.append(
-                Violation(
-                    ViolationKind.DANGLING_REFERENCE,
-                    f"{a.dialogue_id}:{a.turn_index}",
-                    f"answer references unknown question {a.question_ref!r}",
-                )
-            )
-        elif a.a_type not in _ANSWER_TABLE[q.q_type]:
-            illegal.setdefault(key, []).append(
-                Violation(
-                    ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION,
-                    a.question_ref,
-                    f"{a.a_type} answers are not allowed for {q.q_type} questions",
-                )
-            )
-
+    indexes, repeats = index_by_item(itertools.chain(questions, answers))
+    duplicates = [_duplicate(rec, indexes[rec.annotator_id]) for rec in repeats]
+    # Each lookup below pops the record it finds: a kept record is checked once
+    # (without repeats, every record is kept), and the answers no question took remain.
     out: list[Violation] = []
-    for key, q in kept.items():
+    for q in questions:
+        questions_of, answers_of = indexes[q.annotator_id]
+        if repeats and questions_of.pop(q.key, None) is not q:
+            continue
+        ref = q.ref
         if q.feature is not None and q.q_type not in FEATURE_BEARING:
-            out.append(
-                Violation(
-                    ViolationKind.FEATURE_NOT_APPLICABLE,
-                    key[1],
-                    f"{q.q_type} questions do not take a feature (got {q.feature})",
-                )
-            )
-        if key in illegal:
-            out.extend(illegal[key])
-    return out + dangling
+            message = f"{q.q_type} questions do not take a feature (got {q.feature})"
+            out.append(Violation(ViolationKind.FEATURE_NOT_APPLICABLE, ref, message))
+        a = answers_of.pop(ref, None)
+        if a is not None and a.a_type not in _ANSWER_TABLE[q.q_type]:
+            message = f"{a.a_type} answers are not allowed for {q.q_type} questions"
+            out.append(Violation(ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION, ref, message))
+    for a in answers:
+        if indexes[a.annotator_id][1].pop(a.question_ref, None) is a:
+            message = f"answer references unknown question {a.question_ref!r}"
+            out.append(Violation(ViolationKind.DANGLING_REFERENCE, f"{a.dialogue_id}:{a.turn_index}", message))
+    return out + duplicates

@@ -10,6 +10,8 @@ from qapkit import (
     QuestionAnnotation,
     QuestionType,
     Utterance,
+    Violation,
+    ViolationKind,
 )
 
 FV_DEFAULTS = dict(
@@ -63,3 +65,46 @@ def annotation_records(draw):
         annotator_id=ANNOTATORS,
     )
     return questions, draw(st.lists(answer, max_size=10))
+
+
+def _item(rec):
+    """What a record labels: its kind, its annotator, and its question's position or reference."""
+    if isinstance(rec, QuestionAnnotation):
+        return ("q", rec.annotator_id, rec.key)
+    return ("a", rec.annotator_id, rec.question_ref)
+
+
+def first_records(records):
+    """(kept, repeats) of a record list by a plain scan: a record is kept when no earlier one has its item."""
+    kept, repeats = [], []
+    for i, rec in enumerate(records):
+        (repeats if any(_item(p) == _item(rec) for p in records[:i]) else kept).append(rec)
+    return kept, repeats
+
+
+def duplicate_violations(records):
+    """The duplicate-record violation of each repeat in a record list, in order, as README words it."""
+    _, repeats = first_records(records)
+    out = []
+    for repeat in repeats:
+        first = next(p for p in records if _item(p) == _item(repeat))
+        tags = []
+        for rec in (first, repeat):
+            if isinstance(rec, AnswerAnnotation):
+                tags.append(rec.a_type.value)
+            else:
+                tags.append(rec.q_type.value + (f"/{rec.feature.value}" if rec.feature else ""))
+        if isinstance(repeat, QuestionAnnotation):
+            item, what = repeat.ref, "this question"
+        else:
+            item, what = repeat.question_ref, "the answer to this question"
+        differ = "tags differ" if tags[0] != tags[1] else "same tags"
+        out.append(
+            Violation(
+                ViolationKind.DUPLICATE_RECORD,
+                item,
+                f"annotator {repeat.annotator_id!r} labels {what} again: {tags[0]}, then {tags[1]} ({differ});"
+                " the first record counts",
+            )
+        )
+    return out

@@ -4,10 +4,13 @@ import io
 import json
 import logging
 import os
+import re
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,6 @@ from hypothesis import strategies as st
 
 from qapkit import load_lexicon, load_model, load_wh_feature_map, map_wh_feature, predict, tokenize
 from qapkit import cli as cli_module
-from qapkit import evaluation as evaluation_module
 from qapkit import features as features_module
 from qapkit.cli import main
 from qapkit.features import FEATURE_NAMES
@@ -813,6 +815,26 @@ class TestEvaluate:
         run_cli("evaluate", "--gold", gold, "--pred", gold, "--output", out2, "--deterministic")
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--gold", "--pred"])
+    def test_a_file_of_two_annotators_is_refused(self, run_cli, tmp_path, flag):
+        one = write_jsonl(tmp_path / "one.jsonl", [q_obj(0, "a?", "YN"), q_obj(1, "b?", "WH")])
+        two = write_jsonl(
+            tmp_path / "two.jsonl",
+            [q_obj(0, "a?", "PQ", annotator="A2"), q_obj(1, "b?", "WH", annotator="A1")],
+        )
+        files = {"--gold": one, "--pred": one, flag: two}
+        code, out, err = run_cli("evaluate", "--gold", files["--gold"], "--pred", files["--pred"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag}: {two} holds questions of more than one annotator (A1, A2)\n"
+
+    def test_answers_of_another_annotator_do_not_count(self, run_cli, tmp_path):
+        gold = write_jsonl(
+            tmp_path / "g.jsonl", [q_obj(0, "a?", "YN"), a_obj(1, "PA", "d1:0:0-2", annotator="other")]
+        )
+        code, out, _ = run_cli("evaluate", "--gold", gold, "--pred", gold, "--deterministic")
+        assert code == 0
+        assert json.loads(out)["n_items"] == 1
+
     def test_disjoint_files(self, run_cli, tmp_path):
         gold = write_jsonl(tmp_path / "g.jsonl", [q_obj(0, "a?", "YN")])
         pred = write_jsonl(tmp_path / "p.jsonl", [q_obj(5, "b?", "YN")])
@@ -885,14 +907,13 @@ class TestAgree:
         assert len(skipped) == 3  # one warning per layer before giving up
 
     def test_each_annotator_is_indexed_once(self, run_cli, tmp_path, monkeypatch):
-        index_by_item = evaluation_module.index_by_item
+        index_by_item = cli_module.index_by_item
         indexed = []
 
         def counting(records):
-            indexed.append(records)
-            return index_by_item(records)
+            indexed.append(index_by_item(records))
+            return indexed[-1]
 
-        monkeypatch.setattr(evaluation_module, "index_by_item", counting)
         monkeypatch.setattr(cli_module, "index_by_item", counting)
         files = [
             write_jsonl(
@@ -903,7 +924,9 @@ class TestAgree:
         ]
         code, _, _ = run_cli("agree", "--input", *files, "--deterministic")
         assert code == 0
-        assert len(indexed) == 3
+        # one index of every record, with one entry per annotator
+        ((indexes, repeats),) = indexed
+        assert (list(indexes), repeats) == (["A1", "A2", "A3"], [])
 
 
 class TestValidate:
@@ -938,8 +961,8 @@ class TestValidate:
         code, out, _ = run_cli("validate", "--input", ann, "--deterministic")
         assert code == 1
         doc = json.loads(out)
-        assert doc["count"] == 1
-        assert doc["violations"][0]["kind"] == "feature-not-applicable"
+        # the second answer to the question is a repeat, reported after the question's own violation
+        assert [v["kind"] for v in doc["violations"]] == ["feature-not-applicable", "duplicate-record"]
 
     def test_report_text(self, run_cli, tmp_path):
         ann = write_jsonl(
@@ -1169,6 +1192,126 @@ class TestAnnotationIndex:
         for reports in doc["layers"].values():
             assert [(r["n_items"], r["observed"]) for r in reports] == [(1, 1.0), (1, 1.0)]
         assert doc["disagreements"] == []
+
+
+    def test_a_span_typed_twice_trains_once_and_fails_validation(self, run_cli, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "Did you see him?")])
+        ann = write_jsonl(
+            tmp_path / "a.jsonl",
+            [q_obj(0, "Did you see him?", "YN", annotator="A"), q_obj(0, "Did you see him?", "WH", annotator="A")],
+        )
+        code, out, _ = run_cli(
+            "train", "--input", corpus, "--annotations", ann, "--output", tmp_path / "m.json", "--deterministic"
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["instances"], summary["training_accuracy"], summary["label_distribution"]) == (
+            1, 1.0, {"YN": 1}
+        )
+
+        code, out, _ = run_cli("validate", "--input", ann, "--deterministic")
+        assert code == 1
+        assert json.loads(out) == {
+            "count": 1,
+            "violations": [
+                {
+                    "kind": "duplicate-record",
+                    "item": "d1:0:0-16",
+                    "message": "annotator 'A' labels this question again: YN, then WH (tags differ);"
+                    " the first record counts",
+                }
+            ],
+        }
+
+    def test_train_evaluate_and_agree_warn_once_of_the_repeats(self, run_cli, tmp_path, caplog, train_corpus):
+        corpus, gold = train_corpus
+        ref = "d1:0:0-17"
+        mine = [q_obj(0, "Where did you go?", "WH", annotator="A"), a_obj(1, "FA", ref, annotator="A")]
+        repeats = [q_obj(0, "Where did you go?", "YN", annotator="A"), a_obj(1, "UA", ref, annotator="A")]
+        f1 = write_jsonl(tmp_path / "a.jsonl", mine + repeats + [mine[0]])
+        f2 = write_jsonl(tmp_path / "b.jsonl", [{**rec, "annotator_id": "B"} for rec in mine])
+        for argv in (
+            ("train", "--input", corpus, "--annotations", f1, "--output", tmp_path / "m.json"),
+            ("evaluate", "--gold", f1, "--pred", f2),
+            ("agree", "--input", f1, f2),
+        ):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="qapkit"):
+                code, _, _ = run_cli(*argv, "--deterministic")
+            assert code == 0, argv
+            assert [(r.levelno, r.getMessage()) for r in caplog.records if "repeated" in r.getMessage()] == [
+                (logging.WARNING, "3 repeated annotation records set aside: the first record per annotator and"
+                 " item counts")
+            ], argv
+
+
+QUESTION_TYPES = st.sampled_from(["YN", "WH", "DQ", "PQ", "CS"])
+ANSWER_TYPES = st.sampled_from(["PA", "NA", "FA", "PHA", "UA", "UT", "DA"])
+
+
+@st.composite
+def records_with_repeats(draw):
+    """Question and answer lines of two annotators on TRAIN_TEXTS, some lines given again with any tag."""
+    objs = []
+    for who, turn in draw(st.lists(st.tuples(st.sampled_from(["A1", "A2"]), st.integers(0, 3)), min_size=1,
+                                   max_size=6)):
+        text = TRAIN_TEXTS[turn][1]
+        objs.append(q_obj(turn, text, draw(QUESTION_TYPES), annotator=who))
+        if draw(st.booleans()):
+            objs.append(a_obj(turn + 1, draw(ANSWER_TYPES), f"d1:{turn}:0-{len(text)}", annotator=who))
+    for obj in draw(st.lists(st.sampled_from(objs), min_size=1, max_size=4)):
+        tag = "q_type" if obj["kind"] == "q" else "a_type"
+        objs.append({**obj, tag: draw(QUESTION_TYPES if tag == "q_type" else ANSWER_TYPES)})
+    return draw(st.permutations(objs))
+
+
+def _quiet_main(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(objs=records_with_repeats())
+def test_train_agree_and_validate_count_the_same_records(tmp_path_factory, objs):
+    d = tmp_path_factory.mktemp("repeats")
+    corpus = write_jsonl(d / "corpus.jsonl", [utt_obj(t, text) for t, text, _ in TRAIN_TEXTS])
+    ann = write_jsonl(d / "ann.jsonl", objs)
+    # the first line per annotator and item, found by a plain scan: (annotator, kind) -> lines kept
+    items, kept, given_lines = set(), Counter(), Counter()
+    for obj in objs:
+        who_kind = (obj["annotator_id"], obj["kind"])
+        given_lines[who_kind] += 1
+        item = (*who_kind, obj["turn_index"] if obj["kind"] == "q" else obj["question_ref"])
+        if item not in items:
+            items.add(item)
+            kept[who_kind] += 1
+
+    code, out = _quiet_main("train", "--input", corpus, "--annotations", ann, "--output", d / "m.json",
+                            "--deterministic")
+    assert code == 0
+    assert json.loads(out)["instances"] == sum(n for (_, kind), n in kept.items() if kind == "q")
+
+    counted = []
+    agreement = cli_module.pairwise_agreement
+
+    def counting(indexes, layer):
+        counted.append({(who, kind): len(index[i]) for who, index in indexes.items() for i, kind in enumerate("qa")})
+        return agreement(indexes, layer)
+
+    with mock.patch.object(cli_module, "pairwise_agreement", counting):
+        _quiet_main("agree", "--input", ann, "--deterministic")
+    assert +Counter(counted[0]) == kept
+
+    code, out = _quiet_main("validate", "--input", ann, "--deterministic")
+    assert code == 1
+    set_aside = Counter()
+    for v in json.loads(out)["violations"]:
+        if v["kind"] == "duplicate-record":
+            who, what = re.match(r"annotator '(\w+)' labels (this question|the answer)", v["message"]).groups()
+            set_aside[who, "q" if what == "this question" else "a"] += 1
+    assert given_lines - set_aside == kept
 
 
 CORPUS_LINE = json.dumps(utt_obj(0, "Where did you go?")) + "\n"

@@ -28,7 +28,7 @@ from qapkit import (
 )
 
 import reference_reports
-from helpers import annotation_records
+from helpers import annotation_records, first_records
 
 YN, WH, DQ, CS, PQ = QuestionType.YN, QuestionType.WH, QuestionType.DQ, QuestionType.CS, QuestionType.PQ
 
@@ -245,8 +245,44 @@ def a_ann(annotator, turn, a_type, ref, dialogue="d1"):
 
 
 def indexed(records):
-    """The annotator -> index_by_item mapping that agreement takes, from annotator -> records."""
-    return {annotator: index_by_item(recs) for annotator, recs in records.items()}
+    """The annotator -> ItemIndex mapping that agreement takes, from annotator -> records."""
+    indexes, _ = index_by_item(itertools.chain.from_iterable(records.values()))
+    return indexes
+
+
+def indexed_by_hand(records):
+    """index_by_item's mapping of records whose items are all distinct, built without it."""
+    indexes = {}
+    for rec in records:
+        questions, answers = indexes.setdefault(rec.annotator_id, ({}, {}))
+        if isinstance(rec, QuestionAnnotation):
+            questions[rec.key] = rec
+        else:
+            answers[rec.question_ref] = rec
+    return indexes
+
+
+def identities(indexes):
+    """Each annotator's items, in order, with the id of the record held for each."""
+    return [(who, [[(item, id(rec)) for item, rec in mapping.items()] for mapping in index]) for who, index in indexes.items()]
+
+
+class TestIndexByItem:
+    @settings(max_examples=300)
+    @given(annotation_records())
+    def test_the_first_record_per_annotator_and_item_counts(self, records):
+        records = [*records[0], *records[1]]
+        indexes, repeats = index_by_item(records)
+        kept, expected_repeats = first_records(records)
+        assert [id(r) for r in repeats] == [id(r) for r in expected_repeats]
+        # annotators and items in order of first appearance, each holding its first record itself
+        assert identities(indexes) == identities(indexed_by_hand(kept))
+
+    def test_the_same_record_twice_is_a_repeat(self):
+        rec = q_ann("A", 0, YN)
+        indexes, repeats = index_by_item([rec, rec])
+        assert indexes == {"A": ({rec.key: rec}, {})}
+        assert repeats == [rec]
 
 
 def agree_stdout(run_cli, tmp_path, records, *flags):
@@ -525,12 +561,12 @@ class TestDisagreementReport:
     @settings(max_examples=300, deadline=None)
     @given(annotation_records())
     def test_matches_the_reference(self, records):
-        questions, answers = records
-        by_annotator = {}
-        for rec in [*questions, *answers]:
-            by_annotator.setdefault(rec.annotator_id, []).append(rec)
-        indexes = indexed(by_annotator)
-        got, expected = disagreement_report(indexes), reference_reports.disagreement_report(indexes)
+        records = [*records[0], *records[1]]
+        indexes, _ = index_by_item(records)
+        kept, _ = first_records(records)
+        # the reference reads an index of the first record per annotator and item, built by hand
+        got = disagreement_report(indexes)
+        expected = reference_reports.disagreement_report(indexed_by_hand(kept))
         assert got == expected
         # tags in the same order, with plain strings, as the reference gives them
         assert [[(who, type(tag), tag) for who, tag in r.tags.items()] for r in got] == [

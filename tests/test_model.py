@@ -37,7 +37,7 @@ from qapkit import (
 )
 
 import reference_reports
-from helpers import annotation_records, make_fv
+from helpers import annotation_records, duplicate_violations, first_records, make_fv
 
 
 def q(turn=0, span=(0, 5), q_type=QuestionType.YN, feature=None, annotator="A1", dialogue="d"):
@@ -301,9 +301,10 @@ class TestValidateAnnotations:
     def test_misplaced_feature_is_reported_once(self):
         question = q(q_type=QuestionType.YN, feature=Feature.LOC)
         answers = [a(turn=1, ref=question.ref), a(turn=2, ref=question.ref, a_type=AnswerType.FA)]
+        # the second answer to the question is set aside, so its FA is not checked
         assert [v.kind for v in validate_corpus([question], answers)] == [
             ViolationKind.FEATURE_NOT_APPLICABLE,
-            ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION,
+            ViolationKind.DUPLICATE_RECORD,
         ]
 
     @given(
@@ -355,19 +356,44 @@ class TestPairing:
         first = a(turn=1, ref=question.ref, a_type=AnswerType.NA)
         second = a(turn=2, ref=question.ref, a_type=AnswerType.FA)
         violations = validate_corpus([question], [first, second])
-        assert [v.message for v in violations] == [
-            "NA answers are not allowed for PQ questions",
-            "FA answers are not allowed for PQ questions",
+        # one answer per annotator and question counts; the second is a duplicate record
+        assert [(v.kind, v.item, v.message) for v in violations] == [
+            (ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION, "d:0:0-5", "NA answers are not allowed for PQ questions"),
+            (
+                ViolationKind.DUPLICATE_RECORD,
+                "d:0:0-5",
+                "annotator 'A1' labels the answer to this question again: NA, then FA (tags differ);"
+                " the first record counts",
+            ),
         ]
 
     def test_duplicate_question_records_collapse(self):
         first = q(q_type=QuestionType.YN, feature=Feature.AG)
         repeat = q(q_type=QuestionType.WH)
         violations = validate_corpus([first, first, repeat], [a(ref=first.ref, a_type=AnswerType.FA)])
-        # the first record decides the type, and it is checked once
-        assert [v.kind for v in violations] == [
-            ViolationKind.FEATURE_NOT_APPLICABLE,
-            ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION,
+        # the first record decides the type and is checked once; each later one is reported
+        assert [(v.kind, v.message) for v in violations] == [
+            (ViolationKind.FEATURE_NOT_APPLICABLE, "YN questions do not take a feature (got AG)"),
+            (ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION, "FA answers are not allowed for YN questions"),
+            (
+                ViolationKind.DUPLICATE_RECORD,
+                "annotator 'A1' labels this question again: YN/AG, then YN/AG (same tags); the first record counts",
+            ),
+            (
+                ViolationKind.DUPLICATE_RECORD,
+                "annotator 'A1' labels this question again: YN/AG, then WH (tags differ); the first record counts",
+            ),
+        ]
+
+    def test_duplicates_come_last_in_input_order(self):
+        answers = [a(ref="nowhere:0:0-1"), a(turn=2), a(turn=3, ref="nowhere:0:0-1"), a(turn=4)]
+        questions = [q(), q(annotator="A2"), q(q_type=QuestionType.CS)]
+        violations = validate_corpus(questions, answers)
+        assert [(v.kind, v.item) for v in violations] == [
+            (ViolationKind.DANGLING_REFERENCE, "d:1"),
+            (ViolationKind.DUPLICATE_RECORD, "d:0:0-5"),  # the CS question
+            (ViolationKind.DUPLICATE_RECORD, "nowhere:0:0-1"),
+            (ViolationKind.DUPLICATE_RECORD, "d:0:0-5"),  # the answer at turn 4
         ]
 
     def test_validate_corpus_reports_dangling(self):
@@ -420,13 +446,20 @@ def validate_by_scan(questions, answers):
     return out
 
 
+def on_first_records(reference, questions, answers):
+    """``reference`` on the first record per annotator and item, then one duplicate-record per repeat."""
+    kept_questions, _ = first_records(questions)
+    kept_answers, _ = first_records(answers)
+    return reference(kept_questions, kept_answers) + duplicate_violations([*questions, *answers])
+
+
 class TestValidateCorpusProperty:
     @given(annotation_records())
     def test_matches_a_quadratic_scan(self, records):
         questions, answers = records
-        assert validate_corpus(questions, answers) == validate_by_scan(questions, answers)
+        assert validate_corpus(questions, answers) == on_first_records(validate_by_scan, questions, answers)
 
     @settings(max_examples=300)
     @given(annotation_records())
     def test_matches_the_reference(self, records):
-        assert validate_corpus(*records) == reference_reports.validate_corpus(*records)
+        assert validate_corpus(*records) == on_first_records(reference_reports.validate_corpus, *records)
