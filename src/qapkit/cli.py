@@ -14,6 +14,7 @@ import logging
 import os
 import signal
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
@@ -186,8 +187,7 @@ def cmd_ingest(args) -> int:
         if options:
             flag = "--" + next(iter(options)).replace("_", "-")
             raise ValueError(f"{flag} applies only to --format tsv and eaf")
-        with _cannot("read", "--input", path), open_input(path) as f:
-            dialogues = parse_dialogue_jsonl(f)
+        dialogues = _load_corpus([path])
     else:
         _check_utf8(args.dialogue_id, "--dialogue-id is not valid UTF-8")
         _check_utf8(args.language, "--language is not valid UTF-8")
@@ -313,6 +313,8 @@ def cmd_classify(args) -> int:
 def cmd_train(args) -> int:
     if not args.output:
         raise ValueError("train requires --output for the model file")
+    # checked in both modes, before any input is read
+    train_cfg = TrainConfig(max_depth=args.max_depth, min_samples_leaf=args.min_samples_leaf)
     cfg = _extraction_setup(args)
     dialogues = _load_corpus(args.input)
     indexes, repeats = index_by_item(_read_annotation_files("--annotations", args.annotations))
@@ -335,21 +337,16 @@ def cmd_train(args) -> int:
     if args.baseline:
         model = majority_baseline(inst.label for inst in instances)
     else:
-        model = train_tree(
-            instances, TrainConfig(max_depth=args.max_depth, min_samples_leaf=args.min_samples_leaf)
-        )
+        model = train_tree(instances, train_cfg)
     with _open_out(args.output) as f:
         save_model(model, f)
 
     correct = sum(1 for inst in instances if predict(model, inst.fv) == inst.label)
-    distribution: dict[str, int] = {}
-    for inst in instances:
-        distribution[str(inst.label)] = distribution.get(str(inst.label), 0) + 1
     summary = {
         "instances": len(instances),
         "training_accuracy": correct / len(instances),
         "depth": model.depth(),
-        "label_distribution": distribution,
+        "label_distribution": Counter(inst.label for inst in instances),
         "model": str(args.output),
     }
     _write_report(summary, None, args.deterministic)
@@ -372,10 +369,7 @@ def cmd_evaluate(args) -> int:
     keys = sorted(gold.keys() & pred.keys())
     if not keys:
         raise NoAlignedItems("gold and prediction files share no question annotations")
-    order = [q.value for q in QUESTION_TYPE_ORDER]
-    matrix = confusion(
-        [gold[k].q_type.value for k in keys], [pred[k].q_type.value for k in keys], labels=order
-    )
+    matrix = confusion([gold[k].q_type for k in keys], [pred[k].q_type for k in keys], labels=QUESTION_TYPE_ORDER)
     report = score(matrix)
 
     doc = report.to_json_dict()

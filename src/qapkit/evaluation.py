@@ -11,11 +11,20 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from typing import Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Optional, Sequence
 
-from .model import FEATURE_BEARING, ItemIndex, QuestionAnnotation, Tag, index_by_item  # noqa: F401  (re-exported)
+from .model import FEATURE_BEARING, ItemIndex, Tag, index_by_item, question_ref  # noqa: F401  (re-exported)
 
-LAYERS = ("questions", "features", "answers")
+# Each agreement layer: the side of an ItemIndex it reads (0: questions by key,
+# 1: answers by question reference) and its tag reader. A reader reads a tag's
+# string as ``member._value_``: it is what ``member.value`` returns, but
+# ``value`` is a property, several times slower to read.
+_LAYER_TABLE: dict[str, tuple[int, Callable[[tuple], str]]] = {
+    "questions": (0, operator.attrgetter("q_type._value_")),
+    "features": (0, lambda ann: ann.feature._value_ if ann.feature is not None else "-"),
+    "answers": (1, operator.attrgetter("a_type._value_")),
+}
+LAYERS = tuple(_LAYER_TABLE)
 
 
 class LengthMismatch(ValueError):
@@ -185,24 +194,6 @@ class AgreementReport(NamedTuple):
     is_mean: bool = False
 
 
-# The loops below read a tag's string as ``member._value_``: it is what
-# ``member.value`` returns, but ``value`` is a property, several times slower to read.
-def _feature_tag(ann: QuestionAnnotation) -> str:
-    return ann.feature._value_ if ann.feature is not None else "-"
-
-
-def _layer_labels(index: ItemIndex, layer: str) -> Iterator[tuple[Hashable, str]]:
-    """(item key, label) for each item of one annotator's index on a layer."""
-    questions, answers = index
-    if layer == "answers":
-        return ((ref, ann.a_type._value_) for ref, ann in answers.items())
-    if layer == "questions":
-        return ((key, ann.q_type._value_) for key, ann in questions.items())
-    # feature tags are undefined outside feature-bearing types, so the
-    # comparison covers only items both annotators typed as such
-    return ((key, _feature_tag(ann)) for key, ann in questions.items() if ann.q_type in FEATURE_BEARING)
-
-
 def pairwise_agreement(indexes: Mapping[str, ItemIndex], layer: str) -> list[AgreementReport]:
     """Observed agreement and kappa for every annotator pair on one layer.
 
@@ -219,14 +210,16 @@ def pairwise_agreement(indexes: Mapping[str, ItemIndex], layer: str) -> list[Agr
     if len(ids) < 2:
         raise NoAlignedItems("agreement needs at least two annotators")
 
+    side, tag = _LAYER_TABLE[layer]
     numbers: dict[Hashable, int] = {}  # item key -> number, one numbering for every annotator
-    labels = {
-        annotator: {
-            numbers.setdefault(key, len(numbers)): label
-            for key, label in _layer_labels(indexes[annotator], layer)
-        }
-        for annotator in ids
-    }
+    labels = {}
+    for annotator in ids:
+        items = indexes[annotator][side].items()
+        if layer == "features":
+            # feature tags are undefined outside feature-bearing types, so the
+            # comparison covers only items both annotators typed as such
+            items = ((key, ann) for key, ann in items if ann.q_type in FEATURE_BEARING)
+        labels[annotator] = {numbers.setdefault(key, len(numbers)): tag(ann) for key, ann in items}
     reports: list[AgreementReport] = []
     for id_a, id_b in itertools.combinations(ids, 2):
         map_a, map_b = labels[id_a], labels[id_b]
@@ -271,7 +264,8 @@ class DisagreementRecord(NamedTuple):
 def disagreement_report(indexes: Mapping[str, ItemIndex]) -> list[DisagreementRecord]:
     """List every item where at least two annotators disagree.
 
-    Question, feature, and answer layers are scanned; records default to
+    Each side of the indexes is scanned once, item by item, over the layers
+    that read it, in _LAYER_TABLE order. Records default to
     the uncategorized bucket since naming a cause is a human judgment. The
     one automatic inference: a feature-layer mismatch on an item whose
     question types also differ is marked as a cascade, because the type
@@ -282,36 +276,19 @@ def disagreement_report(indexes: Mapping[str, ItemIndex]) -> list[DisagreementRe
     ``indexes`` is the annotator -> ItemIndex mapping of index_by_item.
     """
     ids = sorted(indexes)
-    q_maps = [(annotator, indexes[annotator][0]) for annotator in ids]
-    a_maps = [(annotator, indexes[annotator][1]) for annotator in ids]
-
     records: list[DisagreementRecord] = []
-
-    for key in sorted({key for _, mapping in q_maps for key in mapping}):
-        present = [(annotator, ann) for annotator, mapping in q_maps if (ann := mapping.get(key)) is not None]
-        if len(present) < 2:
-            continue
-        ref = present[0][1].ref
-        q_tags = {annotator: ann.q_type._value_ for annotator, ann in present}
-        q_disagree = len(set(q_tags.values())) > 1
-        if q_disagree:
-            records.append(
-                DisagreementRecord("questions", ref, q_tags, DisagreementCategory.UNCATEGORIZED)
-            )
-        f_tags = {annotator: _feature_tag(ann) for annotator, ann in present}
-        if len(set(f_tags.values())) > 1:
-            category = (
-                DisagreementCategory.CASCADE if q_disagree else DisagreementCategory.UNCATEGORIZED
-            )
-            records.append(DisagreementRecord("features", ref, f_tags, category))
-
-    for ref in sorted({ref for _, mapping in a_maps for ref in mapping}):
-        present = [(annotator, ann) for annotator, mapping in a_maps if (ann := mapping.get(ref)) is not None]
-        if len(present) < 2:
-            continue
-        a_tags = {annotator: ann.a_type._value_ for annotator, ann in present}
-        if len(set(a_tags.values())) > 1:
-            records.append(
-                DisagreementRecord("answers", ref, a_tags, DisagreementCategory.UNCATEGORIZED)
-            )
+    for side in (0, 1):
+        layers = [(layer, tag) for layer, (layer_side, tag) in _LAYER_TABLE.items() if layer_side == side]
+        maps = [(annotator, indexes[annotator][side]) for annotator in ids]
+        for key in sorted({key for _, mapping in maps for key in mapping}):
+            present = {annotator: ann for annotator, mapping in maps if (ann := mapping.get(key)) is not None}
+            if len(present) < 2:
+                continue
+            item = question_ref(*key) if side == 0 else key
+            category = DisagreementCategory.UNCATEGORIZED
+            for layer, tag in layers:
+                tags = list(map(tag, present.values()))
+                if len(set(tags)) > 1:
+                    records.append(DisagreementRecord(layer, item, dict(zip(present, tags)), category))
+                    category = DisagreementCategory.CASCADE  # a later layer of the item follows from this one
     return records

@@ -384,7 +384,8 @@ _ascii = json.encoder.encode_basestring_ascii
 def write_json(doc: Any, stream: IO[str]) -> None:
     """Write ``doc`` exactly as ``json.dump(doc, stream, indent=2, sort_keys=True)`` does.
 
-    Dict keys must be strings. Strings go through the C escaper, other
+    Dict keys must be strings. Strings, a string enum's members among them
+    (each written as its string), go through the C escaper, other
     scalars through ``json.dumps``. Lists, tuples and dicts are written one
     element at a time, so a long document is never held as one string. A
     named-tuple record is a tuple, written as an array as ``json.dump`` does;

@@ -160,12 +160,12 @@ def train_tree(data: Iterable[LabeledInstance], cfg: TrainConfig = TrainConfig()
     achieves positive gain. Leaf label ties break by count at the leaf,
     then count in the whole training set, then a fixed label order.
     """
-    pairs = Counter((fv, label.value) for fv, label in data)
+    pairs = Counter(data)  # (feature vector, label) -> count
     if not pairs:
         raise EmptyTrainingSet("no training instances")
     by_vector: dict[FeatureVector, Counter] = {}
-    for (vec, value), count in sorted(pairs.items()):  # canonical order
-        by_vector.setdefault(vec, Counter())[QuestionType(value)] = count
+    for (vec, label), count in sorted(pairs.items()):  # canonical order
+        by_vector.setdefault(vec, Counter())[label] = count
     global_counts = _add_counts(Counter(), by_vector.items())
 
     def grow(groups: list[_Group], depth: int) -> Node:
@@ -223,8 +223,7 @@ def majority_baseline(labels: Iterable[QuestionType]) -> TreeModel:
 
 def _node_to_obj(node: Node) -> dict:
     if node.is_leaf:
-        distribution = {str(label): count for label, count in node.distribution.items()}
-        return {"label": node.label.value, "distribution": distribution}
+        return {"label": node.label, "distribution": node.distribution}
     return {"feature": node.feature, "threshold": node.threshold,
             "left": _node_to_obj(node.left), "right": _node_to_obj(node.right)}
 

@@ -696,6 +696,39 @@ class TestTrain:
         # four-way tie resolves to the first label in the fixed order
         assert predict(model, make_fv()).value == "YN"
 
+    def test_max_depth_caps_the_tree(self, run_cli, tmp_path, train_corpus):
+        corpus, gold = train_corpus
+        code, out, _ = run_cli(
+            "train", "--input", corpus, "--annotations", gold,
+            "--output", tmp_path / "m.json", "--max-depth", "1", "--deterministic",
+        )
+        assert code == 0
+        assert json.loads(out)["depth"] <= 1
+
+    def test_a_large_min_samples_leaf_leaves_one_leaf(self, run_cli, tmp_path, train_corpus):
+        corpus, gold = train_corpus
+        code, out, _ = run_cli(
+            "train", "--input", corpus, "--annotations", gold,
+            "--output", tmp_path / "m.json", "--min-samples-leaf", "99", "--deterministic",
+        )
+        assert code == 0
+        assert json.loads(out)["depth"] == 0
+
+    @pytest.mark.parametrize("mode", [(), ("--baseline",)], ids=["tree", "baseline"])
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--max-depth", "max_depth must be >= 1 when set"), ("--min-samples-leaf", "min_samples_leaf must be >= 1")],
+        ids=["max-depth", "min-samples-leaf"],
+    )
+    def test_a_limit_below_one_is_refused_before_any_input_is_read(self, run_cli, tmp_path, flag, message, mode):
+        code, _, err = run_cli(
+            "train", "--input", tmp_path / "missing.jsonl", "--annotations", tmp_path / "missing-gold.jsonl",
+            "--output", tmp_path / "m.json", flag, "0", *mode,
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_limit_utterances_cuts_training_data(self, run_cli, tmp_path, train_corpus):
         corpus, gold = train_corpus
         code, out, _ = run_cli(

@@ -35,6 +35,7 @@ from qapkit import (
     score,
     validate_corpus,
 )
+from qapkit.evaluation import LAYERS
 
 import reference_reports
 from helpers import annotation_records, duplicate_violations, first_records, make_fv
@@ -276,6 +277,8 @@ class TestRecordContract:
         assert readme.keys() == REPORT_ROWS.keys()
         for key, make in REPORT_ROWS.items():
             assert list(make()._asdict()) == readme[key], key
+        layer_values = re.search(r"^- `agree`, under `layers.*?^  - `layer`: (.*?);$", text, flags=re.M | re.S)[1]
+        assert tuple(re.findall(r"`(\w+)`", layer_values)) == LAYERS
 
 
 
