@@ -175,6 +175,15 @@ def _check_utf8(value: Optional[str], message: str) -> None:
         raise ValueError(message) from None
 
 
+def _check_flag(args, name: str) -> None:
+    """Raise ValueError naming the flag if the value given to ``--NAME`` is empty or not valid UTF-8."""
+    value = getattr(args, name)
+    flag = "--" + name.replace("_", "-")
+    if value == "":
+        raise ValueError(f"{flag} must be non-empty")
+    _check_utf8(value, f"{flag} is not valid UTF-8")
+
+
 def cmd_ingest(args) -> int:
     path = Path(args.input)
     # the flags a TSV or EAF file is read with; a flag left out keeps the reader's default
@@ -189,8 +198,8 @@ def cmd_ingest(args) -> int:
             raise ValueError(f"{flag} applies only to --format tsv and eaf")
         dialogues = _load_corpus([path])
     else:
-        _check_utf8(args.dialogue_id, "--dialogue-id is not valid UTF-8")
-        _check_utf8(args.language, "--language is not valid UTF-8")
+        _check_flag(args, "dialogue_id")
+        _check_flag(args, "language")
         options["dialogue_id"] = dialogue_id = args.dialogue_id or path.stem
         _check_utf8(dialogue_id, f"file name {path.name!r} is not valid UTF-8; name the dialogue with --dialogue-id")
         with _cannot("read", "--input", path):
@@ -268,7 +277,8 @@ def cmd_classify(args) -> int:
         raise ValueError("--model applies only to --mode tree")
     if args.cliche_length_cap is not None and args.mode != "rule":
         raise ValueError("--cliche-length-cap applies only to --mode rule")
-    _check_utf8(args.annotator_id, "--annotator-id is not valid UTF-8")
+    _check_flag(args, "annotator_id")
+    _check_flag(args, "language")
     cfg = _extraction_setup(args)
     wh_map = _wh_feature_map(args.wh_map, cfg)
     dialogues = _load_corpus([args.input])

@@ -104,8 +104,8 @@ def _cannot(verb: str, name: str, path: Union[str, Path]) -> Iterator[None]:
 
 @contextmanager
 def open_input(path: Union[str, Path]) -> Iterator[IO[str]]:
-    """Open a UTF-8 text input file; every ValueError raised while it is open names it."""
-    with _naming(path), open(path, encoding="utf-8") as f:
+    """Open a UTF-8 text input file, skipping a leading byte-order mark; a ValueError raised while open names it."""
+    with _naming(path), open(path, encoding="utf-8-sig") as f:
         yield f
 
 

@@ -1,7 +1,13 @@
 """Small builders shared across test modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import strategies as st
 
+import qapkit
 from qapkit import (
     AnswerAnnotation,
     AnswerType,
@@ -35,6 +41,27 @@ def make_fv(**overrides) -> FeatureVector:
 def utt(text, turn=0, dialogue="d", speaker="A", interrupted=False) -> Utterance:
     return Utterance(dialogue, turn, speaker, text, interrupted)
 
+
+# where the qapkit these tests import lives: the source tree, or an installed package's site-packages
+QAPKIT_PATH = str(Path(qapkit.__file__).resolve().parent.parent)
+
+
+def python_process(*args, cwd, **kwargs) -> subprocess.Popen:
+    """``python ARGS`` as a child process that imports the same qapkit, started with subprocess.Popen's keywords.
+
+    Its stdout is block-buffered, as it is by default, so output left in the buffer at exit would be lost.
+    """
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (QAPKIT_PATH, env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, *map(str, args)], cwd=cwd, env=env, **kwargs)
+
+
+def run_process(*args, cwd) -> tuple[int, bytes, bytes]:
+    """(exit code, stdout, stderr) of ``python ARGS``; ``-m qapkit.cli ARGV`` runs the command."""
+    proc = python_process(*args, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err
 
 
 ANNOTATORS = st.sampled_from(["A1", "A2", "A3"])

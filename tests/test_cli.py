@@ -1,9 +1,9 @@
+import codecs
 import contextlib
 import gc
 import io
 import json
 import logging
-import os
 import re
 import signal
 import subprocess
@@ -22,7 +22,7 @@ from qapkit import features as features_module
 from qapkit.cli import main
 from qapkit.features import FEATURE_NAMES
 from qapkit.ingestion import open_input
-from helpers import make_fv
+from helpers import make_fv, python_process, run_process
 
 
 def write_jsonl(path, objs):
@@ -101,12 +101,16 @@ class TestIngest:
         ]
 
     def test_jsonl_normalization(self, run_cli, tmp_path):
-        src = write_jsonl(tmp_path / "in.jsonl", [utt_obj(1, "b?"), utt_obj(0, "a.")])
+        turns = [
+            utt_obj(0, '¿Dónde está "la" carpeta C:\\tmp?', speaker="Zoë", language="es"),
+            utt_obj(1, "en\tdie\x1f 😀", interrupted=True, language="es"),
+        ]
+        src = write_jsonl(tmp_path / "in.jsonl", turns[::-1])
         out = tmp_path / "out.jsonl"
         code, _, _ = run_cli("ingest", "--input", src, "--output", out)
         assert code == 0
-        turns = [json.loads(l)["turn_index"] for l in out.read_text().splitlines()]
-        assert turns == [0, 1]
+        # sorted by turn, and in the canonical layout, which write_jsonl writes too
+        assert out.read_bytes() == write_jsonl(tmp_path / "canonical.jsonl", turns).read_bytes()
 
     def test_eaf(self, run_cli, tmp_path):
         src = tmp_path / "session.eaf"
@@ -260,20 +264,21 @@ class TestClassify:
         assert out.read_text(encoding="utf-8") == ""
 
     def test_question_span_override(self, run_cli, tmp_path):
-        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "Tell me where you went")])
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "You see? Tell me where you went")])
         spans = write_jsonl(
             tmp_path / "spans.jsonl",
-            [q_obj(0, "", "YN", span=(8, 22), annotator="seg")],  # q_type here is ignored
+            [q_obj(0, "", "YN", span=span, annotator="seg") for span in ((0, 8), (17, 31))],  # q_type is ignored
         )
+        config = _file(tmp_path / "ext.json", json.dumps({"cliche_lexicon": ["you know", "you see"]}))
         out = tmp_path / "pred.jsonl"
         code, _, _ = run_cli(
-            "classify", "--input", corpus, "--questions", spans, "--output", out
+            "classify", "--input", corpus, "--questions", spans, "--extractor-config", config, "--output", out
         )
         assert code == 0
-        rec = json.loads(out.read_text())
-        assert (rec["span_start"], rec["span_end"]) == (8, 22)
-        assert rec["q_type"] == "WH"
-        assert rec["feature"] == "LOC"
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["span_start"], r["span_end"], r["q_type"], r["feature"]) for r in recs] == [
+            (0, 8, "PQ", None), (17, 31, "WH", "LOC")
+        ]
 
     def test_language_filter(self, run_cli, tmp_path):
         corpus = write_jsonl(
@@ -590,12 +595,13 @@ class TestExtractionSettings:
         code, _, err = run_cli("classify", "--input", tmp_path / "missing.jsonl", *flags)
         assert (code, err) == (2, f"error: {message}\n")
 
-    def test_flags_and_config_values_give_the_same_message(self, run_cli, tmp_path):
+    @pytest.mark.parametrize("cap", [-1, None])
+    def test_flags_and_config_values_give_the_same_message(self, run_cli, tmp_path, cap):
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "really?")])
         message = "cliche_length_cap must be a non-negative integer"
         code, _, err = run_cli("classify", "--input", corpus, "--cliche-length-cap", "-1")
         assert (code, err) == (2, f"error: {message}\n")
-        config = self.config(tmp_path, cliche_length_cap=-1)
+        config = self.config(tmp_path, cliche_length_cap=cap)
         code, _, err = run_cli("classify", "--input", corpus, "--extractor-config", config)
         assert (code, err) == (2, f"error: {config}: {message}\n")
 
@@ -1037,29 +1043,43 @@ ONE_TURN_EAF = """<?xml version="1.0" encoding="UTF-8"?>
 """
 
 
+FLAG_FAULTS = pytest.mark.parametrize(
+    "value, fault", [("d\udcff", "is not valid UTF-8"), ("", "must be non-empty")], ids=["not-utf8", "empty"]
+)
+
+
 class TestCommandLineStrings:
-    """A command-line string that is written out must be UTF-8.
+    """A command-line string that is written out, or that selects dialogues, must be non-empty UTF-8.
 
     Argument bytes that are not UTF-8 reach Python as lone surrogates ("\\udcff"
-    for the byte 0xff); the command exits 2 naming the flag or file name, and
-    never opens --output.
+    for the byte 0xff); the command exits 2 naming the flag or file name before
+    it reads any input, and never opens --output.
     """
 
-    def test_classify_annotator_id(self, run_cli, tmp_path):
-        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "Where did you go?")])
+    @FLAG_FAULTS
+    @pytest.mark.parametrize("flag", ["--annotator-id", "--language"])
+    def test_classify_flag(self, run_cli, tmp_path, flag, value, fault):
         out = tmp_path / "p.jsonl"
-        code, _, err = run_cli("classify", "--input", corpus, "--annotator-id", "\udcff", "--output", out)
-        assert (code, err) == (2, "error: --annotator-id is not valid UTF-8\n")
+        code, _, err = run_cli("classify", "--input", tmp_path / "missing.jsonl", flag, value, "--output", out)
+        assert (code, err) == (2, f"error: {flag} {fault}\n")
         assert not out.exists()
 
+    @FLAG_FAULTS
     @pytest.mark.parametrize("flag", ["--dialogue-id", "--language"])
-    def test_ingest_flag(self, run_cli, tmp_path, flag):
-        src = tmp_path / "amy.tsv"
-        src.write_text("0\tAMY\tWater?\n", encoding="utf-8")
-        out = tmp_path / "amy.jsonl"
-        code, _, err = run_cli("ingest", "--input", src, "--format", "tsv", flag, "d\udcff", "--output", out)
-        assert (code, err) == (2, f"error: {flag} is not valid UTF-8\n")
+    def test_ingest_flag(self, run_cli, tmp_path, flag, value, fault):
+        out = tmp_path / "out.jsonl"
+        argv = ("ingest", "--input", tmp_path / "missing.tsv", "--format", "tsv", flag, value, "--output", out)
+        code, _, err = run_cli(*argv)
+        assert (code, err) == (2, f"error: {flag} {fault}\n")
         assert not out.exists()
+
+    def test_an_empty_interruption_marker_turns_marking_off(self, run_cli, tmp_path):
+        src = _file(tmp_path / "amy.tsv", "0\tAMY\tWater --\n")
+        out = tmp_path / "amy.jsonl"
+        code, _, _ = run_cli("ingest", "--input", src, "--format", "tsv", "--interruption-marker", "", "--output", out)
+        assert code == 0
+        record = json.loads(out.read_text(encoding="utf-8"))
+        assert (record["text"], record["interrupted"]) == ("Water --", False)
 
     @pytest.mark.parametrize(
         "fmt, content", [("tsv", "0\tAMY\tWater?\n"), ("eaf", ONE_TURN_EAF)], ids=["tsv", "eaf"]
@@ -1123,31 +1143,13 @@ class TestTopLevel:
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def qapkit_process(*argv, cwd, **kwargs):
-    """``python -m qapkit.cli ARGV`` as a child process, started with subprocess.Popen's keywords.
-
-    Its stdout is block-buffered, as it is by default, so output left in the buffer at exit would be lost.
-    """
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.Popen([sys.executable, "-m", "qapkit.cli", *map(str, argv)], cwd=cwd, env=env, **kwargs)
-
-
-def run_process(*argv, cwd):
-    """(exit code, stdout bytes, stderr text) of ``python -m qapkit.cli ARGV``."""
-    proc = qapkit_process(*argv, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    out, err = proc.communicate(timeout=120)
-    return proc.returncode, out, err.decode()
-
-
 @pytest.fixture
 def big_agreement(tmp_path):
-    """Two annotators typing 1,500 questions differently: an agree report of about 230 KiB."""
+    """Two annotators typing 3,000 questions differently: an agree report of about 460 KiB."""
     for annotator, q_type in (("anna", "YN"), ("ben", "WH")):
-        records = [q_obj(i, "Where?", q_type, annotator=annotator) for i in range(1500)]
+        records = [q_obj(i, "Where?", q_type, annotator=annotator) for i in range(3000)]
         write_jsonl(tmp_path / f"{annotator}.jsonl", records)
-    return ("agree", "--input", "anna.jsonl", "ben.jsonl", "--deterministic")
+    return ("-m", "qapkit.cli", "agree", "--input", "anna.jsonl", "ben.jsonl", "--deterministic")
 
 
 class TestCommandProcess:
@@ -1155,9 +1157,7 @@ class TestCommandProcess:
 
     def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(self, tmp_path):
         code = "import qapkit.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
-        assert (done.returncode, done.stdout) == (0, "[]\n")
+        assert run_process("-c", code, cwd=tmp_path)[:2] == (0, b"[]\n")
 
     def test_installed_script_and_module_share_one_entry_function(self):
         assert 'qapkit = "qapkit.cli:run"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
@@ -1167,7 +1167,7 @@ class TestCommandProcess:
         assert code == 0
         assert run_process(*big_agreement, "--output", "agree.json", cwd=tmp_path)[:2] == (0, b"")
         written = (tmp_path / "agree.json").read_bytes()
-        assert len(written) > 64 * 1024
+        assert len(written) > 256 * 1024
         assert piped == written
 
     def test_exit_codes_pass_through_unchanged(self, tmp_path):
@@ -1180,14 +1180,14 @@ class TestCommandProcess:
             (("validate",), 2),  # a usage error, from argparse
             (("--version",), 0),
         ):
-            code, out, err = run_process(*argv, cwd=tmp_path)
+            code, out, err = run_process("-m", "qapkit.cli", *argv, cwd=tmp_path)
             assert code == expected, argv
-            assert "Traceback" not in err
+            assert b"Traceback" not in err
         assert out.decode().startswith("qapkit ")  # --version's output, flushed before the exit
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
     def test_a_closed_pipe_ends_the_command_by_sigpipe_without_a_message(self, tmp_path, big_agreement):
-        proc = qapkit_process(*big_agreement, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = python_process(*big_agreement, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()  # as `| head -c 10` does
         err = proc.stderr.read().decode()
@@ -1462,6 +1462,13 @@ def _question_spans(d):
     return argv, bad, "line 2: question zzz:9:0-3 has no matching utterance"
 
 
+def _question_span_past_its_text(d):
+    corpus = _file(d / "c.jsonl", CORPUS_LINE)
+    bad = _file(d / "spans.jsonl", GOLD_LINE + json.dumps(q_obj(0, "abc", "YN", span=(9, 40))) + "\n")
+    argv = ("classify", "--input", corpus, "--questions", bad)
+    return argv, bad, "line 2: question d1:0:9-40: span exceeds utterance length 17"
+
+
 def _training_annotations(d):
     corpus = _file(d / "c.jsonl", CORPUS_LINE)
     gold = _file(d / "gold.jsonl", GOLD_LINE)
@@ -1470,6 +1477,34 @@ def _training_annotations(d):
     bad = _file(d / "more.jsonl", GOLD_LINE + "\n" + long_span + long_span)
     argv = ("train", "--input", corpus, "--annotations", gold, bad, "--output", d / "m.json")
     return argv, bad, "line 3: question d1:0:0-40: span exceeds utterance length 17"
+
+
+def _padded_annotations(d):
+    # a CRLF line, a padded line and a blank line hold no fault
+    lines = [GOLD_LINE.replace("\n", "\r\n"), " " + json.dumps(q_obj(1, "abcd", "PQ")) + "  \n", "\n"]
+    bad = _file(d / "padded.jsonl", "".join(lines) + json.dumps(q_obj(2, "abcd", "XX")))
+    return ("validate", "--input", bad), bad, "line 4: unknown tag 'XX'"
+
+
+def _long_tag(d):
+    bad = _file(d / "gold.jsonl", json.dumps(q_obj(0, "abcd", "X" * 5000)) + "\n")
+    return ("validate", "--input", bad), bad, f"line 1: unknown tag {'X' * 40!r}... (5000 characters)"
+
+
+def _long_number(d):
+    bad = _file(d / "n.tsv", "9" * 5000 + "\tA\thello\n")
+    return ("ingest", "--input", bad, "--format", "tsv"), bad, "line 1: first column: integer too long"
+
+
+INPUT_MAKERS = pytest.mark.parametrize(
+    "make",
+    [
+        _corpus_input, _tsv, _eaf, _wh_map, _wh_map_conflict, _lexicon, _wordless_lexicon_entry,
+        _wordless_inline_entry, _config_lexicon, _missing_config_lexicon, _extractor_config,
+        _utf8_extractor_config, _model, _utf8_model, _annotations, _padded_annotations, _long_tag,
+        _question_spans, _question_span_past_its_text, _training_annotations, _long_number,
+    ],
+)
 
 
 def _bad_second_line(d, command, line):
@@ -1486,21 +1521,22 @@ def _bad_second_line(d, command, line):
 
 
 class TestInputErrorsNameTheFile:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            _corpus_input, _tsv, _eaf, _wh_map, _wh_map_conflict, _lexicon, _wordless_lexicon_entry,
-            _wordless_inline_entry, _config_lexicon, _missing_config_lexicon, _extractor_config,
-            _utf8_extractor_config, _model, _utf8_model, _annotations, _question_spans, _training_annotations,
-        ],
-    )
+    @INPUT_MAKERS
     def test_every_input_kind(self, run_cli, tmp_path, make):
         argv, bad, where = make(tmp_path)
         code, _, err = run_cli(*argv)
         assert code == 2
         assert err.startswith(f"error: {bad}")
         assert where in err
+        assert len(err.replace(str(tmp_path), "")) < 200  # a long value read from the file is cut
         assert "Traceback" not in err
+
+    @INPUT_MAKERS
+    def test_a_byte_order_mark_changes_nothing(self, run_cli, tmp_path, make):
+        argv, bad, _ = make(tmp_path)
+        plain = run_cli(*argv)
+        _file(bad, codecs.BOM_UTF8 + bad.read_bytes())
+        assert run_cli(*argv) == plain
 
     @pytest.mark.parametrize("command", ["ingest", "classify", "evaluate", "validate"])
     def test_deep_json_nesting_exits_two(self, run_cli, tmp_path, command):

@@ -13,14 +13,12 @@ After an intended change of output, regenerate the manifest with
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
+from helpers import run_process
+
 MANIFEST = Path(__file__).with_name("golden.json")
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 # (speaker, text, interrupted) of each turn of the two corpus dialogues
 TURNS = {
@@ -218,17 +216,13 @@ def _sha(data: bytes) -> str:
 
 def run_commands(d: Path) -> dict:
     """{command name: {"exit", "stdout", "stderr", "files"}} for COMMANDS run in directory ``d``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     results = {}
     for name, argv, outputs in COMMANDS:
-        done = subprocess.run(
-            [sys.executable, "-m", "qapkit.cli", *argv], cwd=d, env=env, capture_output=True, timeout=120
-        )
+        code, out, err = run_process("-m", "qapkit.cli", *argv, cwd=d)
         results[name] = {
-            "exit": done.returncode,
-            "stdout": _sha(done.stdout),
-            "stderr": _sha(done.stderr),
+            "exit": code,
+            "stdout": _sha(out),
+            "stderr": _sha(err),
             "files": {out: _sha((d / out).read_bytes()) for out in outputs if (d / out).exists()},
         }
     return results
