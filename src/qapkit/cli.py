@@ -175,13 +175,21 @@ def _check_utf8(value: Optional[str], message: str) -> None:
         raise ValueError(message) from None
 
 
+# flags naming a file: a file name may hold any bytes, but an empty one names no file
+_PATH_FLAGS = ("output", "model", "questions", "wh_map", "extractor_config")
+
+
 def _check_flag(args, name: str) -> None:
-    """Raise ValueError naming the flag if the value given to ``--NAME`` is empty or not valid UTF-8."""
+    """Raise ValueError naming the flag if the value given to ``--NAME`` is empty or not valid UTF-8.
+
+    A flag in _PATH_FLAGS is refused only when empty.
+    """
     value = getattr(args, name)
     flag = "--" + name.replace("_", "-")
     if value == "":
         raise ValueError(f"{flag} must be non-empty")
-    _check_utf8(value, f"{flag} is not valid UTF-8")
+    if name not in _PATH_FLAGS:
+        _check_utf8(value, f"{flag} is not valid UTF-8")
 
 
 def cmd_ingest(args) -> int:
@@ -537,6 +545,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # a command builds its records in bulk and holds them until exit: a collection would free nothing
     gc.disable()
     try:
+        for name in _PATH_FLAGS:
+            if hasattr(args, name):
+                _check_flag(args, name)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ run but need not start at zero, so source line numbering survives ingestion.
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 import sys
 from contextlib import contextmanager
@@ -75,12 +76,15 @@ def _naming(path: Union[str, Path]) -> Iterator[None]:
     """Put ``PATH: `` in front of a ValueError raised inside, keeping its type.
 
     Invalid UTF-8 becomes a ValueError naming ``PATH:LINE`` and the byte.
+    Lines end at LF, CRLF or CR, as text-mode reading counts them.
     """
     try:
         yield
     except UnicodeDecodeError as exc:
         with open(path, "rb") as raw:  # the decoder's error gives no line; find it in the bytes
-            for line_no, line in enumerate(raw, 1):
+            # a chunk ends at LF, so no CRLF is split between two chunks
+            lines = (line for chunk in raw for line in chunk.splitlines())
+            for line_no, line in enumerate(lines, 1):
                 try:
                     line.decode("utf-8")
                 except UnicodeDecodeError as bad:
@@ -133,16 +137,17 @@ def decode_json(text: str, line_no: Optional[int] = None) -> dict:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _json_lines(lines: Iterable[str], build: Callable[[dict, int], T]) -> Iterator[tuple[int, T]]:
-    """(1-based line number, build(object, line number)) for each non-blank JSONL line.
+def _json_lines(lines: Iterable[str], build: Callable[[dict, int], T], start: int = 1) -> Iterator[tuple[int, T]]:
+    """(line number, build(object, line number)) for each non-blank JSONL line, numbering from ``start``.
 
-    A line may carry JSON whitespace (space, tab, CR, LF) around its object;
-    a line of only whitespace is skipped. Raises MalformedLine for a line that
-    is not one JSON object (see decode_json), for a field name or string value
+    Any JSON layout is taken: keys in any order, extra keys, escapes. A line
+    may carry JSON whitespace (space, tab, CR, LF) around its object; a line
+    of only whitespace is skipped. Raises MalformedLine for a line that is
+    not one JSON object (see decode_json), for a field name or string value
     holding a lone surrogate (UTF-8 cannot write it), and for a field ``build``
     reads by subscription that is missing.
     """
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(lines, start=start):
         try:  # a clean line decodes once; any other goes through decode_json, which words the fault
             obj, end = _raw_decode(raw)
             clean = type(obj) is dict and not raw[end:].strip(" \t\n\r")
@@ -162,6 +167,45 @@ def _json_lines(lines: Iterable[str], build: Callable[[dict, int], T]) -> Iterat
         except KeyError as exc:
             raise MalformedLine(line_no, f"missing field {exc.args[0]!r}") from None
         yield line_no, record
+
+
+# The documented line layouts (README "File formats"), which the writers emit.
+# A string group takes only text JSON decodes to itself: no quote, backslash or
+# U+0000-U+001F. A number group takes only a non-negative integer in JSON's
+# spelling; [0-9], not \d, which takes other scripts' digits too.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_NON_EMPTY = r'"([^"\\\x00-\x1f]+)"'
+_NUMBER = "(0|[1-9][0-9]{0,17})"
+_UTTERANCE_LINE = re.compile(
+    f'{{"dialogue_id": {_NON_EMPTY}, "turn_index": {_NUMBER}, "speaker": {_STRING}, "text": {_STRING}, '
+    f'"interrupted": (true|false), "language": {_NON_EMPTY}}}\n?'
+)
+_QUESTION_LINE = re.compile(
+    f'{{"kind": "q", "dialogue_id": {_NON_EMPTY}, "turn_index": {_NUMBER}, "span_start": {_NUMBER}, '
+    f'"span_end": {_NUMBER}, "q_type": {_STRING}, "feature": (?:null|{_STRING}), "annotator_id": {_STRING}}}\n?'
+)
+_ANSWER_LINE = re.compile(
+    f'{{"kind": "a", "dialogue_id": {_NON_EMPTY}, "turn_index": {_NUMBER}, "a_type": {_STRING}, '
+    f'"question_ref": {_NON_EMPTY}, "annotator_id": {_STRING}}}\n?'
+)
+
+
+def _records(
+    lines: Iterable[str], from_line: Callable[[str], Optional[T]], build: Callable[[dict, int], T]
+) -> Iterator[tuple[int, T]]:
+    """(1-based line number, record) for each non-blank JSONL line.
+
+    ``from_line`` gives the record of a line in its documented layout whose
+    values pass every check ``build`` makes, or None. Any other line goes
+    through _json_lines with ``build``, which gives the same record for a
+    line that holds one and raises the same error for a line that does not.
+    """
+    for line_no, raw in enumerate(lines, start=1):
+        record = from_line(raw)
+        if record is None:
+            yield from _json_lines((raw,), build, line_no)
+        else:
+            yield line_no, record
 
 
 class Dialogue(checked_record("Dialogue", "dialogue_id language utterances")):
@@ -206,16 +250,30 @@ def _utterance_from_obj(obj: dict, line_no: int) -> tuple[Utterance, str]:
     return Utterance(dialogue_id, turn_index, speaker, text, interrupted), language
 
 
+def _utterance_from_line(raw: str) -> Optional[tuple[Utterance, str]]:
+    """(utterance, language) of a line in the documented layout, or None for any other line or a bad value."""
+    match = _UTTERANCE_LINE.fullmatch(raw)
+    if match is None:
+        return None
+    dialogue_id, turn_index, speaker, text, interrupted, language = match.groups()
+    if not text.strip():
+        return None
+    utt = Utterance(sys.intern(dialogue_id), int(turn_index), sys.intern(speaker), text, interrupted == "true")
+    return utt, language
+
+
 def parse_dialogue_jsonl(lines: Iterable[str]) -> list[Dialogue]:
     """Parse canonical dialogue JSONL into dialogues sorted by id.
 
-    Blank lines are skipped. Raises MalformedLine (with the 1-based line
+    Blank lines are skipped. A line in the documented layout is read from
+    its text alone; any other goes through the JSON decoder, with the same
+    result (see _records). Raises MalformedLine (with the 1-based line
     number; DuplicateTurn is one) or NonDenseTurns. Utterances with the same
     dialogue id or speaker share one string object.
     """
     by_dialogue: dict[str, dict[int, Utterance]] = {}
     languages: dict[str, str] = {}
-    for line_no, (utt, language) in _json_lines(lines, _utterance_from_obj):
+    for line_no, (utt, language) in _records(lines, _utterance_from_line, _utterance_from_obj):
         turns = by_dialogue.setdefault(utt.dialogue_id, {})
         if utt.turn_index in turns:
             raise DuplicateTurn(utt.dialogue_id, utt.turn_index, line_no)
@@ -483,14 +541,39 @@ def _annotation_from_obj(obj: dict, line_no: int) -> Union[QuestionAnnotation, A
         raise MalformedLine(line_no, str(exc)) from exc
 
 
+def _annotation_from_line(raw: str) -> Union[QuestionAnnotation, AnswerAnnotation, None]:
+    """The record of a line in a documented layout, or None for any other line or a bad value."""
+    match = _QUESTION_LINE.fullmatch(raw)
+    if match is not None:
+        dialogue_id, turn_index, start, end, q_type, value, annotator_id = match.groups()
+        q_type, span = _QUESTION_TYPES.get(q_type), (int(start), int(end))
+        feature = _FEATURES.get(value) if value is not None else None
+        if q_type is None or (feature is None and value is not None) or span[0] > span[1]:
+            return None
+        return QuestionAnnotation(
+            sys.intern(dialogue_id), int(turn_index), span, q_type, feature, sys.intern(annotator_id)
+        )
+    match = _ANSWER_LINE.fullmatch(raw)
+    if match is None:
+        return None
+    dialogue_id, turn_index, a_type, question_ref, annotator_id = match.groups()
+    a_type = _ANSWER_TYPES.get(a_type)
+    if a_type is None:
+        return None
+    return AnswerAnnotation(sys.intern(dialogue_id), int(turn_index), a_type, question_ref, sys.intern(annotator_id))
+
+
 def read_annotations(lines: Iterable[str]) -> list[Union[QuestionAnnotation, AnswerAnnotation]]:
     """Parse annotation JSONL into question and answer records, in file order.
 
-    Each line is an object whose ``kind`` is "q" or "a". Unknown kinds and
-    tag values raise UnknownTag; structural problems raise MalformedLine.
-    Records with the same dialogue or annotator id share one string object.
+    Each line is an object whose ``kind`` is "q" or "a". A line in its
+    kind's documented layout is read from its text alone; any other goes
+    through the JSON decoder, with the same result (see _records). Unknown
+    kinds and tag values raise UnknownTag; structural problems raise
+    MalformedLine. Records with the same dialogue or annotator id share one
+    string object.
     """
-    return [record for _, record in _json_lines(lines, _annotation_from_obj)]
+    return [record for _, record in _records(lines, _annotation_from_line, _annotation_from_obj)]
 
 
 def _id_fields(obj: dict, line_no: int) -> tuple[str, int]:

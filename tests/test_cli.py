@@ -222,14 +222,17 @@ class TestIngest:
         assert (code, err) == (2, f"error: {flag} applies only to --format tsv and eaf\n")
         assert not out.exists()
 
-    def test_invalid_utf8_names_file_and_line(self, run_cli, tmp_path):
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_invalid_utf8_names_file_and_line(self, run_cli, tmp_path, newline):
         src = tmp_path / "bad.jsonl"
-        write_jsonl(src, [utt_obj(0, "hello?"), utt_obj(1, "cafe")])
-        src.write_bytes(src.read_bytes().replace(b"cafe", b"caf\xff"))
+        write_jsonl(src, [utt_obj(0, "hello?"), utt_obj(1, "cafe"), utt_obj(2, "café")])
+        src.write_bytes(src.read_bytes().replace(b"\n", newline).replace(b"\xc3\xa9", b"\xff"))
         code, _, err = run_cli("ingest", "--input", src)
-        assert code == 2
-        assert f"{src}:2: invalid UTF-8" in err
-        assert "Traceback" not in err
+        assert (code, err) == (2, f"error: {src}:3: invalid UTF-8 at byte 68 of the line (invalid start byte)\n")
+        # a JSON fault in the same file is counted on the same lines
+        src.write_bytes(src.read_bytes().replace(b"\xff", b"\xc3\xa9").replace(b'"cafe"', b"cafe"))
+        code, _, err = run_cli("ingest", "--input", src)
+        assert (code, err) == (2, f"error: {src}: line 2: invalid JSON: Expecting value\n")
 
 
 class TestClassify:
@@ -1071,6 +1074,33 @@ class TestCommandLineStrings:
         argv = ("ingest", "--input", tmp_path / "missing.tsv", "--format", "tsv", flag, value, "--output", out)
         code, _, err = run_cli(*argv)
         assert (code, err) == (2, f"error: {flag} {fault}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            *((command, "--output") for command in ("ingest", "classify", "train", "evaluate", "agree", "validate")),
+            ("classify", "--wh-map"),
+            ("classify", "--extractor-config"),
+            ("train", "--extractor-config"),
+            ("classify", "--questions"),
+            ("classify", "--model"),
+        ],
+    )
+    def test_an_empty_path_is_refused_before_input_is_read(self, run_cli, tmp_path, command, flag):
+        missing = tmp_path / "missing.jsonl"
+        inputs = {
+            "ingest": ("--input", missing),
+            "classify": ("--input", missing, "--mode", "tree" if flag == "--model" else "rule"),
+            "train": ("--input", missing, "--annotations", missing),
+            "evaluate": ("--gold", missing, "--pred", missing),
+            "agree": ("--input", missing),
+            "validate": ("--input", missing),
+        }
+        out = tmp_path / "out.json"
+        argv = (command, *inputs[command], flag, "")
+        code, stdout, err = run_cli(*argv, *(("--output", out) if flag != "--output" else ()))
+        assert (code, stdout, err) == (2, "", f"error: {flag} must be non-empty\n")
         assert not out.exists()
 
     def test_an_empty_interruption_marker_turns_marking_off(self, run_cli, tmp_path):

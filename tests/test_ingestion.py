@@ -1,7 +1,9 @@
+import contextlib
 import io
 import json
 import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from qapkit import (
     write_annotations,
     write_dialogues,
 )
+from qapkit import ingestion
 from qapkit.ingestion import write_json
 
 import reference_readers
@@ -559,6 +562,17 @@ def readme_layout(rec):
     }
 
 
+def layout_path_only(strings):
+    """A context in which the readers' JSON path raises, if no string in ``strings`` needs a JSON escape.
+
+    The writers' lines are then read on the layout path alone, so a writer
+    whose layout leaves the readers' patterns behind fails a test.
+    """
+    if any(json.dumps(s, ensure_ascii=False) != f'"{s}"' for s in strings):
+        return contextlib.nullcontext()
+    return mock.patch.object(ingestion, "_json_lines", side_effect=AssertionError("line read on the JSON path"))
+
+
 class TestWriters:
     """Each written line is json.dumps(..., ensure_ascii=False) of README's layout, and reads back."""
 
@@ -582,7 +596,9 @@ class TestWriters:
             for u in utterances
         ]
         assert buf.getvalue() == "".join(json.dumps(d, ensure_ascii=False) + "\n" for d in expected)
-        assert parse_dialogue_jsonl(io.StringIO(buf.getvalue())) == dialogues
+        strings = [dialogue_id, language, *(s for speaker, text, _ in turns for s in (speaker, text))]
+        with layout_path_only(strings):
+            assert parse_dialogue_jsonl(io.StringIO(buf.getvalue())) == dialogues
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(annotation_records(), min_size=1, max_size=4))
@@ -590,7 +606,9 @@ class TestWriters:
         buf = io.StringIO()
         write_annotations(records, buf)
         assert buf.getvalue() == "".join(json.dumps(readme_layout(r), ensure_ascii=False) + "\n" for r in records)
-        assert read_annotations(io.StringIO(buf.getvalue())) == records
+        strings = [s for r in records for s in readme_layout(r).values() if type(s) is str]
+        with layout_path_only(strings):
+            assert read_annotations(io.StringIO(buf.getvalue())) == records
 
 
 # any string, with extra weight on what JSON escapes: quotes, backslashes,
@@ -701,13 +719,49 @@ ODD_LINES = st.sampled_from(
 )
 
 
+# string values: quotes, backslashes, control characters, non-ASCII (written
+# raw unless escaped), and whitespace str.strip takes but JSON does not
+FIELD_TEXT = st.one_of(
+    st.sampled_from(["\u00a0", "\u3000", " \t", "\u2028"]),
+    st.text(
+        st.one_of(
+            st.characters(blacklist_categories=("Cs",)), st.sampled_from('"\\\x00\x1f\x7f\u00a0\u3000\u00e9')
+        ),
+        max_size=6,
+    ),
+)
+
+# integers spelled by hand: a leading zero, a sign, an exponent, a fraction,
+# 19 digits (past the layout's 18), a non-ASCII digit
+SPELLINGS = st.sampled_from(["00", "-0", "1e2", "1.0", "1" * 19, "\u0661"])
+SPELLED = "@spelled@"
+
+
 @st.composite
-def record_lines(draw, bases):
-    """One JSONL line from a base record, maybe with one field mutated, in some line form."""
+def record_lines(draw, bases, layout=False):
+    """One JSONL line from a base record, maybe with one field mutated, in some line form.
+
+    The bases' keys are in the documented layout's order. With ``layout``
+    the line is written as the writers write it, so it takes the readers'
+    layout path or comes close; otherwise it may be padded, or written with
+    ``\\u`` escapes, and is more often read on their JSON path. A string
+    value may be written as it is, unescaped, and an integer spelled by hand.
+    """
     obj = dict(draw(st.sampled_from(bases)), turn_index=draw(st.integers(0, 3)))
-    mutation = draw(st.sampled_from(["none"] * 4 + ["missing", "set", "container", "reversed span"]))
+    mutation = draw(
+        st.sampled_from(["none"] * 4 + ["missing", "set", "container", "reversed span"] + ["text", "spelling"] * 3)
+    )
     field = draw(st.sampled_from(sorted(obj)))
-    if mutation == "missing":
+    spelled = ""
+    if mutation == "text":
+        value = draw(FIELD_TEXT)
+        if draw(st.booleans()):
+            value, spelled = SPELLED, f'"{value}"'
+        obj[draw(st.sampled_from([k for k, v in obj.items() if type(v) is str]))] = value
+    elif mutation == "spelling":
+        obj[draw(st.sampled_from([k for k, v in obj.items() if type(v) is int]))] = SPELLED
+        spelled = draw(SPELLINGS)
+    elif mutation == "missing":
         del obj[field]
     elif mutation == "set":
         obj[field] = draw(BAD_VALUES)
@@ -716,9 +770,17 @@ def record_lines(draw, bases):
         obj[draw(st.sampled_from(tags or [field]))] = draw(st.sampled_from([[], ["WH"], {}, {"q_type": "WH"}]))
     elif mutation == "reversed span":
         obj["span_start"], obj["span_end"] = 9, 2
+    line = json.dumps(obj, ensure_ascii=not layout and draw(st.booleans())).replace(f'"{SPELLED}"', spelled)
+    if layout:
+        return line + "\n"
     prefix = draw(st.sampled_from(["", "", " ", "\t", "\x0c"]))
     suffix = draw(st.sampled_from(["", "", " ", "\t ", "\r", "\x0c", " \x0c", "\u00a0"]))
-    return prefix + json.dumps(obj) + suffix + draw(st.sampled_from(["\n", "\r\n", ""]))
+    return prefix + line + suffix + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+def any_lines(bases):
+    """A line near the documented layout, another line of a base record, or an odd line."""
+    return st.one_of(record_lines(bases, layout=True), record_lines(bases), ODD_LINES)
 
 
 def outcome(reader, lines):
@@ -732,8 +794,8 @@ def outcome(reader, lines):
 class TestReaderEquivalence:
     """The readers give what the reference readers give, on any list of lines."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(record_lines([Q_LINE, A_LINE]), ODD_LINES), max_size=6))
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(any_lines([Q_LINE, A_LINE]), max_size=6))
     def test_annotations(self, lines):
         expected = outcome(reference_readers.read_annotations, lines)
         if expected[0] == "error":
@@ -741,7 +803,7 @@ class TestReaderEquivalence:
             expected = (*expected[:2], re.sub(r"^(line \d+: )\1", r"\1", expected[2]))
         assert outcome(read_annotations, lines) == expected
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(record_lines([U_LINE, dict(U_LINE, dialogue_id="d2")]), ODD_LINES), max_size=6))
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(any_lines([U_LINE, dict(U_LINE, dialogue_id="d2")]), max_size=6))
     def test_dialogues(self, lines):
         assert outcome(parse_dialogue_jsonl, lines) == outcome(reference_readers.parse_dialogue_jsonl, lines)
