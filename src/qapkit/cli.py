@@ -8,6 +8,7 @@ and parse errors. Report documents carry a generated_at timestamp unless
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
 import logging
@@ -314,9 +315,11 @@ def cmd_classify(args) -> int:
 
     annotator = args.annotator_id or args.mode
     sources = [args.questions] if args.questions else ()
+    # both classifiers are pure functions of the vector: each distinct one is decided once
+    decide = functools.cache(lambda fv: predict(model, fv) if model is not None else rule_classify(fv, cfg))
     records = []
     for utt, span, tokens, fv in _question_features(dialogues, keys, cfg, sources):
-        q_type = predict(model, fv) if model is not None else rule_classify(fv, cfg)
+        q_type = decide(fv)
         feature = map_wh_feature(tokens, wh_map) if q_type is QuestionType.WH else None
         records.append(QuestionAnnotation(utt.dialogue_id, utt.turn_index, span, q_type, feature, annotator))
     if skipped:
@@ -359,7 +362,8 @@ def cmd_train(args) -> int:
     with _open_out(args.output) as f:
         save_model(model, f)
 
-    correct = sum(1 for inst in instances if predict(model, inst.fv) == inst.label)
+    decide = functools.cache(lambda fv: predict(model, fv))  # once per distinct vector, as in classify
+    correct = sum(1 for inst in instances if decide(inst.fv) == inst.label)
     summary = {
         "instances": len(instances),
         "training_accuracy": correct / len(instances),

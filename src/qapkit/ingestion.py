@@ -137,36 +137,33 @@ def decode_json(text: str, line_no: Optional[int] = None) -> dict:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _json_lines(lines: Iterable[str], build: Callable[[dict, int], T], start: int = 1) -> Iterator[tuple[int, T]]:
-    """(line number, build(object, line number)) for each non-blank JSONL line, numbering from ``start``.
+def _json_record(raw: str, line_no: int, build: Callable[[dict, int], T]) -> Optional[T]:
+    """build(object, line_no) of the JSONL line ``raw``, or None for a line of only whitespace.
 
     Any JSON layout is taken: keys in any order, extra keys, escapes. A line
-    may carry JSON whitespace (space, tab, CR, LF) around its object; a line
-    of only whitespace is skipped. Raises MalformedLine for a line that is
-    not one JSON object (see decode_json), for a field name or string value
-    holding a lone surrogate (UTF-8 cannot write it), and for a field ``build``
-    reads by subscription that is missing.
+    may carry JSON whitespace (space, tab, CR, LF) around its object. Raises
+    MalformedLine for a line that is not one JSON object (see decode_json),
+    for a field name or string value holding a lone surrogate (UTF-8 cannot
+    write it), and for a field ``build`` reads by subscription that is missing.
     """
-    for line_no, raw in enumerate(lines, start=start):
-        try:  # a clean line decodes once; any other goes through decode_json, which words the fault
-            obj, end = _raw_decode(raw)
-            clean = type(obj) is dict and not raw[end:].strip(" \t\n\r")
-        except (ValueError, RecursionError):
-            clean = False
-        if not clean:
-            if not raw.strip():
-                continue
-            obj = decode_json(raw, line_no)
-        if "\\u" in raw:  # in text decoded from UTF-8, only a \u escape can spell a surrogate
-            try:
-                "".join(s for item in obj.items() for s in item if type(s) is str).encode()
-            except UnicodeEncodeError:
-                raise MalformedLine(line_no, "string holds a lone surrogate") from None
+    try:  # a clean line decodes once; any other goes through decode_json, which words the fault
+        obj, end = _raw_decode(raw)
+        clean = type(obj) is dict and not raw[end:].strip(" \t\n\r")
+    except (ValueError, RecursionError):
+        clean = False
+    if not clean:
+        if not raw.strip():
+            return None
+        obj = decode_json(raw, line_no)
+    if "\\u" in raw:  # in text decoded from UTF-8, only a \u escape can spell a surrogate
         try:
-            record = build(obj, line_no)
-        except KeyError as exc:
-            raise MalformedLine(line_no, f"missing field {exc.args[0]!r}") from None
-        yield line_no, record
+            "".join(s for item in obj.items() for s in item if type(s) is str).encode()
+        except UnicodeEncodeError:
+            raise MalformedLine(line_no, "string holds a lone surrogate") from None
+    try:
+        return build(obj, line_no)
+    except KeyError as exc:
+        raise MalformedLine(line_no, f"missing field {exc.args[0]!r}") from None
 
 
 # The documented line layouts (README "File formats"), which the writers emit.
@@ -197,15 +194,16 @@ def _records(
 
     ``from_line`` gives the record of a line in its documented layout whose
     values pass every check ``build`` makes, or None. Any other line goes
-    through _json_lines with ``build``, which gives the same record for a
+    through _json_record with ``build``, which gives the same record for a
     line that holds one and raises the same error for a line that does not.
     """
     for line_no, raw in enumerate(lines, start=1):
         record = from_line(raw)
         if record is None:
-            yield from _json_lines((raw,), build, line_no)
-        else:
-            yield line_no, record
+            record = _json_record(raw, line_no, build)
+            if record is None:  # a blank line
+                continue
+        yield line_no, record
 
 
 class Dialogue(checked_record("Dialogue", "dialogue_id language utterances")):
@@ -231,7 +229,7 @@ class Dialogue(checked_record("Dialogue", "dialogue_id language utterances")):
 def _utterance_from_obj(obj: dict, line_no: int) -> tuple[Utterance, str]:
     """(utterance, language) of one JSONL object; every ``obj[key]`` must be a required field.
 
-    ``_json_lines`` reports a KeyError raised here or in ``_id_fields`` as that field missing.
+    ``_json_record`` reports a KeyError raised here or in ``_id_fields`` as that field missing.
     """
     dialogue_id, turn_index = _id_fields(obj, line_no)
     speaker = obj["speaker"]
@@ -502,7 +500,7 @@ _QUESTION_TYPES, _FEATURES, _ANSWER_TYPES = (
 def _annotation_from_obj(obj: dict, line_no: int) -> Union[QuestionAnnotation, AnswerAnnotation]:
     """The record of one JSONL object; every ``obj[key]`` must be a required field.
 
-    ``_json_lines`` reports a KeyError raised here or in ``_id_fields`` as that field missing.
+    ``_json_record`` reports a KeyError raised here or in ``_id_fields`` as that field missing.
     """
     kind = obj["kind"]
     if kind != "q" and kind != "a":

@@ -5,17 +5,20 @@ numeric ``length`` predictor routes ``<= threshold`` left with thresholds at
 midpoints between adjacent distinct observed values. Each node takes the
 split with maximal information gain; ties prefer the predictor earliest in
 the canonical field order, then the smallest threshold. Training first groups
-the instances into label counts per distinct feature vector, in a canonical
-order: nodes sum counts, so the cost scales with distinct vectors, not with
-instances, and the learned tree does not depend on the training file's order.
+the instances into a label-count vector per distinct feature vector, its
+counts in label string order. A node, and each side of a candidate split, sums
+those vectors column by column, so the cost scales with distinct vectors, not
+with instances. The sums are integers and entropy adds its terms in that fixed
+label order, so the learned tree does not depend on the training file's order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import Counter
-from typing import IO, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import IO, Iterable, NamedTuple, Optional, Sequence
 
 from .features import FEATURE_NAMES, FeatureVector
 from .ingestion import IngestError, _shown, decode_json, write_json
@@ -45,8 +48,14 @@ _BOOLEAN_FEATURES = tuple(n for n in FEATURE_NAMES if n != "length")
 _BOOLEAN_INDEXES = tuple(FEATURE_NAMES.index(n) for n in _BOOLEAN_FEATURES)
 _LENGTH_INDEX = FEATURE_NAMES.index("length")
 
+#: The labels in string order, the order a label-count vector holds them in.
+_LABELS: tuple[QuestionType, ...] = tuple(sorted(QuestionType, key=str))
+_NO_COUNTS = (0,) * len(_LABELS)
+
+#: Label counts, one per label in ``_LABELS`` order.
+_Counts = tuple[int, ...]
 #: A distinct feature vector with its label counts.
-_Group = tuple[FeatureVector, Counter]
+_Group = tuple[FeatureVector, _Counts]
 
 
 class LabeledInstance(NamedTuple):
@@ -90,31 +99,35 @@ class TreeModel(NamedTuple):
         return walk(self.root)
 
 
-def _entropy(counts: Mapping) -> float:
-    total = sum(counts.values())
+def _entropy(counts: _Counts, total: int) -> float:
     h = 0.0
     # fixed summation order keeps float results permutation-independent
-    for key in sorted(counts, key=str):
-        if counts[key]:
-            p = counts[key] / total
+    for count in counts:
+        if count:
+            p = count / total
             h -= p * math.log2(p)
     return h if h > 0.0 else 0.0
 
 
+def _label_counts(labels: Iterable[QuestionType]) -> _Counts:
+    counts = Counter(labels)
+    return tuple(counts[label] for label in _LABELS)
+
+
 def entropy(labels: Iterable[QuestionType]) -> float:
     """Shannon entropy in bits of the empirical label distribution."""
-    return _entropy(Counter(labels))
+    counts = _label_counts(labels)
+    return _entropy(counts, sum(counts))
 
 
-def _gain(counts: Mapping, parent_h: float, left: Mapping, min_leaf: int = 1) -> float:
-    """Entropy reduction of sending ``left`` of ``counts`` left; 0 if a side has < min_leaf."""
-    n = sum(counts.values())
-    nl = sum(left.values())
+def _gain(counts: _Counts, n: int, parent_h: float, left: _Counts, min_leaf: int = 1) -> float:
+    """Entropy reduction of sending ``left`` of the ``n`` in ``counts`` left; 0 if a side has < min_leaf."""
+    nl = sum(left)
     nr = n - nl
     if nl < min_leaf or nr < min_leaf:
         return 0.0
-    right = {key: count - left.get(key, 0) for key, count in counts.items()}
-    gain = parent_h - nl / n * _entropy(left) - nr / n * _entropy(right)
+    right = tuple(map(operator.sub, counts, left))
+    gain = parent_h - nl / n * _entropy(left, nl) - nr / n * _entropy(right, nr)
     return gain if gain > 0.0 else 0.0
 
 
@@ -135,21 +148,21 @@ def information_gain(
     instances: Sequence[LabeledInstance], feature: str, threshold: Optional[float] = None
 ) -> float:
     """Entropy reduction of one binary split; 0 when a side is empty."""
-    counts = Counter(i.label for i in instances)
-    left = Counter(i.label for i in instances if not _goes_right(getattr(i.fv, feature), threshold))
-    return _gain(counts, _entropy(counts), left)
+    counts = _label_counts(i.label for i in instances)
+    left = _label_counts(i.label for i in instances if not _goes_right(getattr(i.fv, feature), threshold))
+    n = sum(counts)
+    return _gain(counts, n, _entropy(counts, n), left)
 
 
-def _add_counts(total: Counter, groups: Iterable[_Group]) -> Counter:
-    for _, counts in groups:
-        for label, count in counts.items():
-            total[label] += count
-    return total
+def _column_sums(rows: Iterable[_Counts], start: _Counts = _NO_COUNTS) -> _Counts:
+    """``start`` plus each row of label counts, label by label."""
+    return tuple(map(sum, zip(start, *rows)))
 
 
-def _leaf(counts: Counter, global_counts: Counter) -> Node:
-    label = max(counts, key=lambda lbl: (counts[lbl], global_counts[lbl], -LABEL_TIE_ORDER.index(lbl)))
-    return Node(label=label, distribution=dict(counts))
+def _leaf(counts: _Counts, global_counts: _Counts) -> Node:
+    seen = [i for i, count in enumerate(counts) if count]
+    best = max(seen, key=lambda i: (counts[i], global_counts[i], -LABEL_TIE_ORDER.index(_LABELS[i])))
+    return Node(label=_LABELS[best], distribution={_LABELS[i]: counts[i] for i in seen})
 
 
 def train_tree(data: Iterable[LabeledInstance], cfg: TrainConfig = TrainConfig()) -> TreeModel:
@@ -163,30 +176,34 @@ def train_tree(data: Iterable[LabeledInstance], cfg: TrainConfig = TrainConfig()
     pairs = Counter(data)  # (feature vector, label) -> count
     if not pairs:
         raise EmptyTrainingSet("no training instances")
-    by_vector: dict[FeatureVector, Counter] = {}
-    for (vec, label), count in sorted(pairs.items()):  # canonical order
-        by_vector.setdefault(vec, Counter())[label] = count
-    global_counts = _add_counts(Counter(), by_vector.items())
+    slots = {label: i for i, label in enumerate(_LABELS)}
+    by_vector: dict[FeatureVector, list[int]] = {}
+    for (vec, label), count in pairs.items():
+        by_vector.setdefault(vec, list(_NO_COUNTS))[slots[label]] = count
+    groups = [(vec, tuple(counts)) for vec, counts in by_vector.items()]
+    global_counts = _column_sums(by_vector.values())
 
     def grow(groups: list[_Group], depth: int) -> Node:
-        counts = _add_counts(Counter(), groups)
-        if len(counts) == 1 or (cfg.max_depth is not None and depth >= cfg.max_depth):
+        counts = _column_sums([c for _, c in groups])
+        n = sum(counts)
+        if n in counts or (cfg.max_depth is not None and depth >= cfg.max_depth):  # pure: one label holds all
             return _leaf(counts, global_counts)
-        parent_h = _entropy(counts)
+        parent_h = _entropy(counts, n)
         best: Optional[tuple[int, Optional[float]]] = None
         best_gain = 0.0
         for index in _BOOLEAN_INDEXES:
-            left = _add_counts(Counter(), (g for g in groups if not g[0][index]))
-            gain = _gain(counts, parent_h, left, cfg.min_samples_leaf)
+            left = _column_sums([c for vec, c in groups if not vec[index]])
+            gain = _gain(counts, n, parent_h, left, cfg.min_samples_leaf)
             if gain > best_gain:  # strict: first candidate keeps ties
                 best, best_gain = (index, None), gain
-        by_length: dict[int, list[_Group]] = {}
-        for group in groups:
-            by_length.setdefault(group[0][_LENGTH_INDEX], []).append(group)
+        by_length: dict[int, list[_Counts]] = {}
+        for vec, c in groups:
+            by_length.setdefault(vec[_LENGTH_INDEX], []).append(c)
         lengths = sorted(by_length)
-        left = Counter()
+        left = _NO_COUNTS
         for low, high in zip(lengths, lengths[1:]):  # running counts of length <= low
-            gain = _gain(counts, parent_h, _add_counts(left, by_length[low]), cfg.min_samples_leaf)
+            left = _column_sums(by_length[low], left)
+            gain = _gain(counts, n, parent_h, left, cfg.min_samples_leaf)
             if gain > best_gain:
                 best, best_gain = (_LENGTH_INDEX, (low + high) / 2), gain
         if best is None:
@@ -198,7 +215,7 @@ def train_tree(data: Iterable[LabeledInstance], cfg: TrainConfig = TrainConfig()
             right=grow([g for g in groups if _goes_right(g[0][index], threshold)], depth + 1),
         )
 
-    return TreeModel(root=grow(list(by_vector.items()), 0))
+    return TreeModel(root=grow(groups, 0))
 
 
 def predict(model: TreeModel, fv: FeatureVector) -> QuestionType:
@@ -215,8 +232,8 @@ def majority_baseline(labels: Iterable[QuestionType]) -> TreeModel:
     Predicts the most frequent training label everywhere, so it can be
     saved, loaded, and evaluated exactly like a trained model.
     """
-    counts = Counter(labels)
-    if not counts:
+    counts = _label_counts(labels)
+    if not any(counts):
         raise EmptyTrainingSet("no training labels")
     return TreeModel(root=_leaf(counts, counts))
 

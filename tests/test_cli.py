@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import logging
+import operator
 import re
 import signal
 import subprocess
@@ -16,7 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qapkit import load_lexicon, load_model, load_wh_feature_map, map_wh_feature, predict, tokenize
+from qapkit import (
+    QuestionType,
+    Utterance,
+    extract_features,
+    load_lexicon,
+    load_model,
+    load_wh_feature_map,
+    map_wh_feature,
+    predict,
+    rule_classify,
+    tokenize,
+)
 from qapkit import cli as cli_module
 from qapkit import features as features_module
 from qapkit.cli import main
@@ -786,6 +798,81 @@ class TestTrain:
         )
         assert code == 2
         assert "no matching utterance" in err
+
+
+# question texts with gold labels; equal texts after the same statement give equal feature vectors,
+# and "Did you go?" is labelled both YN and WH, so no model fits every instance
+REPEATED_QUESTIONS = [
+    ("Did you go?", "YN"),
+    ("Where did you go?", "WH"),
+    ("really?", "PQ"),
+    ("Did you go?", "YN"),
+    ("Do you want coffee or tea?", "DQ"),
+    ("really?", "PQ"),
+    ("Where did you go?", "WH"),
+    ("Did you go?", "WH"),
+]
+
+
+class TestDecideOnce:
+    """classify and train's accuracy decide each distinct vector once, and write what per-question calls give."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        utts, gold, vectors = [], [], []
+        for i, (text, label) in enumerate(REPEATED_QUESTIONS):
+            utts += [utt_obj(2 * i, "Okay then."), utt_obj(2 * i + 1, text)]
+            gold.append(q_obj(2 * i + 1, text, label))
+            previous = Utterance("d1", 2 * i, "A", "Okay then.", False)
+            vectors.append(extract_features(Utterance("d1", 2 * i + 1, "A", text, False), previous=previous))
+        assert len(set(vectors)) < len(vectors)
+        labels = [QuestionType(label) for _, label in REPEATED_QUESTIONS]
+        return write_jsonl(tmp_path / "c.jsonl", utts), write_jsonl(tmp_path / "g.jsonl", gold), vectors, labels
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The feature vector of each call the CLI makes to predict or rule_classify, by function name."""
+        seen = {"predict": [], "rule_classify": []}
+        for name, fv_at in (("predict", 1), ("rule_classify", 0)):
+            def counted(*args, _real=getattr(cli_module, name), _seen=seen[name], _at=fv_at):
+                _seen.append(args[_at])
+                return _real(*args)
+
+            monkeypatch.setattr(cli_module, name, counted)
+        return seen
+
+    @staticmethod
+    def q_types(path):
+        return [QuestionType(json.loads(line)["q_type"]) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    def test_classify_rule_mode(self, run_cli, tmp_path, corpus, calls):
+        corpus_path, _, vectors, _ = corpus
+        code, _, _ = run_cli("classify", "--input", corpus_path, "--output", tmp_path / "p.jsonl")
+        assert code == 0
+        assert sorted(calls["rule_classify"]) == sorted(set(vectors))
+        assert calls["predict"] == []
+        assert self.q_types(tmp_path / "p.jsonl") == [rule_classify(fv) for fv in vectors]
+
+    def test_train_then_classify_tree_mode(self, run_cli, tmp_path, corpus, calls):
+        corpus_path, gold_path, vectors, labels = corpus
+        model_path = tmp_path / "m.json"
+        code, out, _ = run_cli("train", "--input", corpus_path, "--annotations", gold_path,
+                               "--output", model_path, "--deterministic")
+        assert code == 0
+        assert sorted(calls["predict"]) == sorted(set(vectors))
+        with open(model_path, encoding="utf-8") as f:
+            model = load_model(f)
+        expected = [predict(model, fv) for fv in vectors]
+        accuracy = json.loads(out)["training_accuracy"]
+        assert accuracy == sum(map(operator.eq, expected, labels)) / len(labels) < 1
+
+        calls["predict"].clear()
+        code, _, _ = run_cli("classify", "--input", corpus_path, "--mode", "tree", "--model", model_path,
+                             "--output", tmp_path / "p.jsonl")
+        assert code == 0
+        assert sorted(calls["predict"]) == sorted(set(vectors))
+        assert calls["rule_classify"] == []
+        assert self.q_types(tmp_path / "p.jsonl") == expected
 
 
 class TestPipeline:

@@ -570,7 +570,7 @@ def layout_path_only(strings):
     """
     if any(json.dumps(s, ensure_ascii=False) != f'"{s}"' for s in strings):
         return contextlib.nullcontext()
-    return mock.patch.object(ingestion, "_json_lines", side_effect=AssertionError("line read on the JSON path"))
+    return mock.patch.object(ingestion, "_json_record", side_effect=AssertionError("line read on the JSON path"))
 
 
 class TestWriters:

@@ -231,6 +231,16 @@ class TestTraining:
             TrainConfig(min_samples_leaf=0)
 
 
+def reference_entropy(subset):
+    """Entropy of the instances' labels from a Counter, its terms summed in label string order."""
+    counts = Counter(i.label for i in subset)
+    out = 0.0
+    for key in sorted(counts, key=str):
+        p = counts[key] / len(subset)
+        out -= p * math.log2(p)
+    return out if out > 0.0 else 0.0
+
+
 def reference_train_tree(data, cfg):
     """Instance-level learner: re-partitions every instance for every candidate split."""
 
@@ -238,13 +248,7 @@ def reference_train_tree(data, cfg):
         value = getattr(fv, feature)
         return bool(value) if threshold is None else value > threshold
 
-    def h(subset):
-        counts = Counter(i.label for i in subset)
-        out = 0.0
-        for key in sorted(counts, key=str):
-            p = counts[key] / len(subset)
-            out -= p * math.log2(p)
-        return out if out > 0.0 else 0.0
+    h = reference_entropy
 
     instances = sorted(data, key=lambda i: (i.fv.as_tuple(), i.label.value))
     global_counts = Counter(i.label for i in instances)
@@ -309,6 +313,38 @@ class TestCountBasedLearner:
                     got = train_tree(data, cfg)
                     assert got == expected
                     assert self.saved(got) == self.saved(expected)
+
+
+class TestScorerMatchesTheCounterDefinition:
+    """entropy and information_gain sum label-count vectors; each float is the Counter definition's, to the bit."""
+
+    # zero to six of each label: some labels missing, or all five present
+    SIDES = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=5, max_size=5)
+
+    @staticmethod
+    def instances(sides, seed):
+        out = []
+        for label, (left, right) in zip(QuestionType, sides):
+            out += [inst(label)] * left + [inst(label, has_wh=True)] * right
+        random.Random(seed).shuffle(out)
+        return out
+
+    @given(SIDES, st.integers(0, 2**32))
+    def test_entropy(self, sides, seed):
+        data = self.instances(sides, seed)
+        assert entropy([i.label for i in data]) == reference_entropy(data)
+
+    @given(SIDES, st.integers(0, 2**32))
+    def test_information_gain(self, sides, seed):
+        data = self.instances(sides, seed)
+        left = [i for i in data if not i.fv.has_wh]
+        right = [i for i in data if i.fv.has_wh]
+        expected = 0.0
+        if left and right:
+            n = len(data)
+            h = reference_entropy
+            expected = max(h(data) - len(left) / n * h(left) - len(right) / n * h(right), 0.0)
+        assert information_gain(data, "has_wh") == expected
 
 
 class TestPredict:
