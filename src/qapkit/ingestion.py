@@ -192,13 +192,17 @@ def _records(
 ) -> Iterator[tuple[int, T]]:
     """(1-based line number, record) for each non-blank JSONL line.
 
-    ``from_line`` gives the record of a line in its documented layout whose
-    values pass every check ``build`` makes, or None. Any other line goes
+    ``from_line`` gives the record of a line in its documented layout, or
+    None for any other line; a value the record types or tag tables refuse
+    raises KeyError or ValueError there. A line it gives no record for goes
     through _json_record with ``build``, which gives the same record for a
-    line that holds one and raises the same error for a line that does not.
+    line that holds one and words the fault of a line that does not.
     """
     for line_no, raw in enumerate(lines, start=1):
-        record = from_line(raw)
+        try:
+            record = from_line(raw)
+        except (KeyError, ValueError):  # a bad value in the layout
+            record = None
         if record is None:
             record = _json_record(raw, line_no, build)
             if record is None:  # a blank line
@@ -249,13 +253,11 @@ def _utterance_from_obj(obj: dict, line_no: int) -> tuple[Utterance, str]:
 
 
 def _utterance_from_line(raw: str) -> Optional[tuple[Utterance, str]]:
-    """(utterance, language) of a line in the documented layout, or None for any other line or a bad value."""
+    """(utterance, language) of a line in the documented layout, or None for any other line; blank text raises."""
     match = _UTTERANCE_LINE.fullmatch(raw)
     if match is None:
         return None
     dialogue_id, turn_index, speaker, text, interrupted, language = match.groups()
-    if not text.strip():
-        return None
     utt = Utterance(sys.intern(dialogue_id), int(turn_index), sys.intern(speaker), text, interrupted == "true")
     return utt, language
 
@@ -540,14 +542,12 @@ def _annotation_from_obj(obj: dict, line_no: int) -> Union[QuestionAnnotation, A
 
 
 def _annotation_from_line(raw: str) -> Union[QuestionAnnotation, AnswerAnnotation, None]:
-    """The record of a line in a documented layout, or None for any other line or a bad value."""
+    """The record of a line in a documented layout, or None for any other line; a bad tag or span raises."""
     match = _QUESTION_LINE.fullmatch(raw)
     if match is not None:
         dialogue_id, turn_index, start, end, q_type, value, annotator_id = match.groups()
-        q_type, span = _QUESTION_TYPES.get(q_type), (int(start), int(end))
-        feature = _FEATURES.get(value) if value is not None else None
-        if q_type is None or (feature is None and value is not None) or span[0] > span[1]:
-            return None
+        q_type, span = _QUESTION_TYPES[q_type], (int(start), int(end))
+        feature = _FEATURES[value] if value is not None else None
         return QuestionAnnotation(
             sys.intern(dialogue_id), int(turn_index), span, q_type, feature, sys.intern(annotator_id)
         )
@@ -555,9 +555,7 @@ def _annotation_from_line(raw: str) -> Union[QuestionAnnotation, AnswerAnnotatio
     if match is None:
         return None
     dialogue_id, turn_index, a_type, question_ref, annotator_id = match.groups()
-    a_type = _ANSWER_TYPES.get(a_type)
-    if a_type is None:
-        return None
+    a_type = _ANSWER_TYPES[a_type]
     return AnswerAnnotation(sys.intern(dialogue_id), int(turn_index), a_type, question_ref, sys.intern(annotator_id))
 
 

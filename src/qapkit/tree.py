@@ -18,7 +18,7 @@ import math
 import operator
 import sys
 from collections import Counter
-from typing import IO, Iterable, NamedTuple, Optional, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .features import FEATURE_NAMES, FeatureVector
 from .ingestion import IngestError, _shown, decode_json, write_json
@@ -44,9 +44,8 @@ LABEL_TIE_ORDER: tuple[QuestionType, ...] = (
     QuestionType.YN, QuestionType.WH, QuestionType.DQ, QuestionType.CS, QuestionType.PQ,
 )
 
-_BOOLEAN_FEATURES = tuple(n for n in FEATURE_NAMES if n != "length")
-_BOOLEAN_INDEXES = tuple(FEATURE_NAMES.index(n) for n in _BOOLEAN_FEATURES)
 _LENGTH_INDEX = FEATURE_NAMES.index("length")
+_BOOLEAN_INDEXES = tuple(i for i in range(len(FEATURE_NAMES)) if i != _LENGTH_INDEX)
 
 #: The labels in string order, the order a label-count vector holds them in.
 _LABELS: tuple[QuestionType, ...] = tuple(sorted(QuestionType, key=str))
@@ -136,12 +135,9 @@ def _goes_right(value: object, threshold: Optional[float]) -> bool:
 
 
 def candidate_splits(instances: Sequence[LabeledInstance]) -> list[tuple[str, Optional[float]]]:
-    """All splits considered at a node, in tie-break order."""
-    splits: list[tuple[str, Optional[float]]] = [(name, None) for name in _BOOLEAN_FEATURES]
-    lengths = sorted({inst.fv.length for inst in instances})
-    for low, high in zip(lengths, lengths[1:]):
-        splits.append(("length", (low + high) / 2))
-    return splits
+    """The splits train_tree weighs at a node holding ``instances``, in tie-break order."""
+    splits = _splits([(inst.fv, _NO_COUNTS) for inst in instances])  # which splits depends on the vectors alone
+    return [(FEATURE_NAMES[index], threshold) for index, threshold, _ in splits]
 
 
 def information_gain(
@@ -157,6 +153,21 @@ def information_gain(
 def _column_sums(rows: Iterable[_Counts], start: _Counts = _NO_COUNTS) -> _Counts:
     """``start`` plus each row of label counts, label by label."""
     return tuple(map(sum, zip(start, *rows)))
+
+
+def _splits(groups: list[_Group]) -> Iterator[tuple[int, Optional[float], _Counts]]:
+    """(predictor index, threshold, label counts sent left) of each split of ``groups``, in tie-break order:
+    the boolean predictors in field order, then the ``length`` midpoints, ascending."""
+    for index in _BOOLEAN_INDEXES:
+        yield index, None, _column_sums([c for vec, c in groups if not vec[index]])
+    by_length: dict[int, list[_Counts]] = {}
+    for vec, c in groups:
+        by_length.setdefault(vec[_LENGTH_INDEX], []).append(c)
+    lengths = sorted(by_length)
+    left = _NO_COUNTS
+    for low, high in zip(lengths, lengths[1:]):  # running counts of length <= low
+        left = _column_sums(by_length[low], left)
+        yield _LENGTH_INDEX, (low + high) / 2, left
 
 
 def _leaf(counts: _Counts, global_counts: _Counts) -> Node:
@@ -191,21 +202,10 @@ def train_tree(data: Iterable[LabeledInstance], cfg: TrainConfig = TrainConfig()
         parent_h = _entropy(counts, n)
         best: Optional[tuple[int, Optional[float]]] = None
         best_gain = 0.0
-        for index in _BOOLEAN_INDEXES:
-            left = _column_sums([c for vec, c in groups if not vec[index]])
+        for index, threshold, left in _splits(groups):
             gain = _gain(counts, n, parent_h, left, cfg.min_samples_leaf)
             if gain > best_gain:  # strict: first candidate keeps ties
-                best, best_gain = (index, None), gain
-        by_length: dict[int, list[_Counts]] = {}
-        for vec, c in groups:
-            by_length.setdefault(vec[_LENGTH_INDEX], []).append(c)
-        lengths = sorted(by_length)
-        left = _NO_COUNTS
-        for low, high in zip(lengths, lengths[1:]):  # running counts of length <= low
-            left = _column_sums(by_length[low], left)
-            gain = _gain(counts, n, parent_h, left, cfg.min_samples_leaf)
-            if gain > best_gain:
-                best, best_gain = (_LENGTH_INDEX, (low + high) / 2), gain
+                best, best_gain = (index, threshold), gain
         if best is None:
             return _leaf(counts, global_counts)
         index, threshold = best

@@ -176,7 +176,7 @@ class TestIngest:
         )
         corpus = tmp_path / "gap.jsonl"
         assert run_cli("ingest", "--input", src, "--format", "eaf", "--output", corpus)[0] == 0
-        assert [json.loads(line)["turn_index"] for line in corpus.read_text().splitlines()] == [0, 1]
+        assert [json.loads(line)["turn_index"] for line in corpus.read_text(encoding="utf-8").splitlines()] == [0, 1]
         code, _, err = run_cli("classify", "--input", corpus, "--output", tmp_path / "pred.jsonl")
         assert code == 0, err
 
@@ -269,7 +269,7 @@ class TestClassify:
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "really?")])
         out = tmp_path / "pred.jsonl"
         run_cli("classify", "--input", corpus, "--annotator-id", "r1", "--output", out)
-        assert json.loads(out.read_text())["annotator_id"] == "r1"
+        assert json.loads(out.read_text(encoding="utf-8"))["annotator_id"] == "r1"
 
     def test_no_questions_means_empty_output(self, run_cli, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "Nothing here.")])
@@ -290,7 +290,7 @@ class TestClassify:
             "classify", "--input", corpus, "--questions", spans, "--extractor-config", config, "--output", out
         )
         assert code == 0
-        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        recs = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
         assert [(r["span_start"], r["span_end"], r["q_type"], r["feature"]) for r in recs] == [
             (0, 8, "PQ", None), (17, 31, "WH", "LOC")
         ]
@@ -305,7 +305,7 @@ class TestClassify:
         )
         out = tmp_path / "pred.jsonl"
         run_cli("classify", "--input", corpus, "--language", "fr", "--output", out)
-        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        recs = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
         assert [r["dialogue_id"] for r in recs] == ["fr1"]
 
     def test_question_span_for_unknown_utterance(self, run_cli, tmp_path):
@@ -338,7 +338,7 @@ class TestClassify:
                 "--output", out,
             )
         assert code == 0
-        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        recs = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
         assert [r["dialogue_id"] for r in recs] == ["fr1"]
         assert any("skipped 1 questions" in r.getMessage() for r in caplog.records)
 
@@ -360,7 +360,7 @@ class TestClassify:
         )
         assert code == 0
         assert "error" not in err
-        assert [json.loads(line)["dialogue_id"] for line in out.read_text().splitlines()] == ["fr1"]
+        assert [json.loads(line)["dialogue_id"] for line in out.read_text(encoding="utf-8").splitlines()] == ["fr1"]
 
     def test_language_filter_still_reports_a_span_of_an_unknown_dialogue(self, run_cli, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "vraiment?", dialogue="fr1", language="fr")])
@@ -412,13 +412,13 @@ class TestClassify:
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "right?")])
         out = tmp_path / "pred.jsonl"
         run_cli("classify", "--input", corpus, "--output", out)
-        assert json.loads(out.read_text())["q_type"] == "PQ"
+        assert json.loads(out.read_text(encoding="utf-8"))["q_type"] == "PQ"
 
         lex = tmp_path / "cliche.txt"
         lex.write_text("you know\noh yeah\n", encoding="utf-8")
         run_cli("classify", "--input", corpus, "--lexicon", f"cliche={lex}", "--output", out)
         # no longer a cliche, so the tag-word reading wins
-        assert json.loads(out.read_text())["q_type"] == "YN"
+        assert json.loads(out.read_text(encoding="utf-8"))["q_type"] == "YN"
 
     def test_bad_lexicon_flag(self, run_cli, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "right?")])
@@ -437,10 +437,10 @@ class TestClassify:
         out = tmp_path / "pred.jsonl"
         run_cli("classify", "--input", corpus, "--output", out)
         # overlap 5/6 with the cut-off turn reads as a completion
-        assert json.loads(out.read_text().splitlines()[-1])["q_type"] == "CS"
+        assert json.loads(out.read_text(encoding="utf-8").splitlines()[-1])["q_type"] == "CS"
 
         run_cli("classify", "--input", corpus, "--threshold", "0.9", "--output", out)
-        assert json.loads(out.read_text().splitlines()[-1])["q_type"] == "YN"
+        assert json.loads(out.read_text(encoding="utf-8").splitlines()[-1])["q_type"] == "YN"
 
     def test_wh_map_override_and_coverage_warning(self, run_cli, tmp_path, caplog):
         corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "What is that?")])
@@ -452,7 +452,7 @@ class TestClassify:
                 "classify", "--input", corpus, "--wh-map", wh_map, "--output", out
             )
         assert code == 0
-        assert json.loads(out.read_text())["feature"] is None  # "what" unmapped
+        assert json.loads(out.read_text(encoding="utf-8"))["feature"] is None  # "what" unmapped
         assert any("misses wh tokens" in r.getMessage() for r in caplog.records)
 
     def test_each_span_and_previous_turn_is_tokenized_once(self, run_cli, tmp_path, monkeypatch):
@@ -479,7 +479,7 @@ class TestClassify:
         out = tmp_path / "pred.jsonl"
         code, _, err = run_cli("classify", "--input", corpus, "--questions", questions, "--output", out)
         assert code == 0, err
-        assert [json.loads(line)["q_type"] for line in out.read_text().splitlines()] == ["PQ", "WH", "YN"]
+        assert [json.loads(line)["q_type"] for line in out.read_text(encoding="utf-8").splitlines()] == ["PQ", "WH", "YN"]
         assert len(returned) == len(spans) + 1  # one previous turn, shared by the three spans
         assert len(wh_tokens) == 1
         assert wh_tokens[0] == tokenize(last[8:21])
@@ -499,7 +499,7 @@ def _verdict(run_cli, tmp_path, corpus, *flags):
     out = tmp_path / "pred.jsonl"
     code, _, err = run_cli("classify", "--input", corpus, *flags, "--output", out)
     assert code == 0, err
-    return json.loads(out.read_text().splitlines()[-1])["q_type"]
+    return json.loads(out.read_text(encoding="utf-8").splitlines()[-1])["q_type"]
 
 
 class TestExtractionSettings:
@@ -1275,6 +1275,13 @@ class TestCommandProcess:
     def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(self, tmp_path):
         code = "import qapkit.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
         assert run_process("-c", code, cwd=tmp_path)[:2] == (0, b"[]\n")
+        # dependency-free: each module the import adds to those the interpreter's startup loaded is stdlib or qapkit
+        code = (
+            "import sys; startup = set(sys.modules); import qapkit.cli; "
+            "print(sorted({m.partition('.')[0] for m in set(sys.modules) - startup}"
+            " - set(sys.stdlib_module_names) - {'qapkit'}))"
+        )
+        assert run_process("-c", code, cwd=tmp_path)[:2] == (0, b"[]\n")
 
     def test_installed_script_and_module_share_one_entry_function(self):
         assert 'qapkit = "qapkit.cli:run"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
@@ -1938,3 +1945,95 @@ class TestAnyInputExitCode:
             code = main(argv)  # an exception escaping main would end the process with a traceback
         assert code in ((0, 1, 2) if kind == "validate" else (0, 2))
         assert "Traceback" not in err.getvalue()
+
+
+def _lines(*objs):
+    return "".join(json.dumps(obj) + "\n" for obj in objs)
+
+
+# each concrete error message README quotes -> (files written under README's names, the command's arguments)
+README_ERRORS = {
+    "error: --language applies only to --format tsv and eaf": (
+        {"corpus.jsonl": CORPUS_LINE}, ["ingest", "--input", "corpus.jsonl", "--language", "en"]
+    ),
+    "error: spans.jsonl: line 2: question zzz:9:0-3 has no matching utterance": (
+        {"corpus.jsonl": CORPUS_LINE, "spans.jsonl": GOLD_LINE + _lines(q_obj(9, "abc", "YN", dialogue="zzz"))},
+        ["classify", "--input", "corpus.jsonl", "--questions", "spans.jsonl"],
+    ),
+    "error: map.txt: line 2: 'where' maps to TMP here but to LOC at line 1": (
+        {"corpus.jsonl": CORPUS_LINE, "map.txt": "where LOC\nwhere TMP\n"},
+        ["classify", "--input", "corpus.jsonl", "--wh-map", "map.txt"],
+    ),
+    "error: --model applies only to --mode tree": (
+        {"corpus.jsonl": CORPUS_LINE}, ["classify", "--input", "corpus.jsonl", "--model", "model.json"]
+    ),
+    "error: --cliche-length-cap applies only to --mode rule": (
+        {"corpus.jsonl": CORPUS_LINE},
+        ["classify", "--input", "corpus.jsonl", "--mode", "tree", "--model", "model.json", "--cliche-length-cap", "3"],
+    ),
+    "error: max_depth must be >= 1 when set": (
+        {"corpus.jsonl": CORPUS_LINE, "gold.jsonl": GOLD_LINE},
+        ["train", "--input", "corpus.jsonl", "--annotations", "gold.jsonl", "--output", "model.json",
+         "--max-depth", "0"],
+    ),
+    "error: min_samples_leaf must be >= 1": (
+        {"corpus.jsonl": CORPUS_LINE, "gold.jsonl": GOLD_LINE},
+        ["train", "--input", "corpus.jsonl", "--annotations", "gold.jsonl", "--output", "model.json",
+         "--min-samples-leaf", "0"],
+    ),
+    "error: --gold: gold.jsonl holds questions of more than one annotator (anna, ben)": (
+        {"gold.jsonl": _lines(q_obj(0, "Where?", "WH", annotator="anna"), q_obj(1, "Why?", "WH", annotator="ben")),
+         "pred.jsonl": GOLD_LINE},
+        ["evaluate", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
+    ),
+    "error: gold.jsonl: line 2: unknown tag 'XX'": (
+        {"gold.jsonl": GOLD_LINE + _lines(q_obj(1, "Why?", "XX"))}, ["validate", "--input", "gold.jsonl"]
+    ),
+    "error: model.json: expected a JSON object": (
+        {"corpus.jsonl": CORPUS_LINE, "model.json": "[]\n"},
+        ["classify", "--input", "corpus.jsonl", "--mode", "tree", "--model", "model.json"],
+    ),
+    "error: wh.txt:3: invalid UTF-8 at byte 5 of the line (invalid start byte)": (
+        {"corpus.jsonl": CORPUS_LINE, "wh.txt": b"who\nwhere\nwhat\xff\n"},
+        ["classify", "--input", "corpus.jsonl", "--lexicon", "wh=wh.txt"],
+    ),
+    "error: ext.json: aux_lexicon: cannot read 'nope.txt': No such file or directory": (
+        {"corpus.jsonl": CORPUS_LINE, "ext.json": '{"aux_lexicon": "nope.txt"}\n'},
+        ["classify", "--input", "corpus.jsonl", "--extractor-config", "ext.json"],
+    ),
+    "error: --gold: cannot read 'nope.jsonl': No such file or directory": (
+        {"pred.jsonl": GOLD_LINE}, ["evaluate", "--gold", "nope.jsonl", "--pred", "pred.jsonl"]
+    ),
+    "error: --input: cannot read 'corpora': Is a directory": (
+        {"corpora/corpus.jsonl": CORPUS_LINE}, ["ingest", "--input", "corpora", "--output", "corpus.jsonl"]
+    ),
+    "error: --output: cannot write 'nodir/x.json': No such file or directory": (
+        {"gold.jsonl": GOLD_LINE}, ["validate", "--input", "gold.jsonl", "--output", "nodir/x.json"]
+    ),
+    "error: --annotator-id is not valid UTF-8": (
+        {"corpus.jsonl": CORPUS_LINE}, ["classify", "--input", "corpus.jsonl", "--annotator-id", "\udcff"]
+    ),
+    "error: --language must be non-empty": (
+        {"corpus.jsonl": CORPUS_LINE}, ["classify", "--input", "corpus.jsonl", "--language", ""]
+    ),
+}
+
+
+class TestReadmeErrors:
+    """Every error message README quotes, reproduced exactly by a command on the files it names."""
+
+    def test_every_quoted_message_has_a_case(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        quoted = {" ".join(span.split()) for span in re.findall(r"`(error:\s[^`]*)`", text)}
+        quoted.discard("error: FLAG: cannot read 'PATH': REASON")  # the template, not a message
+        assert quoted == README_ERRORS.keys()
+
+    @pytest.mark.parametrize("message", README_ERRORS)
+    def test_the_command_ends_with_the_message(self, run_cli, tmp_path, monkeypatch, message):
+        files, argv = README_ERRORS[message]
+        for name, content in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            _file(tmp_path / name, content)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(*argv)
+        assert (code, err.splitlines()[-1]) == (2, message)

@@ -4,7 +4,11 @@ The test builds a small corpus, TSV and EAF transcripts, gold and annotator
 files (with planted violations), an extractor config and a wh-map, runs each
 command as ``python -m qapkit.cli`` in a subprocess (log lines go to stderr
 exactly as a user sees them), and compares the sha256 of every output file,
-stdout and stderr, plus each exit code, with ``golden.json``.
+stdout and stderr, plus each exit code, with ``golden.json``. It also runs
+each benchmark workload of ``bench/workloads.py`` at a tenth of its size, checks
+every command with the benchmark's own oracle, and compares the sha256 of every
+file left in the work directory, and each command's stdout, stderr and exit
+code, with the manifest.
 
 After an intended change of output, regenerate the manifest with
 
@@ -13,12 +17,24 @@ After an intended change of output, regenerate the manifest with
 
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 from helpers import run_process
 
 MANIFEST = Path(__file__).with_name("golden.json")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# each benchmark workload's size arguments, a tenth of the benchmark's, all run at one seed
+WORKLOAD_SIZES = {
+    "pipeline-20k": {"n_utterances": 2000},
+    "annotators-8": {"n_utterances": 1000},
+    "long-turns": {"n_turns": 800},
+}
+WORKLOAD_SEED = 101
 
 # (speaker, text, interrupted) of each turn of the two corpus dialogues
 TURNS = {
@@ -228,9 +244,40 @@ def run_commands(d: Path) -> dict:
     return results
 
 
+def _workloads() -> dict:
+    """bench/workloads.py's WORKLOADS; bench/ is on the import path only while the module loads."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return workloads.WORKLOADS
+
+
+def run_workload(name: str, d: Path) -> tuple[dict, list[str]]:
+    """(manifest entry, problems) of one workload run in ``d``.
+
+    The entry is {"commands": {name: {"exit", "stdout", "stderr"}}, "files": {path: sha}}; the problems
+    are what each command's exit code check and its own oracle found.
+    """
+    commands, problems = {}, []
+    for command in _workloads()[name](WORKLOAD_SEED, d, **WORKLOAD_SIZES[name]):
+        code, out, err = run_process("-m", "qapkit.cli", *command.argv, cwd=d)
+        if code != command.exit_code:
+            problems.append(f"{command.name}: exit code {code}, expected {command.exit_code}")
+        problems += [f"{command.name}: {problem}" for problem in command.check(d, out.decode("utf-8"))]
+        commands[command.name] = {"exit": code, "stdout": _sha(out), "stderr": _sha(err)}
+    files = {path.relative_to(d).as_posix(): _sha(path.read_bytes()) for path in sorted(d.rglob("*"))
+             if path.is_file()}
+    return {"commands": commands, "files": files}, problems
+
+
 def test_every_command_output_matches_the_manifest(tmp_path):
     build_inputs(tmp_path)
-    expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    expected = {
+        name: want for name, want in json.loads(MANIFEST.read_text(encoding="utf-8")).items()
+        if name not in WORKLOAD_SIZES
+    }
     results = run_commands(tmp_path)
     assert [results[name]["exit"] for name in expected] == [expected[name]["exit"] for name in expected]
     for name, want in expected.items():
@@ -238,9 +285,21 @@ def test_every_command_output_matches_the_manifest(tmp_path):
     assert results.keys() == expected.keys()
 
 
+@pytest.mark.parametrize("name", WORKLOAD_SIZES)
+def test_every_benchmark_workload_output_matches_the_manifest(tmp_path, name):
+    result, problems = run_workload(name, tmp_path)
+    assert problems == []
+    assert result == json.loads(MANIFEST.read_text(encoding="utf-8"))[name]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         build_inputs(Path(tmp))
         manifest = run_commands(Path(tmp))
+    for name in WORKLOAD_SIZES:
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest[name], problems = run_workload(name, Path(tmp))
+        if problems:
+            sys.exit("\n".join(problems))
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {MANIFEST}")
