@@ -114,10 +114,12 @@ def _load_corpus(paths: Sequence[str]) -> list[Dialogue]:
 
 
 def _read_annotation_files(flag: str, paths: Sequence[str]) -> list:
+    """The records of every file given to ``flag``, in order; equal spans and turn numbers are one object."""
     records = []
+    shared: dict = {}  # kept for this read only: across calls it would hold every span ever read
     for path in paths:
         with _cannot("read", flag, path), open_input(path) as f:
-            records.extend(read_annotations(f))
+            records.extend(read_annotations(f, shared))
     return records
 
 
@@ -251,7 +253,8 @@ def _question_features(
     """(utterance, span, span tokens, feature vector) of each (dialogue, turn, span) key, in key order.
 
     A key naming no utterance, or a span running past the utterance text,
-    raises a ValueError located in ``sources`` (see _unresolved).
+    raises a ValueError located in ``sources`` (see _unresolved). Equal
+    vectors are one object, so a caller keeping them keeps one per distinct vector.
 
     Each span is tokenized once. A previous turn is tokenized once for the
     run of keys that follow it, which key order keeps together. Spans are
@@ -259,6 +262,7 @@ def _question_features(
     (the final-sigma rule), so those could differ from the span's own.
     """
     by_id = {d.dialogue_id: d for d in dialogues}
+    vectors: dict[FeatureVector, FeatureVector] = {}
     last_prev = prev_tokens = None
     for key in keys:
         dialogue_id, turn_index, span = key
@@ -276,7 +280,8 @@ def _question_features(
             last_prev = previous
             prev_tokens = tokenize(previous.text) if previous is not None else None
         interrupted = previous is not None and previous.interrupted
-        yield utt, span, tokens, token_features(tokens, prev_tokens, interrupted, cfg)
+        fv = token_features(tokens, prev_tokens, interrupted, cfg)
+        yield utt, span, tokens, vectors.setdefault(fv, fv)
 
 
 def cmd_classify(args) -> int:
@@ -427,7 +432,8 @@ def cmd_agree(args) -> int:
     if not layer_reports:
         raise NoAlignedItems("no layer had items aligned across annotators")
 
-    doc = {"layers": layer_reports, "disagreements": [r._asdict() for r in disagreement_report(indexes)]}
+    # the listing's rows are built one at a time, as write_json takes them
+    doc = {"layers": layer_reports, "disagreements": (r._asdict() for r in disagreement_report(indexes))}
     _write_report(doc, args.output, args.deterministic)
     return 0
 

@@ -274,6 +274,10 @@ def disagreement_report(indexes: Mapping[str, ItemIndex]) -> list[DisagreementRe
     Unlike kappa scoring, the feature comparison here spans all
     co-annotated questions, so type-driven feature loss is visible.
     ``indexes`` is the annotator -> ItemIndex mapping of index_by_item.
+
+    The listing stays a list, not a generator, since callers count it with
+    ``len()`` (the benchmark's tracer does); ``agree`` builds each record's
+    ``_asdict()`` row only as ``write_json`` writes it.
     """
     ids = sorted(indexes)
     records: list[DisagreementRecord] = []

@@ -12,9 +12,11 @@ import json
 import re
 import reprlib
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import IO, Any, Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .model import (
     AnswerAnnotation,
@@ -445,9 +447,11 @@ def write_json(doc: Any, stream: IO[str]) -> None:
     Dict keys must be strings. Strings, a string enum's members among them
     (each written as its string), go through the C escaper, other
     scalars through ``json.dumps``. Lists, tuples and dicts are written one
-    element at a time, so a long document is never held as one string. A
-    named-tuple record is a tuple, written as an array as ``json.dump`` does;
-    pass its ``_asdict()`` to write it as an object.
+    element at a time, so a long document is never held as one string. Any
+    iterator, a generator among them, is written as an array, each element
+    taken only once the one before is written, so a long listing can be
+    built row by row. A named-tuple record is a tuple, written as an array
+    as ``json.dump`` does; pass its ``_asdict()`` to write it as an object.
     """
     _write_json(doc, "", stream.write)
 
@@ -456,10 +460,7 @@ def _write_json(o: Any, pad: str, write: Callable[[str], object]) -> None:
     """Write ``o`` where the stream stands; each line after its first is indented by ``pad``."""
     if isinstance(o, str):
         write(_ascii(o))
-    elif isinstance(o, (list, tuple, dict)):
-        if not o:
-            write("{}" if isinstance(o, dict) else "[]")
-            return
+    elif isinstance(o, (list, tuple, dict, Iterator)):
         inner = pad + "  "
         if isinstance(o, dict):
             opener, closer = "{\n", f"\n{pad}}}"
@@ -467,7 +468,7 @@ def _write_json(o: Any, pad: str, write: Callable[[str], object]) -> None:
         else:
             opener, closer = "[\n", f"\n{pad}]"
             items = (("", value) for value in o)
-        lead = opener + inner
+        lead = first = opener + inner
         for prefix, value in items:
             if isinstance(value, str):
                 write(lead + prefix + _ascii(value))
@@ -475,7 +476,7 @@ def _write_json(o: Any, pad: str, write: Callable[[str], object]) -> None:
                 write(lead + prefix)
                 _write_json(value, inner, write)
             lead = ",\n" + inner
-        write(closer)
+        write(closer if lead is not first else opener[0] + closer[-1])  # an empty one is {} or []
     else:
         write(json.dumps(o))
 
@@ -499,15 +500,19 @@ _QUESTION_TYPES, _FEATURES, _ANSWER_TYPES = (
 )
 
 
-def _annotation_from_obj(obj: dict, line_no: int) -> Union[QuestionAnnotation, AnswerAnnotation]:
+def _annotation_from_obj(
+    share: Callable[[T, T], T], obj: dict, line_no: int
+) -> Union[QuestionAnnotation, AnswerAnnotation]:
     """The record of one JSONL object; every ``obj[key]`` must be a required field.
 
+    ``share(value, value)`` gives the turn number and span object to keep (see read_annotations).
     ``_json_record`` reports a KeyError raised here or in ``_id_fields`` as that field missing.
     """
     kind = obj["kind"]
     if kind != "q" and kind != "a":
         raise UnknownTag(kind, line_no)
     dialogue_id, turn_index = _id_fields(obj, line_no)
+    turn_index = share(turn_index, turn_index)
     if kind == "a":
         value = obj["a_type"]
         a_type = _ANSWER_TYPES.get(value) if type(value) is str else None
@@ -519,7 +524,7 @@ def _annotation_from_obj(obj: dict, line_no: int) -> Union[QuestionAnnotation, A
         annotator_id = obj["annotator_id"]
         if type(annotator_id) is not str:
             raise MalformedLine(line_no, "annotator_id must be a string")
-        return AnswerAnnotation(dialogue_id, turn_index, a_type, question_ref, sys.intern(annotator_id))
+        return AnswerAnnotation(dialogue_id, turn_index, a_type, sys.intern(question_ref), sys.intern(annotator_id))
     span = obj["span_start"], obj["span_end"]
     for name, value in zip(("span_start", "span_end"), span):
         if type(value) is not int:
@@ -536,40 +541,58 @@ def _annotation_from_obj(obj: dict, line_no: int) -> Union[QuestionAnnotation, A
     if type(annotator_id) is not str:
         raise MalformedLine(line_no, "annotator_id must be a string")
     try:
-        return QuestionAnnotation(dialogue_id, turn_index, span, q_type, feature, sys.intern(annotator_id))
+        return QuestionAnnotation(dialogue_id, turn_index, share(span, span), q_type, feature, sys.intern(annotator_id))
     except ValueError as exc:
         raise MalformedLine(line_no, str(exc)) from exc
 
 
-def _annotation_from_line(raw: str) -> Union[QuestionAnnotation, AnswerAnnotation, None]:
-    """The record of a line in a documented layout, or None for any other line; a bad tag or span raises."""
+def _annotation_from_line(
+    share: Callable[[T, T], T], raw: str
+) -> Union[QuestionAnnotation, AnswerAnnotation, None]:
+    """The record of a line in a documented layout, or None for any other line; a bad tag or span raises.
+
+    ``share`` is as in _annotation_from_obj.
+    """
     match = _QUESTION_LINE.fullmatch(raw)
     if match is not None:
         dialogue_id, turn_index, start, end, q_type, value, annotator_id = match.groups()
-        q_type, span = _QUESTION_TYPES[q_type], (int(start), int(end))
+        q_type, span, turn_index = _QUESTION_TYPES[q_type], (int(start), int(end)), int(turn_index)
         feature = _FEATURES[value] if value is not None else None
         return QuestionAnnotation(
-            sys.intern(dialogue_id), int(turn_index), span, q_type, feature, sys.intern(annotator_id)
+            sys.intern(dialogue_id), share(turn_index, turn_index), share(span, span), q_type, feature,
+            sys.intern(annotator_id),
         )
     match = _ANSWER_LINE.fullmatch(raw)
     if match is None:
         return None
     dialogue_id, turn_index, a_type, question_ref, annotator_id = match.groups()
-    a_type = _ANSWER_TYPES[a_type]
-    return AnswerAnnotation(sys.intern(dialogue_id), int(turn_index), a_type, question_ref, sys.intern(annotator_id))
+    a_type, turn_index = _ANSWER_TYPES[a_type], int(turn_index)
+    return AnswerAnnotation(
+        sys.intern(dialogue_id), share(turn_index, turn_index), a_type, sys.intern(question_ref),
+        sys.intern(annotator_id),
+    )
 
 
-def read_annotations(lines: Iterable[str]) -> list[Union[QuestionAnnotation, AnswerAnnotation]]:
+def read_annotations(
+    lines: Iterable[str], shared: Optional[dict] = None
+) -> list[Union[QuestionAnnotation, AnswerAnnotation]]:
     """Parse annotation JSONL into question and answer records, in file order.
 
     Each line is an object whose ``kind`` is "q" or "a". A line in its
     kind's documented layout is read from its text alone; any other goes
     through the JSON decoder, with the same result (see _records). Unknown
     kinds and tag values raise UnknownTag; structural problems raise
-    MalformedLine. Records with the same dialogue or annotator id share one
-    string object.
+    MalformedLine.
+
+    Records with equal dialogue ids, annotator ids or question references
+    share one interned string; records with equal spans or turn numbers
+    share one object, through the table ``shared``. Pass one dict to the
+    reads of files read together (several annotators' files of the same
+    items) to share across them; by default the table is this call's own.
     """
-    return [record for _, record in _records(lines, _annotation_from_line, _annotation_from_obj)]
+    share = ({} if shared is None else shared).setdefault
+    from_line, build = partial(_annotation_from_line, share), partial(_annotation_from_obj, share)
+    return [record for _, record in _records(lines, from_line, build)]
 
 
 def _id_fields(obj: dict, line_no: int) -> tuple[str, int]:

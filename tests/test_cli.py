@@ -956,6 +956,22 @@ class TestEvaluate:
         assert (code, out) == (2, "")
         assert err == f"error: {flag}: {two} holds questions of more than one annotator (A1, A2)\n"
 
+    @pytest.mark.parametrize("flag", ["--gold", "--pred"])
+    def test_answer_records_are_checked_but_not_scored(self, run_cli, tmp_path, flag):
+        questions = [q_obj(0, "a?", "YN"), q_obj(2, "b?", "WH")]
+        plain = write_jsonl(tmp_path / "plain.jsonl", questions)
+        good = write_jsonl(tmp_path / "good.jsonl", [questions[0], a_obj(1, "PA", "d1:0:0-2"), questions[1]])
+        bad = write_jsonl(tmp_path / "bad.jsonl", [questions[0], a_obj(1, "ZZ", "d1:0:0-2"), questions[1]])
+
+        def evaluate(path):
+            files = {"--gold": plain, "--pred": plain, flag: path}
+            return run_cli("evaluate", "--gold", files["--gold"], "--pred", files["--pred"], "--deterministic")
+
+        report = evaluate(plain)
+        assert report[0] == 0
+        assert evaluate(good) == report
+        assert evaluate(bad) == (2, "", f"error: {bad}: line 2: unknown tag 'ZZ'\n")
+
     def test_answers_of_another_annotator_do_not_count(self, run_cli, tmp_path):
         gold = write_jsonl(
             tmp_path / "g.jsonl", [q_obj(0, "a?", "YN"), a_obj(1, "PA", "d1:0:0-2", annotator="other")]

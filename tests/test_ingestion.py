@@ -35,7 +35,8 @@ from qapkit import (
     write_annotations,
     write_dialogues,
 )
-from qapkit import ingestion
+from qapkit import cli, ingestion
+from qapkit.features import DEFAULT_EXTRACTOR
 from qapkit.ingestion import write_json
 
 import reference_readers
@@ -642,6 +643,18 @@ DOCUMENTS = st.recursive(
 )
 
 
+def as_generators(o, swap):
+    """``o`` with each list ``swap()`` picks, at any depth, replaced by a generator over its elements."""
+    if isinstance(o, dict):
+        return {key: as_generators(value, swap) for key, value in o.items()}
+    if type(o) in (list, tuple):
+        items = [as_generators(value, swap) for value in o]
+        if type(o) is tuple:
+            return tuple(items)
+        return (value for value in items) if swap() else items
+    return o
+
+
 class TestJsonWriter:
     """write_json gives the bytes of json.dump(..., indent=2, sort_keys=True), streamed."""
 
@@ -651,6 +664,36 @@ class TestJsonWriter:
         buf = io.StringIO()
         write_json(doc, buf)
         assert buf.getvalue() == json.dumps(doc, indent=2, sort_keys=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(DOCUMENTS, st.data())
+    def test_a_generator_is_written_as_its_list(self, doc, data):
+        buf = io.StringIO()
+        write_json(as_generators(doc, lambda: data.draw(st.booleans(), label="swap")), buf)
+        assert buf.getvalue() == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_an_empty_generator_is_an_empty_array(self):
+        for doc, expected in (((x for x in ()), "[]"), ({"rows": iter(())}, '{\n  "rows": []\n}')):
+            buf = io.StringIO()
+            write_json(doc, buf)
+            assert buf.getvalue() == expected
+
+    def test_a_generator_is_pulled_one_row_per_write(self):
+        rows = [{"item": f"d:{i}:0-5", "tags": {"anna": "YN", "ben": "WH"}, "layer": "questions"} for i in range(5)]
+        buf = io.StringIO()
+        written_before = []  # the text written when each row is built
+
+        def build():
+            for row in rows:
+                written_before.append(buf.getvalue())
+                yield dict(row)
+
+        write_json({"disagreements": build()}, buf)
+        assert buf.getvalue() == json.dumps({"disagreements": rows}, indent=2, sort_keys=True)
+        assert written_before[0] == '{\n  "disagreements": '
+        for text, row in zip(written_before[1:], rows):
+            # every line of the row before, down to its closing brace, is written
+            assert text.endswith(json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    "))
 
     def test_records_are_written_one_at_a_time(self):
         records = [
@@ -675,7 +718,7 @@ class TestJsonWriter:
 
 
 class TestSharedIds:
-    """Records read from different lines share one string per id."""
+    """Records read from different lines share one string per id; records read together share more."""
 
     def test_annotation_ids(self):
         lines = jsonl(
@@ -695,6 +738,42 @@ class TestSharedIds:
         first, second = dialogue.utterances
         assert first.dialogue_id is second.dialogue_id
         assert first.speaker is second.speaker
+
+    @staticmethod
+    def item_lines(annotator):
+        # numbers past 256, which the interpreter does not cache: each parse of one makes a new int
+        question = dict(Q_LINE, turn_index=1000, span_start=300, span_end=4000, annotator_id=annotator)
+        answer = dict(A_LINE, turn_index=1001, question_ref="d1:1000:300-4000", annotator_id=annotator)
+        return question, answer
+
+    def test_files_read_together_share_spans_turns_and_refs(self, tmp_path):
+        anna, ben = tmp_path / "anna.jsonl", tmp_path / "ben.jsonl"
+        anna.write_text("".join(jsonl(*self.item_lines("anna"))), encoding="utf-8")
+        # keys reversed: ben's lines take the JSON decoder's path, anna's the layout's
+        ben.write_text("".join(jsonl(*(dict(reversed(o.items())) for o in self.item_lines("ben")))), encoding="utf-8")
+        q_anna, a_anna, q_ben, a_ben = cli._read_annotation_files("--input", [anna, ben])
+        assert (q_anna.annotator_id, q_ben.annotator_id) == ("anna", "ben")
+        assert q_anna.span is q_ben.span
+        assert q_anna.turn_index is q_ben.turn_index
+        assert a_anna.turn_index is a_ben.turn_index
+        assert a_anna.question_ref is a_ben.question_ref
+
+    def test_a_second_read_shares_nothing_with_the_first(self, tmp_path):
+        path = tmp_path / "anna.jsonl"
+        path.write_text("".join(jsonl(*self.item_lines("anna"))), encoding="utf-8")
+        first, second = (cli._read_annotation_files("--input", [path]) for _ in range(2))
+        assert first == second
+        assert first[0].span is not second[0].span
+        for one, two in zip(first, second):
+            assert one.turn_index is not two.turn_index
+
+    def test_equal_feature_vectors_are_one_object(self):
+        texts = ["where did you go?", "did you see him?", "where did you go?", "did you see him?", "really?"]
+        dialogue = Dialogue("d1", "en", tuple(Utterance("d1", i, "A", text) for i, text in enumerate(texts)))
+        keys = [("d1", i, (0, len(text))) for i, text in enumerate(texts)]
+        vectors = [fv for *_, fv in cli._question_features([dialogue], keys, DEFAULT_EXTRACTOR)]
+        assert len(set(vectors)) < len(vectors)  # the second and fourth questions repeat a vector
+        assert len({id(fv) for fv in vectors}) == len(set(vectors))
 
 
 U_LINE = utt_obj(0)
