@@ -357,7 +357,12 @@ def cmd_train(args) -> int:
         if args.limit_utterances > total:
             raise ValueError(f"--limit-utterances {args.limit_utterances} exceeds corpus size {total}")
         first = set(itertools.islice((u for d in dialogues for u in d.utterances), args.limit_utterances))
-        rows = [row for row in rows if row[1] in first]
+        kept = [row for row in rows if row[1] in first]
+        log.info(
+            "--limit-utterances %d: training on %d questions, %d set aside",
+            args.limit_utterances, len(kept), len(rows) - len(kept),
+        )
+        rows = kept
     instances = [LabeledInstance(fv, q.q_type) for q, _, fv in rows]
 
     if args.baseline:

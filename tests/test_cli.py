@@ -295,6 +295,21 @@ class TestClassify:
             (0, 8, "PQ", None), (17, 31, "WH", "LOC")
         ]
 
+    def test_question_file_answer_records_are_checked_but_not_used(self, run_cli, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "Did you go?"), utt_obj(1, "Yes.")])
+        question = q_obj(0, "Did you go?", "YN", annotator="seg")
+        plain = write_jsonl(tmp_path / "plain.jsonl", [question])
+        good = write_jsonl(tmp_path / "good.jsonl", [question, a_obj(1, "PA", "d1:0:0-11", annotator="seg")])
+        bad = write_jsonl(tmp_path / "bad.jsonl", [question, a_obj(1, "ZZ", "d1:0:0-11", annotator="seg")])
+
+        def classify(path):
+            return run_cli("classify", "--input", corpus, "--questions", path, "--deterministic")
+
+        listing = classify(plain)
+        assert listing[0] == 0 and listing[1]
+        assert classify(good) == listing
+        assert classify(bad) == (2, "", f"error: {bad}: line 2: unknown tag 'ZZ'\n")
+
     def test_language_filter(self, run_cli, tmp_path):
         corpus = write_jsonl(
             tmp_path / "c.jsonl",
@@ -750,14 +765,20 @@ class TestTrain:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "m.json").exists()
 
-    def test_limit_utterances_cuts_training_data(self, run_cli, tmp_path, train_corpus):
+    def test_limit_utterances_cuts_training_data(self, run_cli, tmp_path, train_corpus, caplog):
         corpus, gold = train_corpus
-        code, out, _ = run_cli(
-            "train", "--input", corpus, "--annotations", gold,
-            "--output", tmp_path / "m.json", "--limit-utterances", "2", "--deterministic",
-        )
+        with caplog.at_level(logging.INFO, logger="qapkit"):
+            code, out, _ = run_cli(
+                "train", "--input", corpus, "--annotations", gold,
+                "--output", tmp_path / "m.json", "--limit-utterances", "2", "--deterministic",
+            )
         assert code == 0
         assert json.loads(out)["instances"] == 2
+        # the cut is logged: every question read is either trained on or set aside
+        (info,) = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        counts = re.fullmatch(r"--limit-utterances 2: training on (\d+) questions, (\d+) set aside", info)
+        kept, aside = map(int, counts.groups())
+        assert (kept, kept + aside) == (2, len(TRAIN_TEXTS))
 
     def test_limit_utterances_beyond_corpus(self, run_cli, tmp_path, train_corpus):
         corpus, gold = train_corpus

@@ -1,4 +1,6 @@
 import json
+import re
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,27 @@ class TestTokenize:
 
     def test_underscore_is_not_a_word_character(self):
         assert tokenize("a_b") == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("''", []),
+            ("'a'", ["a"]),
+            ("a''b", ["a", "b"]),
+            ("O'NEIL'S", ["o'neil's"]),
+            ("x\x7fy", ["x", "y"]),
+        ],
+    )
+    def test_apostrophe_and_control_byte_edges(self, text, tokens):
+        assert tokenize(text) == tokens
+
+    # README's rule, written out here: the text lowercased, a token a maximal run of
+    # letters and digits of any script (not _), a single ' or ’ joining two runs
+    README_RULE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*")
+
+    @given(st.text() | st.text(st.sampled_from([*string.ascii_letters, *string.digits, *"'’_- \t\x00\x7f"])))
+    def test_follows_the_readme_rule(self, text):
+        assert tokenize(text) == self.README_RULE.findall(text.lower())
 
 
 class TestOverlap:
