@@ -38,7 +38,7 @@ class Feature(Tag):
     TMP = "TMP"  # temporality
     LOC = "LOC"  # location
     AG = "AG"  # agent
-    CH = "CH"  # characteristic
+    CH = "CH"  # choice
     OW = "OW"  # owner
     RE = "RE"  # reason
     TH = "TH"  # theme
@@ -49,7 +49,7 @@ class AnswerType(Tag):
 
     PA = "PA"  # positive answer
     NA = "NA"  # negative answer
-    FA = "FA"  # feature answer
+    FA = "FA"  # focus answer
     PHA = "PHA"  # phatic answer
     UA = "UA"  # uncertainty answer
     UT = "UT"  # unrelated topic
@@ -167,16 +167,22 @@ def index_by_item(records: Iterable[AnnotationRecord]) -> tuple[dict[str, ItemIn
 
     A question's item is its position (dialogue, turn, span), an answer's the
     reference of the question it answers. Returns each annotator's ItemIndex
-    and, in input order, the records set aside as repeats.
+    and, in input order, the records set aside as repeats. Once there are two
+    annotators, every index holds one key tuple per question item, shared by all.
     """
     indexes: dict[str, ItemIndex] = {}
     repeats: list[AnnotationRecord] = []
+    keys: Optional[dict[tuple, tuple]] = None
     for rec in records:
         index = indexes.get(rec.annotator_id)
         if index is None:
+            if len(indexes) == 1:  # a second annotator; with one, a table would only add memory
+                keys = {key: key for key in next(iter(indexes.values()))[0]}
             index = indexes[rec.annotator_id] = ({}, {})
         if isinstance(rec, QuestionAnnotation):
             mapping, item = index[0], rec.key
+            if keys is not None:
+                item = keys.setdefault(item, item)
         else:
             mapping, item = index[1], rec.question_ref
         if item in mapping:

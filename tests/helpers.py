@@ -46,20 +46,22 @@ def utt(text, turn=0, dialogue="d", speaker="A", interrupted=False) -> Utterance
 QAPKIT_PATH = str(Path(qapkit.__file__).resolve().parent.parent)
 
 
-def python_process(*args, cwd, **kwargs) -> subprocess.Popen:
-    """``python ARGS`` as a child process that imports the same qapkit, started with subprocess.Popen's keywords.
+def python_process(*args, cwd, path=QAPKIT_PATH, **kwargs) -> subprocess.Popen:
+    """``python ARGS`` as a child process that imports the qapkit under ``path`` (by default the same qapkit),
+    started with subprocess.Popen's keywords.
 
     Its stdout is block-buffered, as it is by default, so output left in the buffer at exit would be lost.
     """
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (QAPKIT_PATH, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(path), env.get("PYTHONPATH")) if p)
     return subprocess.Popen([sys.executable, *map(str, args)], cwd=cwd, env=env, **kwargs)
 
 
-def run_process(*args, cwd) -> tuple[int, bytes, bytes]:
-    """(exit code, stdout, stderr) of ``python ARGS``; ``-m qapkit.cli ARGV`` runs the command."""
-    proc = python_process(*args, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+def run_process(*args, cwd, path=QAPKIT_PATH) -> tuple[int, bytes, bytes]:
+    """(exit code, stdout, stderr) of ``python ARGS`` importing the qapkit under ``path``; ``-m qapkit.cli ARGV``
+    runs the command."""
+    proc = python_process(*args, cwd=cwd, path=path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     out, err = proc.communicate(timeout=120)
     return proc.returncode, out, err
 

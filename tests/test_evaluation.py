@@ -278,6 +278,20 @@ class TestIndexByItem:
         # annotators and items in order of first appearance, each holding its first record itself
         assert identities(indexes) == identities(indexed_by_hand(kept))
 
+    def test_annotators_share_one_key_object_per_question_item(self):
+        # one file interleaves A and B, a second holds C's; C alone holds turn 4, and A repeats turn 0
+        records = [
+            q_ann("A", 0, YN), q_ann("B", 0, YN), q_ann("A", 2, WH), a_ann("B", 1, AnswerType.PA, "d1:0:0-4"),
+            q_ann("B", 2, DQ), q_ann("A", 0, WH),
+            q_ann("C", 2, WH), q_ann("C", 0, PQ), q_ann("C", 4, YN), a_ann("C", 3, AnswerType.PA, "d1:2:0-4"),
+        ]
+        indexes, repeats = index_by_item(records)
+        kept, expected_repeats = first_records(records)
+        assert repeats == expected_repeats == [records[5]]
+        keys = [key for questions, _ in indexes.values() for key in questions]
+        assert len({id(key) for key in keys}) == len(set(keys)) == 3
+        assert identities(indexes) == identities(indexed_by_hand(kept))
+
     def test_the_same_record_twice_is_a_repeat(self):
         rec = q_ann("A", 0, YN)
         indexes, repeats = index_by_item([rec, rec])

@@ -20,10 +20,11 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
-from helpers import run_process
+from helpers import QAPKIT_PATH, run_process
 
 MANIFEST = Path(__file__).with_name("golden.json")
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -254,15 +255,17 @@ def _workloads() -> dict:
     return workloads.WORKLOADS
 
 
-def run_workload(name: str, d: Path) -> tuple[dict, list[str]]:
-    """(manifest entry, problems) of one workload run in ``d``.
+def run_workload(name: str, d: Path, seed: int = WORKLOAD_SEED, sizes: Optional[dict] = None,
+                 path=QAPKIT_PATH) -> tuple[dict, list[str]]:
+    """(manifest entry, problems) of one workload run in ``d`` with the qapkit under ``path``.
 
-    The entry is {"commands": {name: {"exit", "stdout", "stderr"}}, "files": {path: sha}}; the problems
-    are what each command's exit code check and its own oracle found.
+    ``sizes`` are the workload's size arguments, by default its WORKLOAD_SIZES; ``{}`` gives the benchmark's
+    own sizes. The entry is {"commands": {name: {"exit", "stdout", "stderr"}}, "files": {path: sha}}; the
+    problems are what each command's exit code check and its own oracle found.
     """
     commands, problems = {}, []
-    for command in _workloads()[name](WORKLOAD_SEED, d, **WORKLOAD_SIZES[name]):
-        code, out, err = run_process("-m", "qapkit.cli", *command.argv, cwd=d)
+    for command in _workloads()[name](seed, d, **(WORKLOAD_SIZES[name] if sizes is None else sizes)):
+        code, out, err = run_process("-m", "qapkit.cli", *command.argv, cwd=d, path=path)
         if code != command.exit_code:
             problems.append(f"{command.name}: exit code {code}, expected {command.exit_code}")
         problems += [f"{command.name}: {problem}" for problem in command.check(d, out.decode("utf-8"))]
