@@ -295,6 +295,10 @@ def cmd_classify(args) -> int:
     _check_flag(args, "language")
     cfg = _extraction_setup(args)
     wh_map = _wh_feature_map(args.wh_map, cfg)
+    if args.questions:  # read before the corpus, and held only as its keys
+        given = _read_annotation_files("--questions", [args.questions])
+        keys = sorted({r.key for r in given if isinstance(r, QuestionAnnotation)})
+        del given
     dialogues = _load_corpus([args.input])
 
     model = None
@@ -302,10 +306,7 @@ def cmd_classify(args) -> int:
         with _cannot("read", "--model", args.model), open_input(args.model) as f:
             model = load_model(f)
 
-    if args.questions:
-        given = _read_annotation_files("--questions", [args.questions])
-        keys = sorted({r.key for r in given if isinstance(r, QuestionAnnotation)})
-    else:
+    if not args.questions:
         keys = [
             (u.dialogue_id, u.turn_index, (0, len(u.text)))
             for d in dialogues
@@ -342,11 +343,13 @@ def cmd_train(args) -> int:
     # checked in both modes, before any input is read
     train_cfg = TrainConfig(max_depth=args.max_depth, min_samples_leaf=args.min_samples_leaf)
     cfg = _extraction_setup(args)
-    dialogues = _load_corpus(args.input)
+    # read before the corpus; the index and the repeats hold the answers too, which training never reads
     indexes, repeats = index_by_item(_read_annotation_files("--annotations", args.annotations))
-    _warn_repeats(len(repeats))
     questions = sorted((q for kept, _ in indexes.values() for q in kept.values()), key=lambda q: q.key)
-    del indexes  # it holds the answers too, which training never reads
+    repeat_count = len(repeats)
+    del indexes, repeats
+    dialogues = _load_corpus(args.input)
+    _warn_repeats(repeat_count)  # after the corpus read, so a bad corpus gives its error alone
     passed = _question_features(dialogues, (q.key for q in questions), cfg, args.annotations)
     rows = [(q, utt, fv) for q, (utt, _, _, fv) in zip(questions, passed)]
 
@@ -363,7 +366,9 @@ def cmd_train(args) -> int:
             args.limit_utterances, len(kept), len(rows) - len(kept),
         )
         rows = kept
+        del first, kept
     instances = [LabeledInstance(fv, q.q_type) for q, _, fv in rows]
+    del dialogues, rows, questions, passed  # the tree reads only the instances
 
     if args.baseline:
         model = majority_baseline(inst.label for inst in instances)

@@ -169,14 +169,11 @@ def cohen_kappa(a: Sequence, b: Sequence) -> float:
     from the two annotators' label marginals. When both sequences are the
     same single label throughout, A_e is 1 and kappa is defined as 1.0.
     """
-    return _kappa(observed_agreement(a, b), a, b)
+    return _kappa(observed_agreement(a, b), Counter(a), Counter(b), len(a))
 
 
-def _kappa(observed: float, a: Sequence, b: Sequence) -> float:
-    """Cohen's kappa of two aligned, non-empty label sequences whose observed agreement is given."""
-    n = len(a)
-    marg_a = Counter(a)
-    marg_b = Counter(b)
+def _kappa(observed: float, marg_a: Counter, marg_b: Counter, n: int) -> float:
+    """Cohen's kappa from the observed agreement and the two annotators' label counts over ``n`` > 0 items."""
     a_e = 0.0
     for label in sorted(set(marg_a) | set(marg_b), key=str):
         a_e += (marg_a[label] / n) * (marg_b[label] / n)
@@ -203,6 +200,12 @@ def pairwise_agreement(indexes: Mapping[str, ItemIndex], layer: str) -> list[Agr
     carries the unweighted mean over pairs; its n_items sums the pairwise
     comparison counts. Raises NoAlignedItems when fewer than two annotators
     share any item.
+
+    The items of the layer are numbered once, for every annotator, and each
+    annotator gets a tag column: a list holding the tag of item i at position
+    i, or None where the annotator has no tag. A pair's agreement count, label
+    marginals and number of shared items come from the counts of its two
+    columns' (tag, tag) pairs.
     """
     if layer not in LAYERS:
         raise ValueError(f"unknown layer {layer!r}; expected one of {LAYERS}")
@@ -212,28 +215,31 @@ def pairwise_agreement(indexes: Mapping[str, ItemIndex], layer: str) -> list[Agr
 
     side, tag = _LAYER_TABLE[layer]
     numbers: dict[Hashable, int] = {}  # item key -> number, one numbering for every annotator
-    labels = {}
     for annotator in ids:
-        items = indexes[annotator][side].items()
-        if layer == "features":
+        for key in indexes[annotator][side]:
+            numbers.setdefault(key, len(numbers))
+    columns = {}
+    for annotator in ids:
+        column = columns[annotator] = [None] * len(numbers)
+        for key, ann in indexes[annotator][side].items():
             # feature tags are undefined outside feature-bearing types, so the
             # comparison covers only items both annotators typed as such
-            items = ((key, ann) for key, ann in items if ann.q_type in FEATURE_BEARING)
-        labels[annotator] = {numbers.setdefault(key, len(numbers)): tag(ann) for key, ann in items}
+            if layer != "features" or ann.q_type in FEATURE_BEARING:
+                column[numbers[key]] = tag(ann)
     reports: list[AgreementReport] = []
     for id_a, id_b in itertools.combinations(ids, 2):
-        map_a, map_b = labels[id_a], labels[id_b]
-        # shared items in no particular order: observed agreement is an integer
-        # count over n, and kappa sums the label marginals in sorted-label order
-        keys = map_a.keys() & map_b.keys()
-        if not keys:
-            continue
-        labels_a = [map_a[k] for k in keys]
-        labels_b = [map_b[k] for k in keys]
-        observed = observed_agreement(labels_a, labels_b)
-        reports.append(
-            AgreementReport(layer, (id_a, id_b), observed, _kappa(observed, labels_a, labels_b), len(keys))
-        )
+        agreed = n = 0
+        marg_a, marg_b = Counter(), Counter()
+        for (label_a, label_b), count in Counter(zip(columns[id_a], columns[id_b])).items():
+            if label_a is not None and label_b is not None:
+                n += count
+                if label_a == label_b:
+                    agreed += count
+                marg_a[label_a] += count
+                marg_b[label_b] += count
+        if n:
+            observed = agreed / n
+            reports.append(AgreementReport(layer, (id_a, id_b), observed, _kappa(observed, marg_a, marg_b, n), n))
     if not reports:
         raise NoAlignedItems(f"no items aligned across annotators on layer {layer!r}")
     reports.append(

@@ -9,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -819,6 +820,88 @@ class TestTrain:
         )
         assert code == 2
         assert "no matching utterance" in err
+
+    @pytest.mark.parametrize("limit", [(), ("--limit-utterances", "2")], ids=["all", "limit"])
+    def test_the_corpus_is_dropped_before_the_tree_grows(self, run_cli, tmp_path, train_corpus, monkeypatch, limit):
+        corpus, gold = train_corpus
+        real_load, real_train = cli_module._load_corpus, cli_module.train_tree
+        loaded, grown = [], []
+
+        class Corpus(list):  # unlike a list, a subclass takes weak references
+            pass
+
+        def load(paths):
+            dialogues = Corpus(real_load(paths))
+            loaded.append(weakref.ref(dialogues))
+            return dialogues
+
+        def train(*args):
+            assert [ref() for ref in loaded] == [None], "the corpus is still held while the tree grows"
+            grown.append(True)
+            return real_train(*args)
+
+        monkeypatch.setattr(cli_module, "_load_corpus", load)
+        monkeypatch.setattr(cli_module, "train_tree", train)
+        code, out, _ = run_cli(
+            "train", "--input", corpus, "--annotations", gold, "--output", tmp_path / "m.json", "--deterministic",
+            *limit,
+        )
+        assert code == 0
+        assert json.loads(out)["instances"] == (2 if limit else len(TRAIN_TEXTS))
+        assert grown == [True]
+
+
+class TestReadOrder:
+    """train reads --annotations, and classify --questions, before the corpus: with two bad inputs, that
+    file's error is reported. An input with a single fault gives the stderr it always gave."""
+
+    CORPUS = [utt_obj(0, "Where did you go?"), utt_obj(1, "Did you see him?")]
+    BAD_CORPUS = [utt_obj(0, "Where did you go?"), {**utt_obj(1, "x"), "text": ""}]
+    CORPUS_ERROR = "error: c.jsonl: line 2: text must be a non-empty string\n"
+    ANNOTATIONS = [q_obj(0, "Where did you go?", "WH"), a_obj(1, "PA", "d1:0:0-17")]
+    BAD_ANNOTATIONS = [q_obj(0, "Where did you go?", "WH"), q_obj(1, "Did you see him?", "XX")]
+    ANNOTATION_ERROR = "error: g.jsonl: line 2: unknown tag 'XX'\n"
+    # the question and its answer, each given again
+    REPEATED = ANNOTATIONS + ANNOTATIONS
+    REPEAT_WARNING = "WARNING 2 repeated annotation records set aside: the first record per annotator and item counts\n"
+    TRAIN = ("train", "--input", "c.jsonl", "--annotations", "g.jsonl")
+    CLASSIFY = ("classify", "--input", "c.jsonl", "--questions", "g.jsonl")
+
+    @staticmethod
+    def stderr(tmp_path, corpus, annotations, *argv):
+        write_jsonl(tmp_path / "c.jsonl", corpus)
+        write_jsonl(tmp_path / "g.jsonl", annotations)
+        code, _, err = run_process("-m", "qapkit.cli", *argv, "--output", "out.json", cwd=tmp_path)
+        return code, err.decode()
+
+    @pytest.mark.parametrize("command", [TRAIN, CLASSIFY], ids=["train", "classify"])
+    def test_with_both_inputs_bad_the_annotation_error_is_reported(self, tmp_path, command):
+        assert self.stderr(tmp_path, self.BAD_CORPUS, self.BAD_ANNOTATIONS, *command) == (2, self.ANNOTATION_ERROR)
+
+    def test_classify_reads_the_questions_before_the_model(self, tmp_path):
+        (tmp_path / "m.json").write_text("[]", encoding="utf-8")
+        argv = (*self.CLASSIFY, "--mode", "tree", "--model", "m.json")
+        assert self.stderr(tmp_path, self.CORPUS, self.BAD_ANNOTATIONS, *argv) == (2, self.ANNOTATION_ERROR)
+        _, err = self.stderr(tmp_path, self.CORPUS, self.ANNOTATIONS, *argv)
+        assert err == "error: m.json: expected a JSON object\n"
+
+    @pytest.mark.parametrize("command", [TRAIN, CLASSIFY], ids=["train", "classify"])
+    @pytest.mark.parametrize(
+        "corpus, annotations, expected",
+        [
+            (BAD_CORPUS, ANNOTATIONS, CORPUS_ERROR),
+            (BAD_CORPUS, REPEATED, CORPUS_ERROR),  # no warning: the corpus error ends the command first
+            (CORPUS, BAD_ANNOTATIONS, ANNOTATION_ERROR),
+        ],
+        ids=["bad-corpus", "bad-corpus-with-repeats", "bad-annotations"],
+    )
+    def test_an_input_with_a_single_fault_gives_its_error_alone(self, tmp_path, command, corpus, annotations, expected):
+        assert self.stderr(tmp_path, corpus, annotations, *command) == (2, expected)
+
+    def test_train_warns_of_repeats_before_an_unresolved_span(self, tmp_path):
+        annotations = [*self.REPEATED, q_obj(9, "abc", "YN", dialogue="zzz")]
+        unresolved = "error: g.jsonl: line 5: question zzz:9:0-3 has no matching utterance\n"
+        assert self.stderr(tmp_path, self.CORPUS, annotations, *self.TRAIN) == (2, self.REPEAT_WARNING + unresolved)
 
 
 # question texts with gold labels; equal texts after the same statement give equal feature vectors,
