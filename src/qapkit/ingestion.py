@@ -4,6 +4,10 @@ The canonical interchange format is JSONL with one utterance per line.
 Tab-separated transcripts and ELAN ``.eaf`` exports are normalized into the
 same canonical form. Turn indices inside a dialogue must form a consecutive
 run but need not start at zero, so source line numbering survives ingestion.
+
+Each JSONL record kind (utterance, question, answer) is stated once, as a
+table of its fields: ``_UTTERANCE``, ``_QUESTION`` and ``_ANSWER``. The
+readers' line layouts and the checks of their JSON path are built from them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import IO, Any, Callable, Iterable, Optional, Sequence, Union
 
 from .model import (
     AnswerAnnotation,
@@ -27,8 +31,6 @@ from .model import (
     Utterance,
     checked_record,
 )
-
-T = TypeVar("T")
 
 
 class IngestError(ValueError):
@@ -138,15 +140,82 @@ def decode_json(text: str, line_no: Optional[int] = None) -> dict:
 
 _raw_decode = json.JSONDecoder().raw_decode
 
+# tag value -> member for each closed tagset of the annotation records
+_QUESTION_TYPES, _FEATURES, _ANSWER_TYPES = (
+    {member.value: member for member in tags} for tags in (QuestionType, Feature, AnswerType)
+)
 
-def _json_record(raw: str, line_no: int, build: Callable[[dict, int], T]) -> Optional[T]:
-    """build(object, line_no) of the JSONL line ``raw``, or None for a line of only whitespace.
+# A field's value kind: (its group in the documented layout; what the JSON
+# path's message says a value must be, or None for a tag, whose fault is an
+# UnknownTag; the test a decoded value passes). A string group takes only text
+# JSON decodes to itself: no quote, backslash or U+0000-U+001F. A number group
+# takes only a non-negative integer in JSON's spelling; [0-9], not \d, which
+# takes other scripts' digits too. A tag test looks up only a string, since a
+# list or dict value is unhashable.
+_QUOTED = r'"([^"\\\x00-\x1f]*)"'
+_DIGITS = "(0|[1-9][0-9]{0,17})"
+_ID = (r'"([^"\\\x00-\x1f]+)"', "a non-empty string", lambda v: type(v) is str and v != "")
+_COUNT = (_DIGITS, "a non-negative integer", lambda v: type(v) is int and v >= 0)
+_INTEGER = (_DIGITS, "an integer", lambda v: type(v) is int)
+_STRING = (_QUOTED, "a string", lambda v: type(v) is str)
+_TEXT = (_QUOTED, "a non-empty string", lambda v: type(v) is str and v.strip() != "")
+_BOOLEAN = ("(true|false)", "a boolean", lambda v: type(v) is bool)
+_QUESTION_TYPE = (_QUOTED, None, lambda v: type(v) is str and v in _QUESTION_TYPES)
+_ANSWER_TYPE = (_QUOTED, None, lambda v: type(v) is str and v in _ANSWER_TYPES)
+_FEATURE = (f"(?:null|{_QUOTED})", None, lambda v: v is None or type(v) is str and v in _FEATURES)
 
-    Any JSON layout is taken: keys in any order, extra keys, escapes. A line
-    may carry JSON whitespace (space, tab, CR, LF) around its object. Raises
-    MalformedLine for a line that is not one JSON object (see decode_json),
-    for a field name or string value holding a lone surrogate (UTF-8 cannot
-    write it), and for a field ``build`` reads by subscription that is missing.
+# The one statement of each JSONL record kind's fields (README "File formats"):
+# its "kind" value, or None for an utterance, which has none, and one row per
+# field in the documented order. A row gives the key, the value kind and, for a
+# field that may be left out, its default. A span's two keys are one row: both
+# are read before either is checked.
+_UTTERANCE = (None, (
+    ("dialogue_id", _ID),
+    ("turn_index", _COUNT),
+    ("speaker", _STRING),
+    ("text", _TEXT),
+    ("interrupted", _BOOLEAN, False),
+    ("language", _ID, "en"),
+))
+_QUESTION = ("q", (
+    ("dialogue_id", _ID),
+    ("turn_index", _COUNT),
+    ("span_start span_end", _INTEGER),
+    ("q_type", _QUESTION_TYPE),
+    ("feature", _FEATURE, None),
+    ("annotator_id", _STRING),
+))
+_ANSWER = ("a", (
+    ("dialogue_id", _ID),
+    ("turn_index", _COUNT),
+    ("a_type", _ANSWER_TYPE),
+    ("question_ref", _ID),
+    ("annotator_id", _STRING),
+))
+
+
+def _layout(kind: Optional[str], fields: tuple) -> re.Pattern:
+    """The documented layout of a kind's lines, which the writers emit, with one group per field key."""
+    spelled = [f'"kind": "{kind}"'] if kind else []
+    spelled += [f'"{key}": {value[0]}' for keys, value, *_ in fields for key in keys.split()]
+    return re.compile("{" + ", ".join(spelled) + "}\n?")
+
+
+_UTTERANCE_LINE, _QUESTION_LINE, _ANSWER_LINE = (_layout(*table) for table in (_UTTERANCE, _QUESTION, _ANSWER))
+
+
+def _json_record(raw: str, line_no: int, kinds: Sequence[tuple]) -> Any:
+    """The record of the JSONL line ``raw`` of one of ``kinds`` (see _records), or None for a blank line.
+
+    Any JSON layout is taken: keys in any order, extra keys, escapes, JSON
+    whitespace (space, tab, CR, LF) around the object. The line's kind is the
+    one its "kind" value names, or the only one, which has none. The kind's
+    table is read in order, each value checked and then spelled as the
+    layout's group holds it for the kind's builder. Raises MalformedLine for
+    a line that is not one JSON object (see decode_json), a field name or
+    string value holding a lone surrogate (UTF-8 cannot write it), a field
+    missing that has no default, or a value its kind or record type refuses;
+    UnknownTag for a kind or tag outside its set.
     """
     try:  # a clean line decodes once; any other goes through decode_json, which words the fault
         obj, end = _raw_decode(raw)
@@ -162,51 +231,50 @@ def _json_record(raw: str, line_no: int, build: Callable[[dict, int], T]) -> Opt
             "".join(s for item in obj.items() for s in item if type(s) is str).encode()
         except UnicodeEncodeError:
             raise MalformedLine(line_no, "string holds a lone surrogate") from None
+    groups = []
     try:
-        return build(obj, line_no)
+        for (kind, fields), _, build in kinds:
+            if kind is None or kind == obj["kind"]:
+                break
+        else:
+            raise UnknownTag(obj["kind"], line_no)
+        for keys, (_, what, test), *default in fields:
+            keys = keys.split()
+            values = [obj.get(key, default[0]) if default else obj[key] for key in keys]
+            for key, value in zip(keys, values):
+                if not test(value):
+                    raise MalformedLine(line_no, f"{key} must be {what}") if what else UnknownTag(value, line_no)
+                groups.append(value if value is None or type(value) is str else json.dumps(value))
     except KeyError as exc:
         raise MalformedLine(line_no, f"missing field {exc.args[0]!r}") from None
+    try:
+        return build(*groups)
+    except ValueError as exc:
+        raise MalformedLine(line_no, str(exc)) from exc
 
 
-# The documented line layouts (README "File formats"), which the writers emit.
-# A string group takes only text JSON decodes to itself: no quote, backslash or
-# U+0000-U+001F. A number group takes only a non-negative integer in JSON's
-# spelling; [0-9], not \d, which takes other scripts' digits too.
-_STRING = r'"([^"\\\x00-\x1f]*)"'
-_NON_EMPTY = r'"([^"\\\x00-\x1f]+)"'
-_NUMBER = "(0|[1-9][0-9]{0,17})"
-_UTTERANCE_LINE = re.compile(
-    f'{{"dialogue_id": {_NON_EMPTY}, "turn_index": {_NUMBER}, "speaker": {_STRING}, "text": {_STRING}, '
-    f'"interrupted": (true|false), "language": {_NON_EMPTY}}}\n?'
-)
-_QUESTION_LINE = re.compile(
-    f'{{"kind": "q", "dialogue_id": {_NON_EMPTY}, "turn_index": {_NUMBER}, "span_start": {_NUMBER}, '
-    f'"span_end": {_NUMBER}, "q_type": {_STRING}, "feature": (?:null|{_STRING}), "annotator_id": {_STRING}}}\n?'
-)
-_ANSWER_LINE = re.compile(
-    f'{{"kind": "a", "dialogue_id": {_NON_EMPTY}, "turn_index": {_NUMBER}, "a_type": {_STRING}, '
-    f'"question_ref": {_NON_EMPTY}, "annotator_id": {_STRING}}}\n?'
-)
-
-
-def _records(
-    lines: Iterable[str], from_line: Callable[[str], Optional[T]], build: Callable[[dict, int], T]
-) -> Iterator[tuple[int, T]]:
+def _records(lines: Iterable[str], kinds: Sequence[tuple]) -> Iterator[tuple[int, Any]]:
     """(1-based line number, record) for each non-blank JSONL line.
 
-    ``from_line`` gives the record of a line in its documented layout, or
-    None for any other line; a value the record types or tag tables refuse
-    raises KeyError or ValueError there. A line it gives no record for goes
-    through _json_record with ``build``, which gives the same record for a
-    line that holds one and words the fault of a line that does not.
+    Each of ``kinds`` is (table, layout, builder): a record kind's table, its
+    layout, and the builder of its record from the layout's groups. A line in
+    a layout is built from its groups, unless the record type or a tag table
+    refuses a value (ValueError or KeyError); any other line goes through
+    _json_record, which gives the same record for a line that holds one and
+    words the fault of a line that does not.
     """
     for line_no, raw in enumerate(lines, start=1):
-        try:
-            record = from_line(raw)
-        except (KeyError, ValueError):  # a bad value in the layout
-            record = None
+        record = None
+        for _, layout, build in kinds:
+            match = layout.fullmatch(raw)
+            if match is not None:
+                try:
+                    record = build(*match.groups())
+                except (KeyError, ValueError):  # a bad value in the layout
+                    pass
+                break
         if record is None:
-            record = _json_record(raw, line_no, build)
+            record = _json_record(raw, line_no, kinds)
             if record is None:  # a blank line
                 continue
         yield line_no, record
@@ -232,34 +300,9 @@ class Dialogue(checked_record("Dialogue", "dialogue_id language utterances")):
         return tuple.__new__(cls, (dialogue_id, language, utterances))
 
 
-def _utterance_from_obj(obj: dict, line_no: int) -> tuple[Utterance, str]:
-    """(utterance, language) of one JSONL object; every ``obj[key]`` must be a required field.
-
-    ``_json_record`` reports a KeyError raised here or in ``_id_fields`` as that field missing.
-    """
-    dialogue_id, turn_index = _id_fields(obj, line_no)
-    speaker = obj["speaker"]
-    if type(speaker) is not str:
-        raise MalformedLine(line_no, "speaker must be a string")
-    speaker = sys.intern(speaker)
-    text = obj["text"]
-    if not isinstance(text, str) or not text.strip():
-        raise MalformedLine(line_no, "text must be a non-empty string")
-    interrupted = obj.get("interrupted", False)
-    if not isinstance(interrupted, bool):
-        raise MalformedLine(line_no, "interrupted must be a boolean")
-    language = obj.get("language", "en")
-    if not isinstance(language, str) or not language:
-        raise MalformedLine(line_no, "language must be a non-empty string")
-    return Utterance(dialogue_id, turn_index, speaker, text, interrupted), language
-
-
-def _utterance_from_line(raw: str) -> Optional[tuple[Utterance, str]]:
-    """(utterance, language) of a line in the documented layout, or None for any other line; blank text raises."""
-    match = _UTTERANCE_LINE.fullmatch(raw)
-    if match is None:
-        return None
-    dialogue_id, turn_index, speaker, text, interrupted, language = match.groups()
+def _utterance(dialogue_id: str, turn_index: str, speaker: str, text: str, interrupted: str,
+               language: str) -> tuple[Utterance, str]:
+    """(utterance, language) of an utterance line's groups; blank text raises ValueError."""
     utt = Utterance(sys.intern(dialogue_id), int(turn_index), sys.intern(speaker), text, interrupted == "true")
     return utt, language
 
@@ -267,15 +310,16 @@ def _utterance_from_line(raw: str) -> Optional[tuple[Utterance, str]]:
 def parse_dialogue_jsonl(lines: Iterable[str]) -> list[Dialogue]:
     """Parse canonical dialogue JSONL into dialogues sorted by id.
 
-    Blank lines are skipped. A line in the documented layout is read from
-    its text alone; any other goes through the JSON decoder, with the same
-    result (see _records). Raises MalformedLine (with the 1-based line
+    Each line holds one utterance, whose fields the table ``_UTTERANCE``
+    states. Blank lines are skipped. A line in the documented layout is read
+    from its text alone; any other goes through the JSON decoder, with the
+    same result (see _records). Raises MalformedLine (with the 1-based line
     number; DuplicateTurn is one) or NonDenseTurns. Utterances with the same
     dialogue id or speaker share one string object.
     """
     by_dialogue: dict[str, dict[int, Utterance]] = {}
     languages: dict[str, str] = {}
-    for line_no, (utt, language) in _records(lines, _utterance_from_line, _utterance_from_obj):
+    for line_no, (utt, language) in _records(lines, ((_UTTERANCE, _UTTERANCE_LINE, _utterance),)):
         turns = by_dialogue.setdefault(utt.dialogue_id, {})
         if utt.turn_index in turns:
             raise DuplicateTurn(utt.dialogue_id, utt.turn_index, line_no)
@@ -493,82 +537,25 @@ def write_dialogues(dialogues: Iterable[Dialogue], stream: IO[str]) -> None:
             )
 
 
-# tag value -> member for each closed tagset of the annotation records; only a
-# string is looked up, since a list or dict value is unhashable (and unknown too)
-_QUESTION_TYPES, _FEATURES, _ANSWER_TYPES = (
-    {member.value: member for member in tags} for tags in (QuestionType, Feature, AnswerType)
-)
-
-
-def _annotation_from_obj(
-    share: Callable[[T, T], T], obj: dict, line_no: int
-) -> Union[QuestionAnnotation, AnswerAnnotation]:
-    """The record of one JSONL object; every ``obj[key]`` must be a required field.
+def _question(share: Callable[[Any, Any], Any], dialogue_id: str, turn_index: str, span_start: str,
+              span_end: str, q_type: str, feature: Optional[str], annotator_id: str) -> QuestionAnnotation:
+    """The record of a question line's groups; an unknown tag raises KeyError, a bad span ValueError.
 
     ``share(value, value)`` gives the turn number and span object to keep (see read_annotations).
-    ``_json_record`` reports a KeyError raised here or in ``_id_fields`` as that field missing.
     """
-    kind = obj["kind"]
-    if kind != "q" and kind != "a":
-        raise UnknownTag(kind, line_no)
-    dialogue_id, turn_index = _id_fields(obj, line_no)
-    turn_index = share(turn_index, turn_index)
-    if kind == "a":
-        value = obj["a_type"]
-        a_type = _ANSWER_TYPES.get(value) if type(value) is str else None
-        if a_type is None:
-            raise UnknownTag(value, line_no)
-        question_ref = obj["question_ref"]
-        if type(question_ref) is not str or not question_ref:
-            raise MalformedLine(line_no, "question_ref must be a non-empty string")
-        annotator_id = obj["annotator_id"]
-        if type(annotator_id) is not str:
-            raise MalformedLine(line_no, "annotator_id must be a string")
-        return AnswerAnnotation(dialogue_id, turn_index, a_type, sys.intern(question_ref), sys.intern(annotator_id))
-    span = obj["span_start"], obj["span_end"]
-    for name, value in zip(("span_start", "span_end"), span):
-        if type(value) is not int:
-            raise MalformedLine(line_no, f"{name} must be an integer")
-    value = obj["q_type"]
-    q_type = _QUESTION_TYPES.get(value) if type(value) is str else None
-    if q_type is None:
-        raise UnknownTag(value, line_no)
-    value = obj.get("feature")
-    feature = _FEATURES.get(value) if type(value) is str else None
-    if feature is None and value is not None:
-        raise UnknownTag(value, line_no)
-    annotator_id = obj["annotator_id"]
-    if type(annotator_id) is not str:
-        raise MalformedLine(line_no, "annotator_id must be a string")
-    try:
-        return QuestionAnnotation(dialogue_id, turn_index, share(span, span), q_type, feature, sys.intern(annotator_id))
-    except ValueError as exc:
-        raise MalformedLine(line_no, str(exc)) from exc
+    turn_index, span = int(turn_index), (int(span_start), int(span_end))
+    return QuestionAnnotation(
+        sys.intern(dialogue_id), share(turn_index, turn_index), share(span, span), _QUESTION_TYPES[q_type],
+        _FEATURES[feature] if feature is not None else None, sys.intern(annotator_id),
+    )
 
 
-def _annotation_from_line(
-    share: Callable[[T, T], T], raw: str
-) -> Union[QuestionAnnotation, AnswerAnnotation, None]:
-    """The record of a line in a documented layout, or None for any other line; a bad tag or span raises.
-
-    ``share`` is as in _annotation_from_obj.
-    """
-    match = _QUESTION_LINE.fullmatch(raw)
-    if match is not None:
-        dialogue_id, turn_index, start, end, q_type, value, annotator_id = match.groups()
-        q_type, span, turn_index = _QUESTION_TYPES[q_type], (int(start), int(end)), int(turn_index)
-        feature = _FEATURES[value] if value is not None else None
-        return QuestionAnnotation(
-            sys.intern(dialogue_id), share(turn_index, turn_index), share(span, span), q_type, feature,
-            sys.intern(annotator_id),
-        )
-    match = _ANSWER_LINE.fullmatch(raw)
-    if match is None:
-        return None
-    dialogue_id, turn_index, a_type, question_ref, annotator_id = match.groups()
-    a_type, turn_index = _ANSWER_TYPES[a_type], int(turn_index)
+def _answer(share: Callable[[Any, Any], Any], dialogue_id: str, turn_index: str, a_type: str, question_ref: str,
+            annotator_id: str) -> AnswerAnnotation:
+    """The record of an answer line's groups; an unknown tag raises KeyError. ``share`` is as in _question."""
+    turn_index = int(turn_index)
     return AnswerAnnotation(
-        sys.intern(dialogue_id), share(turn_index, turn_index), a_type, sys.intern(question_ref),
+        sys.intern(dialogue_id), share(turn_index, turn_index), _ANSWER_TYPES[a_type], sys.intern(question_ref),
         sys.intern(annotator_id),
     )
 
@@ -578,7 +565,8 @@ def read_annotations(
 ) -> list[Union[QuestionAnnotation, AnswerAnnotation]]:
     """Parse annotation JSONL into question and answer records, in file order.
 
-    Each line is an object whose ``kind`` is "q" or "a". A line in its
+    Each line is an object whose ``kind`` is "q" or "a"; the tables
+    ``_QUESTION`` and ``_ANSWER`` state each kind's fields. A line in its
     kind's documented layout is read from its text alone; any other goes
     through the JSON decoder, with the same result (see _records). Unknown
     kinds and tag values raise UnknownTag; structural problems raise
@@ -591,19 +579,8 @@ def read_annotations(
     items) to share across them; by default the table is this call's own.
     """
     share = ({} if shared is None else shared).setdefault
-    from_line, build = partial(_annotation_from_line, share), partial(_annotation_from_obj, share)
-    return [record for _, record in _records(lines, from_line, build)]
-
-
-def _id_fields(obj: dict, line_no: int) -> tuple[str, int]:
-    """(dialogue id, turn index) of one JSONL object; the id is interned, so a dialogue's records share it."""
-    dialogue_id = obj["dialogue_id"]
-    if type(dialogue_id) is not str or not dialogue_id:
-        raise MalformedLine(line_no, "dialogue_id must be a non-empty string")
-    turn_index = obj["turn_index"]
-    if type(turn_index) is not int or turn_index < 0:
-        raise MalformedLine(line_no, "turn_index must be a non-negative integer")
-    return sys.intern(dialogue_id), turn_index
+    kinds = ((_QUESTION, _QUESTION_LINE, partial(_question, share)), (_ANSWER, _ANSWER_LINE, partial(_answer, share)))
+    return [record for _, record in _records(lines, kinds)]
 
 
 def write_annotations(

@@ -1,8 +1,10 @@
 import contextlib
 import io
+import itertools
 import json
 import re
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -655,6 +657,55 @@ def as_generators(o, swap):
     return o
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the value README's record lines give a field -> its value kind in the tables
+README_VALUES = {
+    "a non-empty string": ingestion._ID,
+    "a non-negative integer": ingestion._COUNT,
+    "integers, with 0 <= start <= end": ingestion._INTEGER,
+    "a string": ingestion._STRING,
+    "a string that is not blank": ingestion._TEXT,
+    "`true` or `false`": ingestion._BOOLEAN,
+    "a question type": ingestion._QUESTION_TYPE,
+    "a feature or `null`": ingestion._FEATURE,
+    "an answer type": ingestion._ANSWER_TYPE,
+}
+
+
+class TestRecordTables:
+    """README's record lines are the readers' tables, and its example lines read and write back as they are."""
+
+    def test_readme_lists_each_kinds_fields(self):
+        text = README.read_text(encoding="utf-8").split("Record lines, field by field", 1)[1].split("\n\n", 2)[1]
+        readme = {}
+        for block in re.split(r"^- ", text, flags=re.M)[1:]:
+            kind = re.search(r'`"kind": "(\w+)"`', block)
+            rows = re.findall(r"^  - (.+?): (.+?)(?:; default `(.+)`)?[;.]$", block, flags=re.M)
+            readme[kind and kind[1]] = [
+                (re.findall(r"`(\w+)`", keys), README_VALUES[value], default) for keys, value, default in rows
+            ]
+        tables = {
+            kind: [(keys.split(), value, json.dumps(default[0]) if default else "") for keys, value, *default in fields]
+            for kind, fields in (ingestion._UTTERANCE, ingestion._QUESTION, ingestion._ANSWER)
+        }
+        assert readme == tables
+
+    def test_readme_example_lines_take_the_layout_path_and_write_back(self):
+        text = README.read_text(encoding="utf-8").split("## File formats", 1)[1]
+        blocks = re.findall(r"```json\n(.*?)```", text, flags=re.S)
+        lines = [line + "\n" for block in blocks for line in block.splitlines()]
+        assert len(lines) == 3
+        with mock.patch.object(ingestion, "_json_record", side_effect=AssertionError("line read on the JSON path")):
+            for line in lines:
+                out = io.StringIO()
+                if line.startswith('{"kind"'):
+                    write_annotations(read_annotations([line]), out)
+                else:
+                    write_dialogues(parse_dialogue_jsonl([line]), out)
+                assert out.getvalue() == line
+
+
 class TestJsonWriter:
     """write_json gives the bytes of json.dump(..., indent=2, sort_keys=True), streamed."""
 
@@ -886,3 +937,35 @@ class TestReaderEquivalence:
     @given(st.lists(any_lines([U_LINE, dict(U_LINE, dialogue_id="d2")]), max_size=6))
     def test_dialogues(self, lines):
         assert outcome(parse_dialogue_jsonl, lines) == outcome(reference_readers.parse_dialogue_jsonl, lines)
+
+    def test_every_pair_of_fields_each_missing_or_bad(self):
+        """Each ordered pair of one kind's fields, each field left out or given a bad value: 9,396 lines.
+
+        The reference reads both keys of a span before it checks either, so a
+        bad span_start with span_end left out is worded as the missing field.
+        """
+        missing = object()
+        values = [missing, None, True, 2.5, "", "ZZ", -1, [], "q"]
+        kinds = [
+            (U_LINE, parse_dialogue_jsonl, reference_readers.parse_dialogue_jsonl),
+            (Q_LINE, read_annotations, reference_readers.read_annotations),
+            (A_LINE, read_annotations, reference_readers.read_annotations),
+        ]
+        read, differ = 0, []
+        for base, reader, reference in kinds:
+            pairs = itertools.product(itertools.permutations(base, 2), itertools.product(values, repeat=2))
+            for fields, faults in pairs:
+                obj = dict(base)
+                for field, value in zip(fields, faults):
+                    if value is missing:
+                        del obj[field]
+                    else:
+                        obj[field] = value
+                lines = [json.dumps(obj) + "\n"]
+                expected = outcome(reference, lines)
+                if expected[0] == "error":  # as in test_annotations
+                    expected = (*expected[:2], re.sub(r"^(line \d+: )\1", r"\1", expected[2]))
+                read += 1
+                if outcome(reader, lines) != expected:
+                    differ.append(lines[0])
+        assert (read, differ) == (9396, [])
