@@ -3,145 +3,55 @@
 Covers corpus ingestion, surface-feature extraction, rule-based and
 decision-tree question typing, wh-word semantic-role mapping, answer-type
 validation, and inter-annotator agreement scoring.
+
+Importing the package loads none of its modules: each name below loads the
+module that defines it the first time it is read.
 """
 
-from .evaluation import (
-    AgreementReport,
-    ClassScores,
-    ConfusionMatrix,
-    DisagreementCategory,
-    DisagreementRecord,
-    EmptyInput,
-    EvalReport,
-    LengthMismatch,
-    NoAlignedItems,
-    cohen_kappa,
-    confusion,
-    disagreement_report,
-    index_by_item,
-    observed_agreement,
-    pairwise_agreement,
-    score,
-)
-from .features import ExtractorConfig, FeatureVector, detect_inversion, extract_features
-from .ingestion import (
-    Dialogue,
-    DuplicateTurn,
-    EmptyTranscript,
-    IngestError,
-    MalformedLine,
-    NonDenseTurns,
-    UnknownTag,
-    parse_dialogue_jsonl,
-    parse_eaf,
-    parse_tsv_transcript,
-    read_annotations,
-    write_annotations,
-    write_dialogues,
-)
-from .lexicon import EmptyLexicon, Lexicon, load_lexicon
-from .model import (
-    QUESTION_TYPE_ORDER,
-    AnswerAnnotation,
-    AnswerType,
-    Feature,
-    QuestionAnnotation,
-    QuestionType,
-    Utterance,
-    Violation,
-    ViolationKind,
-    allowed_answer_types,
-    feature_applicable,
-    validate_corpus,
-)
-from .rules import DEFAULT_WH_FEATURE_MAP, load_wh_feature_map, map_wh_feature, rule_classify
-from .text import overlap_ratio, tokenize
-from .tree import (
-    EmptyTrainingSet,
-    LabeledInstance,
-    MalformedModel,
-    Node,
-    TrainConfig,
-    TreeModel,
-    UnsupportedVersion,
-    entropy,
-    information_gain,
-    load_model,
-    majority_baseline,
-    predict,
-    save_model,
-    train_tree,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgreementReport",
-    "AnswerAnnotation",
-    "AnswerType",
-    "ClassScores",
-    "ConfusionMatrix",
-    "DEFAULT_WH_FEATURE_MAP",
-    "Dialogue",
-    "DisagreementCategory",
-    "DisagreementRecord",
-    "DuplicateTurn",
-    "EmptyInput",
-    "EmptyLexicon",
-    "EmptyTranscript",
-    "EmptyTrainingSet",
-    "EvalReport",
-    "ExtractorConfig",
-    "Feature",
-    "FeatureVector",
-    "IngestError",
-    "LabeledInstance",
-    "LengthMismatch",
-    "Lexicon",
-    "MalformedLine",
-    "MalformedModel",
-    "NoAlignedItems",
-    "Node",
-    "NonDenseTurns",
-    "QUESTION_TYPE_ORDER",
-    "QuestionAnnotation",
-    "QuestionType",
-    "TrainConfig",
-    "TreeModel",
-    "UnknownTag",
-    "UnsupportedVersion",
-    "Utterance",
-    "Violation",
-    "ViolationKind",
-    "allowed_answer_types",
-    "cohen_kappa",
-    "confusion",
-    "detect_inversion",
-    "disagreement_report",
-    "entropy",
-    "extract_features",
-    "feature_applicable",
-    "index_by_item",
-    "information_gain",
-    "load_lexicon",
-    "load_model",
-    "load_wh_feature_map",
-    "majority_baseline",
-    "map_wh_feature",
-    "observed_agreement",
-    "overlap_ratio",
-    "pairwise_agreement",
-    "parse_dialogue_jsonl",
-    "parse_eaf",
-    "parse_tsv_transcript",
-    "predict",
-    "read_annotations",
-    "rule_classify",
-    "save_model",
-    "score",
-    "tokenize",
-    "train_tree",
-    "validate_corpus",
-    "write_annotations",
-    "write_dialogues",
-]
+# each public name, by the module that defines it
+_EXPORTS = {
+    "evaluation": (
+        "AgreementReport", "ClassScores", "ConfusionMatrix", "DisagreementCategory", "DisagreementRecord",
+        "EmptyInput", "EvalReport", "LengthMismatch", "NoAlignedItems", "cohen_kappa", "confusion",
+        "disagreement_report", "observed_agreement", "pairwise_agreement", "score",
+    ),
+    "features": ("ExtractorConfig", "FeatureVector", "detect_inversion", "extract_features"),
+    "ingestion": (
+        "Dialogue", "DuplicateTurn", "EmptyTranscript", "IngestError", "MalformedLine", "NonDenseTurns",
+        "UnknownTag", "parse_dialogue_jsonl", "parse_eaf", "parse_tsv_transcript", "read_annotations",
+        "write_annotations", "write_dialogues",
+    ),
+    "lexicon": ("DEFAULT_WH_FEATURE_MAP", "EmptyLexicon", "Lexicon", "load_lexicon"),
+    "model": (
+        "QUESTION_TYPE_ORDER", "AnswerAnnotation", "AnswerType", "Feature", "QuestionAnnotation", "QuestionType",
+        "Utterance", "Violation", "ViolationKind", "allowed_answer_types", "feature_applicable", "index_by_item",
+        "validate_corpus",
+    ),
+    "rules": ("load_wh_feature_map", "map_wh_feature", "rule_classify"),
+    "text": ("overlap_ratio", "tokenize"),
+    "tree": (
+        "EmptyTrainingSet", "LabeledInstance", "MalformedModel", "Node", "TrainConfig", "TreeModel",
+        "UnsupportedVersion", "entropy", "information_gain", "load_model", "majority_baseline", "predict",
+        "save_model", "train_tree",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a module, reached as qapkit.tree without its own import
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import importlib
 import itertools
 import logging
 import os
@@ -21,25 +22,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from . import __version__
-from .evaluation import (
-    LAYERS,
-    NoAlignedItems,
-    confusion,
-    disagreement_report,
-    index_by_item,
-    pairwise_agreement,
-    score,
-)
-from .features import (
-    DEFAULT_EXTRACTOR,
-    LEXICON_NAMES,
-    ExtractorConfig,
-    FeatureVector,
-    apply_settings,
-    extract_features,  # noqa: F401  (the one-question API; bench/tracer.py wraps it here)
-    load_extractor_config,
-    token_features,
-)
 from .ingestion import (
     Dialogue,
     MalformedLine,
@@ -54,25 +36,53 @@ from .ingestion import (
     write_json,
 )
 from .model import (
+    LAYERS,
+    LEXICON_NAMES,
     QUESTION_TYPE_ORDER,
     AnswerAnnotation,
     QuestionAnnotation,
     QuestionType,
     Utterance,
+    index_by_item,
     question_ref,
     validate_corpus,
 )
-from .rules import load_wh_feature_map, map_wh_feature, rule_classify
-from .text import tokenize
-from .tree import (
-    LabeledInstance,
-    TrainConfig,
-    load_model,
-    majority_baseline,
-    predict,
-    save_model,
-    train_tree,
-)
+
+#: The names the commands use from the modules that not every command runs, by module. A command binds
+#: its modules' names with _load before it runs; module attribute access binds them too (see __getattr__).
+#: A new such name goes in this table, not in an import: bench/tracer.py and the tests wrap or replace
+#: names of this module before main runs, and _load leaves a name that is already bound as it is.
+_LAZY = {
+    "evaluation": ("NoAlignedItems", "confusion", "disagreement_report", "pairwise_agreement", "score"),
+    "features": (
+        "DEFAULT_EXTRACTOR", "ExtractorConfig", "FeatureVector", "apply_settings",
+        "extract_features",  # the one-question API; bench/tracer.py wraps it here
+        "load_extractor_config", "token_features",
+    ),
+    "rules": ("load_wh_feature_map", "map_wh_feature", "rule_classify"),
+    "text": ("tokenize",),
+    "tree": (
+        "LabeledInstance", "TrainConfig", "load_model", "majority_baseline", "predict", "save_model", "train_tree",
+    ),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import each of ``modules`` and bind those of its _LAZY names that are not bound yet."""
+    names = globals()
+    for module in modules:
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            names.setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 log = logging.getLogger("qapkit")
 
@@ -130,6 +140,7 @@ def _warn_repeats(count: int) -> None:
 
 def _extraction_setup(args) -> ExtractorConfig:
     """The extractor config file's settings, or the defaults, with each flag given on top."""
+    _load("features")  # a caller may run this before, or without, a command
     with _cannot("read", "--extractor-config", args.extractor_config):
         cfg = load_extractor_config(args.extractor_config) if args.extractor_config else DEFAULT_EXTRACTOR
     overrides = {}
@@ -285,6 +296,7 @@ def _question_features(
 
 
 def cmd_classify(args) -> int:
+    _load("features", "rules", "text", *(("tree",) if args.mode == "tree" else ()))
     if args.mode == "tree" and not args.model:
         raise ValueError("tree mode requires --model")
     if args.model and args.mode != "tree":
@@ -338,6 +350,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _load("features", "text", "tree")
     if not args.output:
         raise ValueError("train requires --output for the model file")
     # checked in both modes, before any input is read
@@ -400,17 +413,22 @@ def _annotator_questions(flag: str, path: str) -> tuple[dict, int]:
 
 
 def cmd_evaluate(args) -> int:
+    _load("evaluation")
     gold, gold_repeats = _annotator_questions("--gold", args.gold)
     pred, pred_repeats = _annotator_questions("--pred", args.pred)
     _warn_repeats(gold_repeats + pred_repeats)
     keys = sorted(gold.keys() & pred.keys())
     if not keys:
         raise NoAlignedItems("gold and prediction files share no question annotations")
+    gold_only, pred_only = len(gold) - len(keys), len(pred) - len(keys)
+    if gold_only or pred_only:
+        log.warning("questions left out of the scores: %d only in gold, %d only in predictions", gold_only, pred_only)
     matrix = confusion([gold[k].q_type for k in keys], [pred[k].q_type for k in keys], labels=QUESTION_TYPE_ORDER)
     report = score(matrix)
 
     doc = report.to_json_dict()
     doc["n_items"] = len(keys)
+    doc["n_gold_only"], doc["n_pred_only"] = gold_only, pred_only
     doc["confusion_text"] = matrix.to_text()
     _write_report(doc, args.output, args.deterministic)
     if args.output:
@@ -420,6 +438,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_agree(args) -> int:
+    _load("evaluation")
     indexes, repeats = index_by_item(_read_annotation_files("--input", args.input))
     _warn_repeats(len(repeats))
 

@@ -13,9 +13,9 @@ import operator
 from collections import Counter
 from typing import Callable, Hashable, Mapping, NamedTuple, Optional, Sequence
 
-from .model import FEATURE_BEARING, ItemIndex, Tag, index_by_item, question_ref  # noqa: F401  (re-exported)
+from .model import FEATURE_BEARING, LAYERS, ItemIndex, Tag, index_by_item, question_ref  # noqa: F401  (re-exported)
 
-# Each agreement layer: the side of an ItemIndex it reads (0: questions by key,
+# Each agreement layer, in LAYERS order: the side of an ItemIndex it reads (0: questions by key,
 # 1: answers by question reference) and its tag reader. A reader reads a tag's
 # string as ``member._value_``: it is what ``member.value`` returns, but
 # ``value`` is a property, several times slower to read.
@@ -24,7 +24,6 @@ _LAYER_TABLE: dict[str, tuple[int, Callable[[tuple], str]]] = {
     "features": (0, lambda ann: ann.feature._value_ if ann.feature is not None else "-"),
     "answers": (1, operator.attrgetter("a_type._value_")),
 }
-LAYERS = tuple(_LAYER_TABLE)
 
 
 class LengthMismatch(ValueError):

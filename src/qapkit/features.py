@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .ingestion import _cannot, decode_json, open_input
 from .lexicon import DEFAULT_AUX, DEFAULT_CLICHE, DEFAULT_TAG, DEFAULT_WH, Lexicon, load_lexicon
-from .model import Utterance, checked_record
+from .model import LEXICON_NAMES, Utterance, checked_record
 from .text import overlap_ratio, tokenize
 
 class FeatureVector(NamedTuple):
@@ -34,10 +34,6 @@ class FeatureVector(NamedTuple):
 
 #: Canonical field order; split tie-breaking and reports rely on it.
 FEATURE_NAMES: tuple[str, ...] = FeatureVector._fields
-
-
-#: Names of the four lexicons; each is the ``NAME_lexicon`` field of ExtractorConfig.
-LEXICON_NAMES = ("wh", "aux", "tag", "cliche")
 
 
 class ExtractorConfig(checked_record(

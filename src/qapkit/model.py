@@ -79,6 +79,12 @@ _ANSWER_TABLE: Mapping[QuestionType, frozenset[AnswerType]] = {
 #: Question types whose annotations may carry a semantic-role feature.
 FEATURE_BEARING: frozenset[QuestionType] = frozenset({QuestionType.WH, QuestionType.DQ})
 
+#: The agreement layers, in report order; evaluation reads each through its own table.
+LAYERS = ("questions", "features", "answers")
+
+#: Names of the four lexicons; each is the ``NAME_lexicon`` field of features.ExtractorConfig.
+LEXICON_NAMES = ("wh", "aux", "tag", "cliche")
+
 
 def allowed_answer_types(q_type: QuestionType) -> frozenset[AnswerType]:
     """Answer types compatible with a question type."""

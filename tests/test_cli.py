@@ -1,6 +1,7 @@
 import codecs
 import contextlib
 import gc
+import importlib
 import io
 import json
 import logging
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qapkit
 from qapkit import (
     QuestionType,
     Utterance,
@@ -31,7 +33,9 @@ from qapkit import (
     tokenize,
 )
 from qapkit import cli as cli_module
+from qapkit import evaluation as evaluation_module
 from qapkit import features as features_module
+from qapkit import model as model_module
 from qapkit.cli import main
 from qapkit.features import FEATURE_NAMES
 from qapkit.ingestion import open_input
@@ -997,10 +1001,22 @@ class TestPipeline:
         assert code == 0
         doc = json.loads(out)
         assert doc["accuracy"] == 1.0
-        assert doc["n_items"] == 4
+        assert (doc["n_items"], doc["n_gold_only"], doc["n_pred_only"]) == (4, 0, 0)
 
 
 class TestEvaluate:
+    def test_questions_in_one_file_only_are_counted_and_warned_of(self, run_cli, tmp_path, caplog):
+        gold = write_jsonl(tmp_path / "g.jsonl", [q_obj(turn, "Where?", "WH") for turn in range(3)])
+        pred = write_jsonl(tmp_path / "p.jsonl", [q_obj(turn, "Where?", "WH", annotator="rule") for turn in (0, 5)])
+        with caplog.at_level(logging.INFO, logger="qapkit"):
+            code, out, _ = run_cli("evaluate", "--gold", gold, "--pred", pred, "--deterministic")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["accuracy"], doc["n_items"], doc["n_gold_only"], doc["n_pred_only"]) == (1.0, 1, 2, 1)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, "questions left out of the scores: 2 only in gold, 1 only in predictions")
+        ]
+
     def test_invalid_utf8_in_gold_names_file_and_line(self, run_cli, tmp_path):
         gold = write_jsonl(tmp_path / "g.jsonl", [q_obj(0, "a?", "YN"), q_obj(1, "b?", "YN")])
         gold.write_bytes(gold.read_bytes().replace(b'"gold"', b'"g\xffld"'))
@@ -1389,8 +1405,49 @@ def big_agreement(tmp_path):
     return ("-m", "qapkit.cli", "agree", "--input", "anna.jsonl", "ben.jsonl", "--deterministic")
 
 
+# each command's arguments, and the qapkit modules it loads beyond the package, cli, ingestion and model
+COMMAND_MODULES = pytest.mark.parametrize(("argv", "modules"), [
+    pytest.param(("--version",), (), id="version"),
+    pytest.param(("--help",), (), id="help"),
+    pytest.param(("ingest", "--input", "corpus.jsonl"), (), id="ingest-jsonl"),
+    pytest.param(("ingest", "--input", "t.tsv", "--format", "tsv"), (), id="ingest-tsv"),
+    pytest.param(("ingest", "--input", "s.eaf", "--format", "eaf"), (), id="ingest-eaf"),
+    pytest.param(("validate", "--input", "gold.jsonl"), (), id="validate"),
+    pytest.param(("evaluate", "--gold", "gold.jsonl", "--pred", "pred.jsonl"), ("evaluation",), id="evaluate"),
+    pytest.param(("agree", "--input", "gold.jsonl", "pred.jsonl"), ("evaluation",), id="agree"),
+    pytest.param(("classify", "--input", "corpus.jsonl"), ("features", "lexicon", "rules", "text"), id="classify-rule"),
+    pytest.param(("classify", "--input", "corpus.jsonl", "--mode", "tree", "--model", "model.json"),
+                 ("features", "lexicon", "rules", "text", "tree"), id="classify-tree"),
+    pytest.param(("train", "--input", "corpus.jsonl", "--annotations", "gold.jsonl", "--output", "m.json"),
+                 ("features", "lexicon", "text", "tree"), id="train"),
+])
+
+# runs the command given as its arguments; the qapkit modules then loaded are the last line of stderr
+FOOTPRINT = """import sys
+from qapkit import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(*sorted(m for m in sys.modules if m.startswith("qapkit")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
 class TestCommandProcess:
     """The command as a process: python -m qapkit.cli, which the installed qapkit script runs too."""
+
+    @COMMAND_MODULES
+    def test_a_command_loads_only_the_modules_it_runs(self, run_cli, tmp_path, train_corpus, argv, modules):
+        (tmp_path / "t.tsv").write_text("0\tA\tWhere did you go?\n", encoding="utf-8")
+        (tmp_path / "s.eaf").write_text(ONE_TURN_EAF, encoding="utf-8")
+        corpus, gold = train_corpus
+        assert run_cli("train", "--input", corpus, "--annotations", gold, "--output", tmp_path / "model.json")[0] == 0
+        assert run_cli("classify", "--input", corpus, "--output", tmp_path / "pred.jsonl")[0] == 0
+        code, _, err = run_process("-c", FOOTPRINT, *argv, cwd=tmp_path)
+        assert code == 0, err
+        expected = ["qapkit", "qapkit.cli", "qapkit.ingestion", "qapkit.model", *(f"qapkit.{m}" for m in modules)]
+        assert err.decode().splitlines()[-1].split() == sorted(expected)
 
     def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(self, tmp_path):
         code = "import qapkit.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
@@ -1438,6 +1495,57 @@ class TestCommandProcess:
         proc.stderr.close()
         assert proc.wait(timeout=120) == -signal.SIGPIPE
         assert "error:" not in err and "Traceback" not in err
+
+
+class TestNamespace:
+    """``import qapkit`` loads no module: each name loads the module defining it, and cli loads per command."""
+
+    def test_each_exported_name_is_the_object_its_module_defines(self):
+        for name in qapkit.__all__:
+            module = f"qapkit.{qapkit._MODULE_OF[name]}"
+            obj = getattr(qapkit, name)
+            assert obj is getattr(importlib.import_module(module), name), name
+            assert getattr(obj, "__module__", module) == module, name  # constants carry no __module__
+
+    def test_a_star_import_binds_exactly_all_and_dir_lists_it(self):
+        namespace = {}
+        exec("from qapkit import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == qapkit.__all__
+        assert set(qapkit.__all__) <= set(dir(qapkit))
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        assert not hasattr(qapkit, "nope")
+        assert not hasattr(cli_module, "nope")
+
+    def test_a_module_is_reached_as_an_attribute_without_its_own_import(self, tmp_path):
+        code = "import qapkit; print(qapkit.tree.candidate_splits.__module__, qapkit.evaluation.LAYERS)"
+        assert run_process("-c", code, cwd=tmp_path)[:2] == (0, b"qapkit.tree ('questions', 'features', 'answers')\n")
+
+    def test_the_layer_table_follows_layers(self):
+        assert tuple(evaluation_module._LAYER_TABLE) == model_module.LAYERS
+
+    def test_the_tracer_installs_and_its_wrappers_see_a_command_run(self, tmp_path):
+        write_jsonl(tmp_path / "corpus.jsonl", [utt_obj(0, "Where did you go?")])
+        # bench/ is on the import path only while the tracer loads, as in test_golden.py
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "try:\n"
+            "    import tracer\n"
+            "finally:\n"
+            "    sys.path.remove(sys.argv[1])\n"
+            "t = tracer.Tracer()\n"
+            "t.install()\n"
+            "from qapkit import cli\n"
+            "assert cli.main(['classify', '--input', 'corpus.jsonl', '--output', 'p.jsonl']) == 0\n"
+            "print(*sorted(set(t.names[span[0]] for span in t.spans)))\n"
+        )
+        returncode, out, err = run_process("-c", code, ROOT / "bench", cwd=tmp_path)
+        assert returncode == 0, err
+        assert {
+            "ingestion.parse_dialogue_jsonl", "text.tokenize", "rules.rule_classify", "rules.map_wh_feature",
+            "ingestion.write_annotations",
+        } <= set(out.decode().split())
 
 
 class TestAnnotationIndex:
