@@ -19,7 +19,10 @@ _EXPORTS = {
         "EmptyInput", "EvalReport", "LengthMismatch", "NoAlignedItems", "cohen_kappa", "confusion",
         "disagreement_report", "observed_agreement", "pairwise_agreement", "score",
     ),
-    "features": ("ExtractorConfig", "FeatureVector", "detect_inversion", "extract_features"),
+    "features": (
+        "DEFAULT_EXTRACTOR", "ExtractorConfig", "FeatureVector", "apply_settings", "detect_inversion",
+        "extract_features", "load_extractor_config", "token_features",
+    ),
     "ingestion": (
         "Dialogue", "DuplicateTurn", "EmptyTranscript", "IngestError", "MalformedLine", "NonDenseTurns",
         "UnknownTag", "parse_dialogue_jsonl", "parse_eaf", "parse_tsv_transcript", "read_annotations",

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
-from . import __version__
+from . import _EXPORTS, _MODULE_OF, __version__
 from .ingestion import (
     Dialogue,
     MalformedLine,
@@ -48,40 +48,25 @@ from .model import (
     validate_corpus,
 )
 
-#: The names the commands use from the modules that not every command runs, by module. A command binds
-#: its modules' names with _load before it runs; module attribute access binds them too (see __getattr__).
-#: A new such name goes in this table, not in an import: bench/tracer.py and the tests wrap or replace
-#: names of this module before main runs, and _load leaves a name that is already bound as it is.
-_LAZY = {
-    "evaluation": ("NoAlignedItems", "confusion", "disagreement_report", "pairwise_agreement", "score"),
-    "features": (
-        "DEFAULT_EXTRACTOR", "ExtractorConfig", "FeatureVector", "apply_settings",
-        "extract_features",  # the one-question API; bench/tracer.py wraps it here
-        "load_extractor_config", "token_features",
-    ),
-    "rules": ("load_wh_feature_map", "map_wh_feature", "rule_classify"),
-    "text": ("tokenize",),
-    "tree": (
-        "LabeledInstance", "TrainConfig", "load_model", "majority_baseline", "predict", "save_model", "train_tree",
-    ),
-}
-
-
 def _load(*modules: str) -> None:
-    """Import each of ``modules`` and bind those of its _LAZY names that are not bound yet."""
+    """Import each of ``modules`` and bind those of its names in ``qapkit._EXPORTS`` that are not bound yet.
+
+    Each command loads the modules it runs before it starts; a helper that may run before, or without,
+    a command loads what it reads. A bound name is left as it is: bench/tracer.py and the tests wrap
+    or replace names of this module before main runs.
+    """
     names = globals()
     for module in modules:
         loaded = importlib.import_module(f".{module}", __package__)
-        for name in _LAZY[module]:
+        for name in _EXPORTS[module]:
             names.setdefault(name, getattr(loaded, name))
 
 
 def __getattr__(name: str):
-    for module, names in _LAZY.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_MODULE_OF[name])
+    return globals()[name]
 
 
 log = logging.getLogger("qapkit")
@@ -272,6 +257,7 @@ def _question_features(
     not sliced from the utterance's tokens: lowercasing depends on context
     (the final-sigma rule), so those could differ from the span's own.
     """
+    _load("features", "text")  # a caller may run this before, or without, a command
     by_id = {d.dialogue_id: d for d in dialogues}
     vectors: dict[FeatureVector, FeatureVector] = {}
     last_prev = prev_tokens = None
@@ -366,6 +352,7 @@ def cmd_train(args) -> int:
     passed = _question_features(dialogues, (q.key for q in questions), cfg, args.annotations)
     rows = [(q, utt, fv) for q, (utt, _, _, fv) in zip(questions, passed)]
 
+    set_aside = 0
     if args.limit_utterances is not None:
         total = sum(len(d.utterances) for d in dialogues)
         if args.limit_utterances < 0:
@@ -374,9 +361,10 @@ def cmd_train(args) -> int:
             raise ValueError(f"--limit-utterances {args.limit_utterances} exceeds corpus size {total}")
         first = set(itertools.islice((u for d in dialogues for u in d.utterances), args.limit_utterances))
         kept = [row for row in rows if row[1] in first]
+        set_aside = len(rows) - len(kept)
         log.info(
             "--limit-utterances %d: training on %d questions, %d set aside",
-            args.limit_utterances, len(kept), len(rows) - len(kept),
+            args.limit_utterances, len(kept), set_aside,
         )
         rows = kept
         del first, kept
@@ -394,6 +382,7 @@ def cmd_train(args) -> int:
     correct = sum(1 for inst in instances if decide(inst.fv) == inst.label)
     summary = {
         "instances": len(instances),
+        "n_set_aside": set_aside,
         "training_accuracy": correct / len(instances),
         "depth": model.depth(),
         "label_distribution": Counter(inst.label for inst in instances),

@@ -13,7 +13,7 @@ import operator
 from collections import Counter
 from typing import Callable, Hashable, Mapping, NamedTuple, Optional, Sequence
 
-from .model import FEATURE_BEARING, LAYERS, ItemIndex, Tag, index_by_item, question_ref  # noqa: F401  (re-exported)
+from .model import FEATURE_BEARING, LAYERS, ItemIndex, Tag, question_ref
 
 # Each agreement layer, in LAYERS order: the side of an ItemIndex it reads (0: questions by key,
 # 1: answers by question reference) and its tag reader. A reader reads a tag's

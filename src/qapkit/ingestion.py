@@ -138,8 +138,6 @@ def decode_json(text: str, line_no: Optional[int] = None) -> dict:
     raise IngestError(reason) if line_no is None else MalformedLine(line_no, reason)
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
 # tag value -> member for each closed tagset of the annotation records
 _QUESTION_TYPES, _FEATURES, _ANSWER_TYPES = (
     {member.value: member for member in tags} for tags in (QuestionType, Feature, AnswerType)
@@ -217,15 +215,9 @@ def _json_record(raw: str, line_no: int, kinds: Sequence[tuple]) -> Any:
     missing that has no default, or a value its kind or record type refuses;
     UnknownTag for a kind or tag outside its set.
     """
-    try:  # a clean line decodes once; any other goes through decode_json, which words the fault
-        obj, end = _raw_decode(raw)
-        clean = type(obj) is dict and not raw[end:].strip(" \t\n\r")
-    except (ValueError, RecursionError):
-        clean = False
-    if not clean:
-        if not raw.strip():
-            return None
-        obj = decode_json(raw, line_no)
+    if not raw.strip():
+        return None
+    obj = decode_json(raw, line_no)
     if "\\u" in raw:  # in text decoded from UTF-8, only a \u escape can spell a surrogate
         try:
             "".join(s for item in obj.items() for s in item if type(s) is str).encode()

@@ -662,6 +662,17 @@ class TestExtractionSettings:
         flags = ("--lexicon", f"cliche={tmp_path / 'missing.txt'}", "--lexicon", f"cliche={lex}")
         assert _verdict(run_cli, tmp_path, corpus, *flags) == "PQ"
 
+    def test_an_unknown_lexicon_name_is_refused(self, run_cli, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "Where?")])
+        code, _, err = run_cli("classify", "--input", corpus, "--lexicon", "bogus=x.txt")
+        assert (code, err) == (2, "error: unknown lexicon name 'bogus' (use one of wh, aux, tag, cliche)\n")
+
+    def test_a_config_lexicon_that_is_neither_phrases_nor_a_path_is_refused(self, run_cli, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", [utt_obj(0, "Where?")])
+        config = self.config(tmp_path, wh_lexicon=3)
+        code, _, err = run_cli("classify", "--input", corpus, "--extractor-config", config)
+        assert (code, err) == (2, f"error: {config}: wh_lexicon must be a list of phrases or a file path\n")
+
 
 PHRASES = st.lists(st.sampled_from(["you know", "okay", "who", "is it", "right"]), min_size=1, max_size=3)
 
@@ -707,12 +718,15 @@ class TestTrain:
         summary = json.loads(out)
         assert summary == {
             "instances": 4,
+            "n_set_aside": 0,
             "training_accuracy": 1.0,
             "depth": summary["depth"],
             "label_distribution": {"DQ": 1, "PQ": 1, "WH": 1, "YN": 1},
             "model": str(model_path),
         }
         assert summary["depth"] >= 2
+        readme = (ROOT / "README.md").read_text(encoding="utf-8").split("\n- `train`, the summary on stdout", 1)[1]
+        assert sorted(re.findall(r"^  - `(\w+)`:", readme.split("\n\n", 1)[0], flags=re.M)) == sorted(summary)
         with open(model_path, encoding="utf-8") as f:
             model = load_model(f)
         assert predict(model, make_fv(has_wh=True)).value == "WH"
@@ -784,6 +798,18 @@ class TestTrain:
         counts = re.fullmatch(r"--limit-utterances 2: training on (\d+) questions, (\d+) set aside", info)
         kept, aside = map(int, counts.groups())
         assert (kept, kept + aside) == (2, len(TRAIN_TEXTS))
+
+    def test_the_summary_counts_the_questions_the_limit_sets_aside(self, run_cli, tmp_path, train_corpus):
+        corpus, gold = train_corpus
+        with open(gold, "a", encoding="utf-8") as f:  # a repeat is not a kept question, so it is not set aside
+            f.write(json.dumps(q_obj(3, "really?", "YN")) + "\n")
+        code, out, _ = run_cli(
+            "train", "--input", corpus, "--annotations", gold,
+            "--output", tmp_path / "m.json", "--limit-utterances", "2", "--deterministic",
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["instances"], summary["instances"] + summary["n_set_aside"]) == (2, len(TRAIN_TEXTS))
 
     def test_limit_utterances_beyond_corpus(self, run_cli, tmp_path, train_corpus):
         corpus, gold = train_corpus
@@ -2220,6 +2246,11 @@ README_ERRORS = {
     "error: model.json: expected a JSON object": (
         {"corpus.jsonl": CORPUS_LINE, "model.json": "[]\n"},
         ["classify", "--input", "corpus.jsonl", "--mode", "tree", "--model", "model.json"],
+    ),
+    "error: b.jsonl: dialogue 'd' appears in more than one input": (
+        {"a.jsonl": _lines(utt_obj(0, "Where?", dialogue="d")), "b.jsonl": _lines(utt_obj(1, "Why?", dialogue="d")),
+         "gold.jsonl": _lines(q_obj(0, "Where?", "WH", dialogue="d"))},
+        ["train", "--input", "a.jsonl", "b.jsonl", "--annotations", "gold.jsonl", "--output", "m.json"],
     ),
     "error: wh.txt:3: invalid UTF-8 at byte 5 of the line (invalid start byte)": (
         {"corpus.jsonl": CORPUS_LINE, "wh.txt": b"who\nwhere\nwhat\xff\n"},

@@ -340,6 +340,14 @@ class TestEaf:
         (d,) = parse_eaf(path)
         assert [(u.turn_index, u.text) for u in d.utterances] == [(0, "I think"), (1, "Water?")]
 
+    def test_marker_only_annotations_leave_no_usable_annotation(self, tmp_path):
+        path = tmp_path / "cut.eaf"
+        path.write_text(EAF_DOC.replace("Water?", "--").replace("it includes heat and uhm, I think --", "--"),
+                        encoding="utf-8")
+        with pytest.raises(EmptyTranscript) as info:
+            parse_eaf(path)
+        assert str(info.value) == f"{path}: eaf source has no usable annotations"
+
     def test_invalid_xml(self, tmp_path):
         path = tmp_path / "broken.eaf"
         path.write_text("<ANNOTATION_DOCUMENT><TIER>", encoding="utf-8")

@@ -273,6 +273,7 @@ class TestRecordContract:
         readme = {
             re.search(r"under `(\w+)", block)[1]: re.findall(r"^  - `(\w+)`:", block, flags=re.M)
             for block in re.split(r"^- ", text, flags=re.M)[1:]
+            if not block.startswith("`train`")  # a summary, not a row: test_cli.py checks it against train's output
         }
         assert readme.keys() == REPORT_ROWS.keys()
         for key, make in REPORT_ROWS.items():

@@ -384,6 +384,13 @@ class TestBaseline:
         assert load_model(buf) == model
 
 
+# a split on has_wh between two leaves
+SPLIT = {
+    "feature": "has_wh", "threshold": None,
+    "left": {"label": "YN", "distribution": {"YN": 1}}, "right": {"label": "WH", "distribution": {"WH": 1}},
+}
+
+
 class TestSerialization:
     def roundtrip(self, model):
         buf = io.StringIO()
@@ -475,6 +482,26 @@ class TestSerialization:
         }
         with pytest.raises(MalformedModel, match="child"):
             load_model(io.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"version": 1, "root": {**SPLIT, "left": 3}}, "node must be a JSON object"),
+            ({"version": 1, "root": {"label": "YN", "distribution": [1]}}, "leaf distribution must be an object"),
+            ({"version": 1, "root": {"label": "YN", "distribution": {"YN": -1}}}, "bad distribution count for 'YN'"),
+            ({"version": 1, "root": {"label": "YN", "distribution": {"YN": True}}}, "bad distribution count for 'YN'"),
+            (
+                {"version": 1, "root": {**SPLIT, "feature": "length", "threshold": None}},
+                "length split requires a numeric threshold",
+            ),
+            ({"version": 1}, "model document has no root node"),
+        ],
+        ids=["child", "distribution", "negative-count", "boolean-count", "length-threshold", "root"],
+    )
+    def test_each_fault_is_named(self, doc, message):
+        with pytest.raises(MalformedModel) as info:
+            load_model(io.StringIO(json.dumps(doc)))
+        assert str(info.value) == message
 
     def test_non_object_document(self):
         with pytest.raises(MalformedModel):
