@@ -200,11 +200,13 @@ def pairwise_agreement(indexes: Mapping[str, ItemIndex], layer: str) -> list[Agr
     comparison counts. Raises NoAlignedItems when fewer than two annotators
     share any item.
 
-    The items of the layer are numbered once, for every annotator, and each
-    annotator gets a tag column: a list holding the tag of item i at position
-    i, or None where the annotator has no tag. A pair's agreement count, label
-    marginals and number of shared items come from the counts of its two
-    columns' (tag, tag) pairs.
+    The items of the layer are numbered once, for every annotator, and so are
+    its tags, from 1. Each annotator gets a code column: a list holding the
+    code of the tag of item i at position i, or 0 where the annotator has no
+    tag. With ``width`` one more than the number of tags, a pair's column of
+    ``code_a * width + code_b`` holds each item's two codes in one integer; its
+    counts give the pair's agreement count, label marginals and number of
+    shared items.
     """
     if layer not in LAYERS:
         raise ValueError(f"unknown layer {layer!r}; expected one of {LAYERS}")
@@ -213,29 +215,33 @@ def pairwise_agreement(indexes: Mapping[str, ItemIndex], layer: str) -> list[Agr
         raise NoAlignedItems("agreement needs at least two annotators")
 
     side, tag = _LAYER_TABLE[layer]
-    numbers: dict[Hashable, int] = {}  # item key -> number, one numbering for every annotator
-    for annotator in ids:
-        for key in indexes[annotator][side]:
-            numbers.setdefault(key, len(numbers))
+    # item key -> number, one numbering for every annotator
+    keys = dict.fromkeys(itertools.chain.from_iterable(indexes[annotator][side] for annotator in ids))
+    numbers: dict[Hashable, int] = dict(zip(keys, itertools.count()))
+    codes: dict[str, int] = {}  # tag -> code, one coding for every annotator
     columns = {}
     for annotator in ids:
-        column = columns[annotator] = [None] * len(numbers)
+        column = columns[annotator] = [0] * len(numbers)
         for key, ann in indexes[annotator][side].items():
             # feature tags are undefined outside feature-bearing types, so the
             # comparison covers only items both annotators typed as such
             if layer != "features" or ann.q_type in FEATURE_BEARING:
-                column[numbers[key]] = tag(ann)
+                column[numbers[key]] = codes.setdefault(tag(ann), len(codes) + 1)
+    tags = [None, *codes]  # code -> tag
+    width = len(tags)
+    scaled = {annotator: [code * width for code in columns[annotator]] for annotator in ids[:-1]}
     reports: list[AgreementReport] = []
     for id_a, id_b in itertools.combinations(ids, 2):
         agreed = n = 0
         marg_a, marg_b = Counter(), Counter()
-        for (label_a, label_b), count in Counter(zip(columns[id_a], columns[id_b])).items():
-            if label_a is not None and label_b is not None:
+        for pair, count in Counter(map(operator.add, scaled[id_a], columns[id_b])).items():
+            code_a, code_b = divmod(pair, width)
+            if code_a and code_b:
                 n += count
-                if label_a == label_b:
+                if code_a == code_b:
                     agreed += count
-                marg_a[label_a] += count
-                marg_b[label_b] += count
+                marg_a[tags[code_a]] += count
+                marg_b[tags[code_b]] += count
         if n:
             observed = agreed / n
             reports.append(AgreementReport(layer, (id_a, id_b), observed, _kappa(observed, marg_a, marg_b, n), n))

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
+from itertools import islice, repeat
 from pathlib import Path
+from sys import intern
 from typing import IO, Any, Callable, Iterable, Optional, Sequence, Union
 
 from .model import (
@@ -142,14 +143,17 @@ def decode_json(text: str, line_no: Optional[int] = None) -> dict:
 _QUESTION_TYPES, _FEATURES, _ANSWER_TYPES = (
     {member.value: member for member in tags} for tags in (QuestionType, Feature, AnswerType)
 )
+# a feature group holds the value as JSON spells it: null, or a tag in quotes
+_FEATURE_SPELLINGS = {"null": None, **{json.dumps(tag): member for tag, member in _FEATURES.items()}}
 
 # A field's value kind: (its group in the documented layout; what the JSON
 # path's message says a value must be, or None for a tag, whose fault is an
-# UnknownTag; the test a decoded value passes). A string group takes only text
-# JSON decodes to itself: no quote, backslash or U+0000-U+001F. A number group
-# takes only a non-negative integer in JSON's spelling; [0-9], not \d, which
-# takes other scripts' digits too. A tag test looks up only a string, since a
-# list or dict value is unhashable.
+# UnknownTag; the test a decoded value passes). A group between quotes holds a
+# string's text, and takes only text JSON decodes to itself: no quote,
+# backslash or U+0000-U+001F. Any other group holds the value as JSON spells
+# it. A number group takes only a non-negative integer in JSON's spelling;
+# [0-9], not \d, which takes other scripts' digits too. A tag test looks up
+# only a string, since a list or dict value is unhashable.
 _QUOTED = r'"([^"\\\x00-\x1f]*)"'
 _DIGITS = "(0|[1-9][0-9]{0,17})"
 _ID = (r'"([^"\\\x00-\x1f]+)"', "a non-empty string", lambda v: type(v) is str and v != "")
@@ -160,7 +164,7 @@ _TEXT = (_QUOTED, "a non-empty string", lambda v: type(v) is str and v.strip() !
 _BOOLEAN = ("(true|false)", "a boolean", lambda v: type(v) is bool)
 _QUESTION_TYPE = (_QUOTED, None, lambda v: type(v) is str and v in _QUESTION_TYPES)
 _ANSWER_TYPE = (_QUOTED, None, lambda v: type(v) is str and v in _ANSWER_TYPES)
-_FEATURE = (f"(?:null|{_QUOTED})", None, lambda v: v is None or type(v) is str and v in _FEATURES)
+_FEATURE = (r'(null|"[^"\\\x00-\x1f]*")', None, lambda v: v is None or type(v) is str and v in _FEATURES)
 
 # The one statement of each JSONL record kind's fields (README "File formats"):
 # its "kind" value, or None for an utterance, which has none, and one row per
@@ -192,28 +196,44 @@ _ANSWER = ("a", (
 ))
 
 
-def _layout(kind: Optional[str], fields: tuple) -> re.Pattern:
-    """The documented layout of a kind's lines, which the writers emit, with one group per field key."""
-    spelled = [f'"kind": "{kind}"'] if kind else []
-    spelled += [f'"{key}": {value[0]}' for keys, value, *_ in fields for key in keys.split()]
-    return re.compile("{" + ", ".join(spelled) + "}\n?")
+def _reader(*tables: tuple) -> tuple[tuple, re.Pattern]:
+    """A reader of the record kinds of ``tables``: (kinds, pattern); see _records.
+
+    The pattern is the alternation of the kinds' documented layouts, which the
+    writers emit, each with one group per field key. It matches one whole line
+    from its start, with or without its LF. Its row, as findall gives it,
+    holds every group: '' for each group of the kinds the line is not. Each
+    of ``kinds`` is a table's "kind" value and fields, and the position in a
+    row of its first group.
+    """
+    kinds, layouts, offset = [], [], 0
+    for kind, fields in tables:
+        spelled = [f'"{key}": {value[0]}' for keys, value, *_ in fields for key in keys.split()]
+        layouts.append("{" + ", ".join([f'"kind": "{kind}"'] * bool(kind) + spelled) + "}")
+        kinds.append((kind, fields, offset))
+        offset += len(spelled)
+    return tuple(kinds), re.compile(f"^(?:{'|'.join(layouts)})$\n?", re.M)
 
 
-_UTTERANCE_LINE, _QUESTION_LINE, _ANSWER_LINE = (_layout(*table) for table in (_UTTERANCE, _QUESTION, _ANSWER))
+def _spelled(value: Union[None, bool, int, str]) -> str:
+    """json.dumps of a checked value an unquoted group holds: null, a boolean, an integer or a tag; faster."""
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    return f'"{value}"' if type(value) is str else str(value)
 
 
-def _json_record(raw: str, line_no: int, kinds: Sequence[tuple]) -> Any:
-    """The record of the JSONL line ``raw`` of one of ``kinds`` (see _records), or None for a blank line.
+def _json_record(raw: str, line_no: int, reader: tuple, build: Callable[[list], list]) -> Any:
+    """The record of the JSONL line ``raw`` of one of the reader's kinds (see _records), or None for a blank line.
 
     Any JSON layout is taken: keys in any order, extra keys, escapes, JSON
     whitespace (space, tab, CR, LF) around the object. The line's kind is the
     one its "kind" value names, or the only one, which has none. The kind's
     table is read in order, each value checked and then spelled as the
-    layout's group holds it for the kind's builder. Raises MalformedLine for
-    a line that is not one JSON object (see decode_json), a field name or
-    string value holding a lone surrogate (UTF-8 cannot write it), a field
-    missing that has no default, or a value its kind or record type refuses;
-    UnknownTag for a kind or tag outside its set.
+    pattern's group holds it, and the row findall would give is built.
+    Raises MalformedLine for a line that is not one JSON object (see
+    decode_json), a field name or string value holding a lone surrogate
+    (UTF-8 cannot write it), a field missing that has no default, or a value
+    its kind or record type refuses; UnknownTag for a kind or tag outside its set.
     """
     if not raw.strip():
         return None
@@ -223,53 +243,96 @@ def _json_record(raw: str, line_no: int, kinds: Sequence[tuple]) -> Any:
             "".join(s for item in obj.items() for s in item if type(s) is str).encode()
         except UnicodeEncodeError:
             raise MalformedLine(line_no, "string holds a lone surrogate") from None
-    groups = []
+    kinds, pattern = reader
+    row = [""] * pattern.groups
     try:
-        for (kind, fields), _, build in kinds:
+        for kind, fields, offset in kinds:
             if kind is None or kind == obj["kind"]:
                 break
         else:
             raise UnknownTag(obj["kind"], line_no)
-        for keys, (_, what, test), *default in fields:
+        for keys, (group, what, test), *default in fields:
             keys = keys.split()
             values = [obj.get(key, default[0]) if default else obj[key] for key in keys]
             for key, value in zip(keys, values):
                 if not test(value):
                     raise MalformedLine(line_no, f"{key} must be {what}") if what else UnknownTag(value, line_no)
-                groups.append(value if value is None or type(value) is str else json.dumps(value))
+                row[offset] = value if group[0] == '"' else _spelled(value)
+                offset += 1
     except KeyError as exc:
         raise MalformedLine(line_no, f"missing field {exc.args[0]!r}") from None
     try:
-        return build(*groups)
+        return build([row])[0]
     except ValueError as exc:
         raise MalformedLine(line_no, str(exc)) from exc
 
 
-def _records(lines: Iterable[str], kinds: Sequence[tuple]) -> Iterator[tuple[int, Any]]:
-    """(1-based line number, record) for each non-blank JSONL line.
+_BLOCK = 16384  # characters of text in a block of lines, about
 
-    Each of ``kinds`` is (table, layout, builder): a record kind's table, its
-    layout, and the builder of its record from the layout's groups. A line in
-    a layout is built from its groups, unless the record type or a tag table
-    refuses a value (ValueError or KeyError); any other line goes through
-    _json_record, which gives the same record for a line that holds one and
-    words the fault of a line that does not.
+
+def _records(
+    lines: Iterable[str], reader: tuple, build: Callable[[list], list]
+) -> Iterator[tuple[Sequence[int], list]]:
+    """(1-based line numbers, records) of the non-blank JSONL lines, a block of lines at a time.
+
+    ``reader`` is (kinds, pattern), as _reader gives it: the kinds read and
+    the alternation of their layouts. ``build`` is the reader's one builder:
+    it gives the list of records of a list of the pattern's rows, and raises
+    ValueError or KeyError where a record type or tag table refuses a value.
+
+    Lines are taken in blocks of about _BLOCK characters. A block whose every
+    line ends in LF, holds no other LF and is in a layout is read with one
+    findall of the pattern and one builder call. Any other block, and one in
+    which the builder refuses a value, is read line by line: a line in a
+    layout is built from its groups unless a value is refused, and any other
+    goes through _json_record, which gives the same record for a line that
+    holds one and words the fault of a line that does not. Such a block
+    yields each record before the next line is read, so the first faulty
+    line's fault is the one raised, and a consumer's check of a record (a
+    repeated turn, say) comes before any fault of a later line. A fault the
+    line iterator raises, such as invalid UTF-8, comes after the records of
+    the lines read before it.
     """
-    for line_no, raw in enumerate(lines, start=1):
-        record = None
-        for _, layout, build in kinds:
-            match = layout.fullmatch(raw)
-            if match is not None:
-                try:
-                    record = build(*match.groups())
-                except (KeyError, ValueError):  # a bad value in the layout
-                    pass
-                break
-        if record is None:
-            record = _json_record(raw, line_no, kinds)
-            if record is None:  # a blank line
-                continue
-        yield line_no, record
+    pattern = reader[1]
+    lines = iter(lines)
+    line_no, size = 0, 64  # lines read so far; lines the next block takes
+    while True:
+        block: list[str] = []
+        fault = None
+        try:
+            block.extend(islice(lines, size))  # on a fault, keeps the lines read before it
+        except Exception as exc:  # raised again once the lines read before it are read
+            fault = exc
+        text = "".join(block)
+        # a block whose first line is not in a layout is not searched
+        rows = pattern.findall(text) if pattern.match(text) and all(map(str.endswith, block, repeat("\n"))) else ()
+        records = None
+        if len(rows) == len(block) == text.count("\n"):
+            try:
+                records = build(rows)
+            except (KeyError, ValueError):  # a value refused: the line path finds and words it
+                pass
+        if records is not None:
+            yield range(line_no + 1, line_no + 1 + len(block)), records
+        else:
+            for number, raw in enumerate(block, line_no + 1):
+                match = pattern.fullmatch(raw)
+                record = None
+                if match is not None:
+                    try:
+                        record = build([match.groups()])[0]
+                    except (KeyError, ValueError):
+                        pass
+                if record is None:
+                    record = _json_record(raw, number, reader, build)
+                if record is not None:  # not a blank line
+                    yield (number,), [record]
+        if fault is not None:
+            raise fault
+        if len(block) < size:  # the lines ran out
+            return
+        line_no += len(block)
+        size = min(2 * size, 1 + _BLOCK * size // max(len(text), 1))
 
 
 class Dialogue(checked_record("Dialogue", "dialogue_id language utterances")):
@@ -292,35 +355,41 @@ class Dialogue(checked_record("Dialogue", "dialogue_id language utterances")):
         return tuple.__new__(cls, (dialogue_id, language, utterances))
 
 
-def _utterance(dialogue_id: str, turn_index: str, speaker: str, text: str, interrupted: str,
-               language: str) -> tuple[Utterance, str]:
-    """(utterance, language) of an utterance line's groups; blank text raises ValueError."""
-    utt = Utterance(sys.intern(dialogue_id), int(turn_index), sys.intern(speaker), text, interrupted == "true")
-    return utt, language
+def _utterances(rows: list) -> list[tuple[Utterance, str]]:
+    """(utterance, language) of each utterance line's row of groups; blank text raises ValueError."""
+    return [
+        (Utterance(intern(dialogue_id), int(turn_index), intern(speaker), text, interrupted == "true"), language)
+        for dialogue_id, turn_index, speaker, text, interrupted, language in rows
+    ]
+
+
+_UTTERANCE_READER = _reader(_UTTERANCE)
 
 
 def parse_dialogue_jsonl(lines: Iterable[str]) -> list[Dialogue]:
     """Parse canonical dialogue JSONL into dialogues sorted by id.
 
     Each line holds one utterance, whose fields the table ``_UTTERANCE``
-    states. Blank lines are skipped. A line in the documented layout is read
-    from its text alone; any other goes through the JSON decoder, with the
-    same result (see _records). Raises MalformedLine (with the 1-based line
-    number; DuplicateTurn is one) or NonDenseTurns. Utterances with the same
+    states. Blank lines are skipped. Lines in the documented layout are read
+    a block at a time from their text alone; any other line goes through the
+    JSON decoder, with the same result (see _records). Raises MalformedLine
+    (with the 1-based line number; DuplicateTurn is one) or NonDenseTurns,
+    the fault of the first line that has one. Utterances with the same
     dialogue id or speaker share one string object.
     """
     by_dialogue: dict[str, dict[int, Utterance]] = {}
     languages: dict[str, str] = {}
-    for line_no, (utt, language) in _records(lines, ((_UTTERANCE, _UTTERANCE_LINE, _utterance),)):
-        turns = by_dialogue.setdefault(utt.dialogue_id, {})
-        if utt.turn_index in turns:
-            raise DuplicateTurn(utt.dialogue_id, utt.turn_index, line_no)
-        turns[utt.turn_index] = utt
-        known = languages.setdefault(utt.dialogue_id, language)
-        if known != language:
-            raise MalformedLine(
-                line_no, f"conflicting language {language!r} for dialogue {utt.dialogue_id!r} (was {known!r})"
-            )
+    for line_nos, records in _records(lines, _UTTERANCE_READER, _utterances):
+        for line_no, (utt, language) in zip(line_nos, records):
+            turns = by_dialogue.setdefault(utt.dialogue_id, {})
+            if utt.turn_index in turns:
+                raise DuplicateTurn(utt.dialogue_id, utt.turn_index, line_no)
+            turns[utt.turn_index] = utt
+            known = languages.setdefault(utt.dialogue_id, language)
+            if known != language:
+                raise MalformedLine(
+                    line_no, f"conflicting language {language!r} for dialogue {utt.dialogue_id!r} (was {known!r})"
+                )
 
     return [
         Dialogue(d, languages[d], tuple(turns[i] for i in sorted(turns))) for d, turns in sorted(by_dialogue.items())
@@ -529,27 +598,35 @@ def write_dialogues(dialogues: Iterable[Dialogue], stream: IO[str]) -> None:
             )
 
 
-def _question(share: Callable[[Any, Any], Any], dialogue_id: str, turn_index: str, span_start: str,
-              span_end: str, q_type: str, feature: Optional[str], annotator_id: str) -> QuestionAnnotation:
-    """The record of a question line's groups; an unknown tag raises KeyError, a bad span ValueError.
+def _annotations(shared: dict, rows: list) -> list[Union[QuestionAnnotation, AnswerAnnotation]]:
+    """The record of each annotation line's row of groups: a question's seven, then an answer's five.
 
-    ``share(value, value)`` gives the turn number and span object to keep (see read_annotations).
+    A question line's row leaves the answer's groups '', and an answer line's
+    the question's. An unknown tag raises KeyError, a bad span ValueError.
+    ``shared`` maps the spelling of a turn number, and the two of a span, to
+    the object every record with that number or span holds (see read_annotations).
     """
-    turn_index, span = int(turn_index), (int(span_start), int(span_end))
-    return QuestionAnnotation(
-        sys.intern(dialogue_id), share(turn_index, turn_index), share(span, span), _QUESTION_TYPES[q_type],
-        _FEATURES[feature] if feature is not None else None, sys.intern(annotator_id),
-    )
+    # the number or span is built only when the table lacks it (or the number is 0, and keep finds it)
+    number, keep = shared.get, shared.setdefault
+    records: list[Union[QuestionAnnotation, AnswerAnnotation]] = []
+    for (dialogue_id, turn_index, span_start, span_end, q_type, feature, annotator_id,
+         a_dialogue_id, a_turn_index, a_type, question_ref, a_annotator_id) in rows:
+        if dialogue_id:
+            span = span_start, span_end
+            records.append(QuestionAnnotation(
+                intern(dialogue_id), number(turn_index) or keep(turn_index, int(turn_index)),
+                number(span) or keep(span, (int(span_start), int(span_end))), _QUESTION_TYPES[q_type],
+                _FEATURE_SPELLINGS[feature], intern(annotator_id),
+            ))
+        else:
+            records.append(AnswerAnnotation(
+                intern(a_dialogue_id), number(a_turn_index) or keep(a_turn_index, int(a_turn_index)),
+                _ANSWER_TYPES[a_type], intern(question_ref), intern(a_annotator_id),
+            ))
+    return records
 
 
-def _answer(share: Callable[[Any, Any], Any], dialogue_id: str, turn_index: str, a_type: str, question_ref: str,
-            annotator_id: str) -> AnswerAnnotation:
-    """The record of an answer line's groups; an unknown tag raises KeyError. ``share`` is as in _question."""
-    turn_index = int(turn_index)
-    return AnswerAnnotation(
-        sys.intern(dialogue_id), share(turn_index, turn_index), _ANSWER_TYPES[a_type], sys.intern(question_ref),
-        sys.intern(annotator_id),
-    )
+_ANNOTATION_READER = _reader(_QUESTION, _ANSWER)
 
 
 def read_annotations(
@@ -558,11 +635,11 @@ def read_annotations(
     """Parse annotation JSONL into question and answer records, in file order.
 
     Each line is an object whose ``kind`` is "q" or "a"; the tables
-    ``_QUESTION`` and ``_ANSWER`` state each kind's fields. A line in its
-    kind's documented layout is read from its text alone; any other goes
-    through the JSON decoder, with the same result (see _records). Unknown
-    kinds and tag values raise UnknownTag; structural problems raise
-    MalformedLine.
+    ``_QUESTION`` and ``_ANSWER`` state each kind's fields. Lines in their
+    kind's documented layout are read a block at a time from their text
+    alone; any other line goes through the JSON decoder, with the same result
+    (see _records). Unknown kinds and tag values raise UnknownTag; structural
+    problems raise MalformedLine; either is the fault of the first line that has one.
 
     Records with equal dialogue ids, annotator ids or question references
     share one interned string; records with equal spans or turn numbers
@@ -570,9 +647,11 @@ def read_annotations(
     reads of files read together (several annotators' files of the same
     items) to share across them; by default the table is this call's own.
     """
-    share = ({} if shared is None else shared).setdefault
-    kinds = ((_QUESTION, _QUESTION_LINE, partial(_question, share)), (_ANSWER, _ANSWER_LINE, partial(_answer, share)))
-    return [record for _, record in _records(lines, kinds)]
+    build = partial(_annotations, {} if shared is None else shared)
+    records: list[Union[QuestionAnnotation, AnswerAnnotation]] = []
+    for _, block in _records(lines, _ANNOTATION_READER, build):
+        records += block
+    return records
 
 
 def write_annotations(

@@ -252,6 +252,20 @@ class TestIngest:
         assert (code, err) == (2, f"error: {src}: line 2: invalid JSON: Expecting value\n")
 
 
+    def test_a_fault_read_before_an_invalid_byte_is_reported(self, run_cli, tmp_path):
+        # 51,781 bytes: a repeated turn on line 2, and byte 40,000 (inside line 3's text) invalid UTF-8;
+        # the decoder fails while line 3 is read, after line 2 is read
+        src = tmp_path / "c.jsonl"
+        head = "".join(json.dumps(utt_obj(0, "hi", dialogue="d")) + "\n" for _ in range(2))
+        text_size = 51_781 - len(head) - len(json.dumps(utt_obj(1, "", dialogue="d")) + "\n")
+        data = bytearray((head + json.dumps(utt_obj(1, "x" * text_size, dialogue="d")) + "\n").encode())
+        data[39_999] = 0xFF
+        src.write_bytes(data)
+        assert len(data) == 51_781
+        code, _, err = run_cli("classify", "--input", src, "--output", tmp_path / "pred.jsonl")
+        assert (code, err) == (2, f"error: {src}: line 2: duplicate turn 0 in dialogue 'd'\n")
+
+
 class TestClassify:
     def test_rule_mode_writes_annotations(self, run_cli, tmp_path):
         corpus = write_jsonl(

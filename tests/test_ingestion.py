@@ -151,6 +151,16 @@ class TestDialogueJsonl:
         with pytest.raises(MalformedLine, match="language"):
             parse_dialogue_jsonl(lines)
 
+    @pytest.mark.parametrize(
+        "line_9", [json.dumps(utt_obj(8, " ")) + "\n", "{broken\n"], ids=["refused-value", "not-json"]
+    )
+    def test_the_first_lines_fault_is_reported_within_a_block(self, line_9):
+        # line 9 sends the block holding both faults down the line-by-line path
+        lines = jsonl(*(utt_obj(t, language="nl" if t == 2 else "en") for t in range(12)))
+        lines[8] = line_9
+        with pytest.raises(MalformedLine, match=r"^line 3: conflicting language 'nl' for dialogue 'd1'"):
+            parse_dialogue_jsonl(lines)
+
     def test_write_then_parse_is_identity(self):
         dialogues = [
             Dialogue(
@@ -474,9 +484,10 @@ class TestAnnotations:
             with pytest.raises(MalformedLine):  # UnknownTag, or JSON nesting too deep
                 read_annotations([line])
 
-    def test_unknown_feature(self):
-        with pytest.raises(UnknownTag):
-            read_annotations(jsonl(dict(Q_LINE, feature="NOPE")))
+    @pytest.mark.parametrize("feature", ["NOPE", ""])  # "" is a tag outside the set, unlike null
+    def test_unknown_feature(self, feature):
+        with pytest.raises(UnknownTag, match=f"^line 1: unknown tag '{feature}'$"):
+            read_annotations(jsonl(dict(Q_LINE, feature=feature)))
 
     def test_unknown_answer_type(self):
         with pytest.raises(UnknownTag):
@@ -929,6 +940,49 @@ def outcome(reader, lines):
         return "error", type(exc), str(exc)
 
 
+# writer-layout lines of 400 records, with non-ASCII text, which is written raw
+BLOCK_QUESTIONS = [
+    QuestionAnnotation("d1", turn, (0, 4), qt, Feature.LOC if qt is QuestionType.WH else None, "ané")
+    for turn, qt in zip(range(0, 400, 2), itertools.cycle(QuestionType))
+]
+BLOCK_ANNOTATIONS = [
+    rec for q in BLOCK_QUESTIONS
+    for rec in (q, AnswerAnnotation("d1", q.turn_index + 1, AnswerType.UT, q.ref, "ané"))
+]
+BLOCK_DIALOGUES = [
+    Dialogue("d1", "en", tuple(Utterance("d1", turn, "A", f"turn {turn}, café?") for turn in range(400)))
+]
+
+
+def written(write, records):
+    out = io.StringIO()
+    write(records, out)
+    return out.getvalue().splitlines(keepends=True)
+
+
+def with_tag(line, **changes):
+    return json.dumps({**json.loads(line), **changes}, ensure_ascii=False) + "\n"
+
+
+# forms of a writer line, each giving the lines that stand in its place; "bad" is the reader's own
+ODD_FORMS = {
+    "blank": lambda line: ["\n", line],
+    "keys reordered": lambda line: [json.dumps(dict(reversed(json.loads(line).items())), ensure_ascii=False) + "\n"],
+    "escaped": lambda line: [json.dumps(json.loads(line)) + "\n"],  # its non-ASCII as \u escapes
+    "crlf": lambda line: [line[:-1] + "\r\n"],
+}
+BLOCK_READERS = {
+    "annotations": (
+        written(write_annotations, BLOCK_ANNOTATIONS), read_annotations, reference_readers.read_annotations,
+        lambda line: [with_tag(line, **{"q_type" if '"kind": "q"' in line else "a_type": "ZZ"})],
+    ),
+    "dialogues": (
+        written(write_dialogues, BLOCK_DIALOGUES), parse_dialogue_jsonl, reference_readers.parse_dialogue_jsonl,
+        lambda line: [with_tag(line, text=" ")],  # in the layout, but the record type refuses it
+    ),
+}
+
+
 class TestReaderEquivalence:
     """The readers give what the reference readers give, on any list of lines."""
 
@@ -945,6 +999,23 @@ class TestReaderEquivalence:
     @given(st.lists(any_lines([U_LINE, dict(U_LINE, dialogue_id="d2")]), max_size=6))
     def test_dialogues(self, lines):
         assert outcome(parse_dialogue_jsonl, lines) == outcome(reference_readers.parse_dialogue_jsonl, lines)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("reader", sorted(BLOCK_READERS))
+    def test_inputs_of_several_blocks(self, reader, data):
+        """Writer lines mixed with odd lines anywhere, over several blocks, read as the reference reads them."""
+        lines, read, reference, bad = BLOCK_READERS[reader]
+        forms = {**ODD_FORMS, "bad": bad}
+        odd = data.draw(st.dictionaries(st.integers(0, len(lines) - 1), st.sampled_from(sorted(forms)), max_size=8))
+        lines = [new for i, line in enumerate(lines) for new in (forms[odd[i]](line) if i in odd else [line])]
+        if data.draw(st.booleans()):
+            lines[-1] = lines[-1].rstrip("\r\n")  # a last line without LF
+        assert sum(map(len, lines)) > 3 * ingestion._BLOCK
+        expected = outcome(reference, lines)
+        if expected[0] == "error":  # as in test_annotations
+            expected = (*expected[:2], re.sub(r"^(line \d+: )\1", r"\1", expected[2]))
+        assert outcome(read, lines) == expected
 
     def test_every_pair_of_fields_each_missing_or_bad(self):
         """Each ordered pair of one kind's fields, each field left out or given a bad value: 9,396 lines.
