@@ -31,6 +31,8 @@ from .model import (
     QuestionType,
     Utterance,
     checked_record,
+    checked_span,
+    checked_text,
 )
 
 
@@ -279,6 +281,8 @@ def _records(
     the alternation of their layouts. ``build`` is the reader's one builder:
     it gives the list of records of a list of the pattern's rows, and raises
     ValueError or KeyError where a record type or tag table refuses a value.
+    A builder makes records with tuple.__new__ and runs their classes' checks of a
+    text or span; an _ID or _COUNT group (or JSON-path test) settles an id or turn.
 
     Lines are taken in blocks of about _BLOCK characters. A block whose every
     line ends in LF, holds no other LF and is in a layout is read with one
@@ -357,8 +361,10 @@ class Dialogue(checked_record("Dialogue", "dialogue_id language utterances")):
 
 def _utterances(rows: list) -> list[tuple[Utterance, str]]:
     """(utterance, language) of each utterance line's row of groups; blank text raises ValueError."""
+    new = tuple.__new__
     return [
-        (Utterance(intern(dialogue_id), int(turn_index), intern(speaker), text, interrupted == "true"), language)
+        (new(Utterance, (intern(dialogue_id), int(turn_index), intern(speaker), checked_text(text),
+                         interrupted == "true")), language)
         for dialogue_id, turn_index, speaker, text, interrupted, language in rows
     ]
 
@@ -607,22 +613,22 @@ def _annotations(shared: dict, rows: list) -> list[Union[QuestionAnnotation, Ans
     the object every record with that number or span holds (see read_annotations).
     """
     # the number or span is built only when the table lacks it (or the number is 0, and keep finds it)
-    number, keep = shared.get, shared.setdefault
+    number, keep, new = shared.get, shared.setdefault, tuple.__new__
     records: list[Union[QuestionAnnotation, AnswerAnnotation]] = []
     for (dialogue_id, turn_index, span_start, span_end, q_type, feature, annotator_id,
          a_dialogue_id, a_turn_index, a_type, question_ref, a_annotator_id) in rows:
         if dialogue_id:
             span = span_start, span_end
-            records.append(QuestionAnnotation(
+            records.append(new(QuestionAnnotation, (
                 intern(dialogue_id), number(turn_index) or keep(turn_index, int(turn_index)),
-                number(span) or keep(span, (int(span_start), int(span_end))), _QUESTION_TYPES[q_type],
+                number(span) or keep(span, checked_span((int(span_start), int(span_end)))), _QUESTION_TYPES[q_type],
                 _FEATURE_SPELLINGS[feature], intern(annotator_id),
-            ))
+            )))
         else:
-            records.append(AnswerAnnotation(
+            records.append(new(AnswerAnnotation, (
                 intern(a_dialogue_id), number(a_turn_index) or keep(a_turn_index, int(a_turn_index)),
                 _ANSWER_TYPES[a_type], intern(question_ref), intern(a_annotator_id),
-            ))
+            )))
     return records
 
 
@@ -643,9 +649,10 @@ def read_annotations(
 
     Records with equal dialogue ids, annotator ids or question references
     share one interned string; records with equal spans or turn numbers
-    share one object, through the table ``shared``. Pass one dict to the
-    reads of files read together (several annotators' files of the same
-    items) to share across them; by default the table is this call's own.
+    share one object, through the table ``shared``. Pass one dict, empty or
+    filled by earlier reads, to the reads of files read together (several
+    annotators' files of the same items) to share across them; by default the
+    table is this call's own. It holds only checked spans: each is checked once.
     """
     build = partial(_annotations, {} if shared is None else shared)
     records: list[Union[QuestionAnnotation, AnswerAnnotation]] = []

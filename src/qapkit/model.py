@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from enum import Enum
+from sys import intern
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 
@@ -103,6 +104,21 @@ def checked_record(typename: str, field_names: str) -> type:
     return base
 
 
+def checked_text(text: str) -> str:
+    """``text``, unless it is blank; the check an Utterance's text passes."""
+    if not text.strip():
+        raise ValueError("text must be non-empty")
+    return text
+
+
+def checked_span(span: tuple[int, int]) -> tuple[int, int]:
+    """``span``, unless it is out of order; the check a QuestionAnnotation's span passes."""
+    start, end = span
+    if start < 0 or end < start:
+        raise ValueError(f"bad span {span}: need 0 <= start <= end")
+    return span
+
+
 class Utterance(checked_record("Utterance", "dialogue_id turn_index speaker text interrupted")):
     """One turn of a dialogue."""
 
@@ -113,9 +129,7 @@ class Utterance(checked_record("Utterance", "dialogue_id turn_index speaker text
             raise ValueError("dialogue_id must be non-empty")
         if turn_index < 0:
             raise ValueError("turn_index must be non-negative")
-        if not text.strip():
-            raise ValueError("text must be non-empty")
-        return tuple.__new__(cls, (dialogue_id, turn_index, speaker, text, interrupted))
+        return tuple.__new__(cls, (dialogue_id, turn_index, speaker, checked_text(text), interrupted))
 
 
 def question_ref(dialogue_id: str, turn_index: int, span: tuple[int, int]) -> str:
@@ -136,10 +150,7 @@ class QuestionAnnotation(
 
     def __new__(cls, dialogue_id: str, turn_index: int, span: tuple[int, int], q_type: QuestionType,
                 feature: Optional[Feature] = None, annotator_id: str = ""):
-        start, end = span
-        if start < 0 or end < start:
-            raise ValueError(f"bad span {span}: need 0 <= start <= end")
-        return tuple.__new__(cls, (dialogue_id, turn_index, span, q_type, feature, annotator_id))
+        return tuple.__new__(cls, (dialogue_id, turn_index, checked_span(span), q_type, feature, annotator_id))
 
     @property
     def key(self) -> tuple[str, int, tuple[int, int]]:
@@ -186,7 +197,7 @@ def index_by_item(records: Iterable[AnnotationRecord]) -> tuple[dict[str, ItemIn
                 keys = {key: key for key in next(iter(indexes.values()))[0]}
             index = indexes[rec.annotator_id] = ({}, {})
         if isinstance(rec, QuestionAnnotation):
-            mapping, item = index[0], rec.key
+            mapping, item = index[0], rec[:3]  # rec.key, without the property's call
             if keys is not None:
                 item = keys.setdefault(item, item)
         else:
@@ -242,11 +253,13 @@ def validate_corpus(
     # Each lookup below pops the record it finds: a kept record is checked once
     # (without repeats, every record is kept), and the answers no question took remain.
     out: list[Violation] = []
+    refs: dict[tuple, str] = {}  # question item -> its ref, formatted once; interned, as its answers' refs are
     for q in questions:
         questions_of, answers_of = indexes[q.annotator_id]
-        if repeats and questions_of.pop(q.key, None) is not q:
+        item = q[:3]
+        if repeats and questions_of.pop(item, None) is not q:
             continue
-        ref = q.ref
+        ref = refs.get(item) or refs.setdefault(item, intern(q.ref))
         if q.feature is not None and q.q_type not in FEATURE_BEARING:
             message = f"{q.q_type} questions do not take a feature (got {q.feature})"
             out.append(Violation(ViolationKind.FEATURE_NOT_APPLICABLE, ref, message))

@@ -932,10 +932,20 @@ def any_lines(bases):
     return st.one_of(record_lines(bases, layout=True), record_lines(bases), ODD_LINES)
 
 
+def typed(record):
+    """(type, fields) of a record, each field as (type, value), and a Dialogue's utterances each typed too.
+
+    A record equals a plain tuple of its fields, and a tag equals its string,
+    so ``==`` alone would pass a reader that gave tuples, or the wrong class.
+    """
+    fields = (*record[:2], tuple(map(typed, record.utterances))) if isinstance(record, Dialogue) else record
+    return type(record), tuple((type(value), value) for value in fields)
+
+
 def outcome(reader, lines):
-    """("ok", records) or ("error", exception type, message)."""
+    """("ok", each record typed) or ("error", exception type, message)."""
     try:
-        return "ok", reader(lines)
+        return "ok", [typed(record) for record in reader(lines)]
     except ValueError as exc:
         return "error", type(exc), str(exc)
 
@@ -1048,3 +1058,56 @@ class TestReaderEquivalence:
                 if outcome(reader, lines) != expected:
                     differ.append(lines[0])
         assert (read, differ) == (9396, [])
+
+
+class TestChecksOfRecordsBuiltAsTuples:
+    """The readers build records as tuples, past their classes' calls, and still run each check a class runs."""
+
+    SPAN_FAULT = "bad span (9, 2): need 0 <= start <= end"
+
+    @staticmethod
+    def lines_with(lines, line_no, **changes):
+        """``lines`` with line ``line_no`` (1-based) given ``changes``; it stays in the writer's layout."""
+        lines = list(lines)
+        lines[line_no - 1] = with_tag(lines[line_no - 1], **changes)
+        return lines
+
+    @pytest.mark.parametrize("reader, changes, message", [
+        ("annotations", {"span_start": 9, "span_end": 2}, SPAN_FAULT),
+        ("dialogues", {"text": "\u00a0"}, "text must be a non-empty string"),  # written raw: blank to str.strip
+    ])
+    def test_a_value_refused_inside_a_block(self, reader, changes, message):
+        lines, read, reference, _ = BLOCK_READERS[reader]
+        lines = self.lines_with(lines, 41, **changes)  # in the first block, of 64 lines (a question's, if annotations)
+        pattern = (ingestion._ANNOTATION_READER if reader == "annotations" else ingestion._UTTERANCE_READER)[1]
+        assert all(map(pattern.fullmatch, lines[:64]))  # the whole block is in the layout: only the builder refuses
+        expected = ("error", MalformedLine, f"line 41: {message}")
+        assert outcome(reference, lines) == expected
+        assert outcome(read, lines) == expected
+
+    def test_files_read_together_check_each_span_once_and_keep_no_refused_one(self, tmp_path):
+        lines = written(write_annotations, BLOCK_ANNOTATIONS)[:100]
+        files = {
+            "good.jsonl": lines,
+            "bad.jsonl": self.lines_with(lines, 41, span_start=9, span_end=2),
+            "bad again.jsonl": self.lines_with(lines, 13, span_start=9, span_end=2),
+        }
+        for name, content in files.items():
+            (tmp_path / name).write_text("".join(content), encoding="utf-8")
+        # one table for every file, as cli._read_annotation_files reads them: the bad span is refused, at its
+        # own line, in each file, and a span first built in one file is the same object in the next
+        shared = {}
+        first = read_annotations(files["good.jsonl"], shared)
+        for name, line_no in (("bad.jsonl", 41), ("bad again.jsonl", 13)):
+            expected = ("error", MalformedLine, f"line {line_no}: {self.SPAN_FAULT}")
+            assert outcome(reference_readers.read_annotations, files[name]) == expected
+            assert outcome(lambda lines: read_annotations(lines, shared), files[name]) == expected
+        second = read_annotations(files["good.jsonl"], shared)
+        assert [typed(r) for r in second] == [typed(r) for r in first]
+        assert all(one.span is two.span for one, two in zip(first[::2], second[::2]))
+
+        with pytest.raises(MalformedLine) as exc:
+            cli._read_annotation_files("--input", [tmp_path / "good.jsonl", tmp_path / "bad again.jsonl"])
+        assert str(exc.value) == f"{tmp_path / 'bad again.jsonl'}: line 13: {self.SPAN_FAULT}"
+        records = cli._read_annotation_files("--input", [tmp_path / "good.jsonl"] * 2)
+        assert records[0].span == (0, 4) and all(q.span is records[0].span for q in records[::2])

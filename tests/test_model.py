@@ -135,11 +135,13 @@ BAD_VALUES = [
     (Utterance, (), {"dialogue_id": "d", "turn_index": -1, "speaker": "A", "text": "hi"},
      "turn_index must be non-negative"),
     (Utterance, ("d", 0), {"speaker": "A", "text": " ", "interrupted": True}, "text must be non-empty"),
+    (Utterance, ("d", 0, "A", "\u00a0"), {}, "text must be non-empty"),
     (QuestionAnnotation, ("d", 0, (5, 2), QuestionType.YN), {}, r"bad span \(5, 2\): need 0 <= start <= end"),
     (QuestionAnnotation, ("d", 0, (-1, 2), QuestionType.YN, None, "A1"), {},
      r"bad span \(-1, 2\): need 0 <= start <= end"),
     (QuestionAnnotation, (), {"dialogue_id": "d", "turn_index": 0, "span": (5, 2), "q_type": QuestionType.YN},
      r"bad span \(5, 2\): need 0 <= start <= end"),
+    (QuestionAnnotation, ("d", 0, [9, 2], QuestionType.YN), {}, r"bad span \[9, 2\]: need 0 <= start <= end"),
 ]
 
 
@@ -230,6 +232,10 @@ class TestRecordContract:
             RECORDS["Utterance"]()._replace(turn_index=-1)
         with pytest.raises(ValueError, match="^bad span"):
             RECORDS["QuestionAnnotation"]()._replace(span=(4, 1))
+
+    def test_a_questions_first_three_fields_are_its_key(self):
+        question = RECORDS["QuestionAnnotation"]()
+        assert question[:3] == question.key and type(question[:3]) is tuple  # index_by_item takes the slice
 
     def test_defaults_fill_the_trailing_fields(self):
         assert Utterance("d", 0, "A", "hi").interrupted is False
@@ -399,6 +405,30 @@ class TestPairing:
             (ViolationKind.DUPLICATE_RECORD, "nowhere:0:0-1"),
             (ViolationKind.DUPLICATE_RECORD, "d:0:0-5"),  # the answer at turn 4
         ]
+
+    def test_annotators_sharing_items_each_name_the_items_ref(self):
+        """Three annotators label the same three items, each with a repeat; every violation names its item's ref.
+
+        The items differ only in dialogue or only in turn, so a reference
+        formatted once per item must still be the one of the item at hand.
+        """
+        questions, answers, expected = [], [], []
+        for annotator in ("A1", "A2", "A3"):
+            items = [
+                q(turn=0, q_type=QuestionType.YN, feature=Feature.LOC, annotator=annotator),
+                q(turn=0, q_type=QuestionType.PQ, feature=Feature.AG, annotator=annotator, dialogue="e"),
+                q(turn=2, q_type=QuestionType.CS, feature=Feature.TMP, annotator=annotator),
+            ]
+            questions += [*items, items[0]._replace(q_type=QuestionType.WH)]
+            answers += [a(turn=question.turn_index + 1, ref=question.ref, a_type=AnswerType.FA, annotator=annotator,
+                          dialogue=question.dialogue_id) for question in items]
+            for question in items:
+                expected += [(ViolationKind.FEATURE_NOT_APPLICABLE, question.ref),
+                             (ViolationKind.ILLEGAL_ANSWER_FOR_QUESTION, question.ref)]
+        expected += [(ViolationKind.DUPLICATE_RECORD, "d:0:0-5")] * 3
+        violations = validate_corpus(questions, answers)
+        assert [(v.kind, v.item) for v in violations] == expected
+        assert violations == on_first_records(reference_reports.validate_corpus, questions, answers)
 
     def test_validate_corpus_reports_dangling(self):
         answers = [a(ref="nowhere:0:0-1"), a(ref="d:0:0-5", a_type=AnswerType.FA)]
